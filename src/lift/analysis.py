@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .network import NetworkConfig, REGRESSION_CHANNELS
+from .network import ENCODER_SITE, NetworkConfig, network_ops
 from .pcd_io import PointCloud
-from .pillarizer import GridConfig, PillarSet, pillarize
+from .pillarizer import GridConfig, pillarize
 from .sparse import Rulebook, SparseTensor2D, build_rulebook
 
 GMAC = 10 ** 9
@@ -82,54 +82,40 @@ def count_macs_layer(cin: int, cout: int, rulebook: Rulebook) -> int:
 def count_macs_network(cloud: PointCloud, grid: GridConfig, cfg: NetworkConfig,
                        *, include_offsets: bool = True,
                        budget_gmacs: float = DEFAULT_BUDGET_GMAC) -> MacReport:
-    """Build every rulebook the network would use (no arithmetic) and
-    total the multiply-accumulates, encoder and head included."""
+    """Walk the network's op list building only rulebooks (no
+    arithmetic) and total the multiply-accumulates, encoder and head
+    included. Convs reading the same active set with the same kernel
+    and mode share one rulebook."""
     pillars = pillarize(cloud, grid, include_offsets=include_offsets)
     report = MacReport(budget_gmacs=budget_gmacs)
     report.add("dbpfn", "linear", pillars.point_count,
                pillars.feature_length, cfg.encoder_hidden)
 
-    active = _active_only(pillars)
-    cin = cfg.encoder_out
-    stage_tensors = []
-    for s in range(4):
-        cout = cfg.stage_channels[s]
-        down_rb = build_rulebook(active, 3, "stride2")
-        report.add(f"stage{s + 1}.layer0", "downsample", down_rb.pair_count(), cin, cout)
-        active = SparseTensor2D(width=down_rb.out_width, height=down_rb.out_height,
-                                coords=down_rb.out_coords,
-                                features=np.empty((down_rb.out_coords.shape[0], 0)))
-        if cfg.stage_depths[s]:
-            sub_rb = build_rulebook(active, 3, "submanifold")
-            for idx in range(1, cfg.stage_depths[s] + 1):
-                report.add(f"stage{s + 1}.layer{idx}", "submanifold",
-                           sub_rb.pair_count(), cout, cout)
-        stage_tensors.append(active)
-        cin = cout
-
-    s2 = stage_tensors[1]
-    report.add("align", "submanifold", len(s2), cfg.stage_channels[1], cfg.align_channels)
-    head_rb = build_rulebook(s2, 3, "submanifold")
-    for tag, cout in (("cls", cfg.num_classes), ("reg", REGRESSION_CHANNELS)):
-        report.add(f"head.{tag}.conv", "submanifold", head_rb.pair_count(),
-                   cfg.align_channels, cfg.align_channels)
-        report.add(f"head.{tag}.out", "submanifold", len(s2),
-                   cfg.align_channels, cout)
+    active = {ENCODER_SITE: _active(pillars.width, pillars.height, pillars.coords)}
+    widths = {ENCODER_SITE: cfg.encoder_out}
+    rulebooks = {}
+    for op in network_ops(cfg.stage_depths, cfg):
+        x = active[op.inputs[0]]
+        cin = widths[op.inputs[0]]
+        cout = widths[op.output] = op.out_width(cin)
+        if op.kind == "add":
+            active[op.output] = x
+            continue
+        key = (id(x), op.k, op.mode)  # active keeps every set alive: ids stay unique
+        if key not in rulebooks:
+            rulebooks[key] = build_rulebook(x, op.k, op.mode)
+        rb = rulebooks[key]
+        report.add(op.name, "downsample" if op.mode == "stride2" else "submanifold",
+                   rb.pair_count(), cin, cout)
+        active[op.output] = x if op.mode == "submanifold" else \
+            _active(rb.out_width, rb.out_height, rb.out_coords)
     return report
 
 
-def _active_only(pillars: PillarSet) -> SparseTensor2D:
-    """Zero-channel tensor carrying just the active set."""
-    return SparseTensor2D(width=pillars.width, height=pillars.height,
-                          coords=pillars.coords,
-                          features=np.empty((len(pillars), 0)))
-
-
-@dataclass(frozen=True)
-class BufferEstimate:
-    cells: int
-    dims: tuple
-    context: tuple
+def _active(width: int, height: int, coords: np.ndarray) -> SparseTensor2D:
+    """Zero-channel tensor carrying just an active set."""
+    return SparseTensor2D(width=width, height=height, coords=coords,
+                          features=np.empty((coords.shape[0], 0)))
 
 
 def im2col_buffer_cells(dims, context) -> int:
@@ -156,11 +142,6 @@ def im2col_buffer_cells(dims, context) -> int:
     z = dims[2]
     kz = context[2]
     return z * x * (ky - 1) + x * (kz - 1) + kx
-
-
-def estimate_im2col_buffer(dims, context) -> BufferEstimate:
-    return BufferEstimate(cells=im2col_buffer_cells(dims, context),
-                          dims=tuple(dims), context=tuple(context))
 
 
 def dpu_budget(macs_per_cycle: int, clock_hz: float, cloud_rate_hz: float) -> float:

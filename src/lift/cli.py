@@ -48,12 +48,21 @@ def cmd_infer(args) -> int:
         if kind == "int8":
             raise StructuralError("--float requires a float weight file "
                                   "(this file is int8-quantized)")
-        mode = "float"
     if args.int8:
         if kind != "int8":
             raise StructuralError("--int8 requires a calibrated int8 weight file; "
                                   "run the calibrate command first")
-        mode = "int8"
+
+    # weights are decoded and validated before any cloud I/O, so the
+    # latency below covers pillarize -> network -> decode only
+    if mode == "int8":
+        net = weights_io.records_to_int8_network(records)
+        weights_io.validate_int8_against_config(net, cfg)
+        run = quantize.run_int8_network
+    else:
+        net = weights_io.records_to_float_network(records)
+        weights_io.validate_float_against_config(net, cfg)
+        run = network.run_network
 
     threads = _threads(args.threads)
     cloud = _read_cloud(args.cloud, args.stride)
@@ -61,16 +70,8 @@ def cmd_infer(args) -> int:
     pillars = pillarize(cloud, cfg.grid,
                         include_offsets=cfg.features.include_pillar_offsets,
                         normalize_intensity=cfg.features.normalize_intensity)
-    if mode == "int8":
-        net = weights_io.records_to_int8_network(records)
-        weights_io.validate_int8_against_config(net, cfg)
-        result = quantize.run_int8_network(pillars, net, cfg.grid, cfg.network,
-                                           cfg.score_threshold, cfg.top_k, threads)
-    else:
-        weights = weights_io.records_to_float_network(records)
-        weights_io.validate_float_against_config(weights, cfg)
-        result = network.run_network(pillars, weights, cfg.grid, cfg.network,
-                                     cfg.score_threshold, cfg.top_k, threads)
+    result = run(pillars, net, cfg.grid, cfg.network, cfg.score_threshold, cfg.top_k,
+                 threads)
     elapsed = time.perf_counter() - start
     pcd_io.write_detections(result.boxes, args.out)
     for name, size in result.stage_sizes.items():

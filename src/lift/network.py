@@ -7,12 +7,18 @@ max pooling with min pooling, so each output feature is tied to the two
 extreme points of its pillar instead of one. Each backbone stage is a
 stride-2 reparameterizable conv followed by a run of submanifold ones;
 stages 3 and 4 are added back onto stage 2's active set for the head.
+
+Everything after the encoder is written down once, as the op list of
+``network_ops``. The float and int8 executors, MAC counting, the
+residual-add audit, calibration sites and weight-file tensor names are
+all derived from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +26,8 @@ from .errors import ShapeError, StructuralError
 from .pillarizer import GridConfig, PillarSet
 from .reparam import (BnParams, FusedConvLayer, RepConvLayer, apply_fused,
                       apply_training_form, fuse)
-from .sparse import SparseTensor2D, relu, sparse_add_projected, sparse_max_pool, submanifold_conv
+from .sparse import (SparseTensor2D, relu, sparse_add_projected, sparse_conv_stride2,
+                     sparse_max_pool, submanifold_conv)
 
 DEFAULT_CLASS_NAMES = (
     "car", "truck", "construction_vehicle", "bus", "trailer",
@@ -60,6 +67,108 @@ class NetworkConfig:
         return self.encoder_out // 2
 
 
+# ---------------------------------------------------------------------------
+# the op list: the one description of the detector's wiring
+
+ENCODER_SITE = "dbpfn.out"
+
+
+@dataclass(frozen=True)
+class Op:
+    """One step after the encoder, reading and writing named sites.
+
+    A conv reads one site; a projected add reads a base site and one
+    ``factor`` times coarser and keeps the base's active set. ``cout``
+    is the output width where something fixes it (the regression
+    layout, or the config the list was built with); ``keeps_width``
+    ops are as wide as their input. Backbone ops (``stage`` > 0) are
+    the reparameterizable layers.
+    """
+
+    name: str
+    kind: str                    # conv | add
+    segment: str                 # backbone | fusion | head
+    inputs: tuple
+    output: str
+    k: int = 1
+    mode: str = "submanifold"    # submanifold | stride2
+    relu: bool = False
+    factor: int = 1
+    stage: int = 0
+    cout: int | None = None
+    keeps_width: bool = False
+
+    def out_width(self, cin: int) -> int | None:
+        return cin if self.keeps_width else self.cout
+
+    def layer_args(self) -> dict:
+        """stride and kind of the reparam layer that runs this op."""
+        if self.mode == "stride2":
+            return {"stride": 2, "kind": "downsample"}
+        return {"stride": 1, "kind": "submanifold"}
+
+
+def _layer_name(stage: int, idx: int) -> str:
+    return f"stage{stage}.layer{idx}"
+
+
+@lru_cache(maxsize=16)  # op lists are immutable; weight loading asks twice
+def network_ops(stage_depths: tuple, cfg: NetworkConfig | None = None) -> tuple:
+    """The detector after the encoder, as ops in execution order.
+
+    Each stage is a stride-2 3x3 conv followed by ``depth`` submanifold
+    ones, all with ReLU. A 1x1 conv aligns stage 2 to the fusion width;
+    stages 3 and 4 are added onto it; two head branches (3x3 conv and
+    ReLU, then 1x1 conv) give the class heatmap and the box regression.
+    With a config, every conv op carries the output width it gives.
+    """
+    ops = []
+    site = ENCODER_SITE
+    stage_outs = []
+    for s, depth in enumerate(stage_depths, start=1):
+        for idx in range(depth + 1):
+            name = _layer_name(s, idx)
+            ops.append(Op(name, "conv", "backbone", (site,), f"{name}.out", k=3,
+                          mode="stride2" if idx == 0 else "submanifold", relu=True,
+                          stage=s, cout=None if cfg is None else cfg.stage_channels[s - 1]))
+            site = f"{name}.out"
+        stage_outs.append(site)
+    ops += [
+        Op("align", "conv", "fusion", (stage_outs[1],), "align.out",
+           cout=None if cfg is None else cfg.align_channels),
+        Op("fusion.add3", "add", "fusion", ("align.out", stage_outs[2]), "fusion.add3.out",
+           factor=2, keeps_width=True),
+        Op("fusion.add4", "add", "fusion", ("fusion.add3.out", stage_outs[3]), "fusion.out",
+           factor=4, keeps_width=True),
+    ]
+    for tag, cout in (("cls", None if cfg is None else cfg.num_classes),
+                      ("reg", REGRESSION_CHANNELS)):
+        ops += [
+            Op(f"head.{tag}.conv", "conv", "head", ("fusion.out",), f"head.{tag}.conv.out",
+               k=3, relu=True, keeps_width=True),
+            Op(f"head.{tag}.out", "conv", "head", (f"head.{tag}.conv.out",),
+               f"head.{tag}.out", cout=cout),
+        ]
+    return tuple(ops)
+
+
+def present_stage_depths(present) -> tuple:
+    """Stage depths of a network whose backbone ops are those with
+    present(op name); a stage with no layer reads as depth 0, so its
+    missing stride-2 layer is what a reader reports."""
+    depths = []
+    for s in range(1, 5):
+        n = 0
+        while present(_layer_name(s, n)):
+            n += 1
+        depths.append(max(n - 1, 0))
+    return tuple(depths)
+
+
+# ---------------------------------------------------------------------------
+# weights and the executor
+
+
 @dataclass(frozen=True)
 class DbpfnParams:
     """Per-point linear map of the dual-bound encoder."""
@@ -70,26 +179,21 @@ class DbpfnParams:
 
 
 @dataclass(frozen=True)
-class ConvWeights:
-    kernel: np.ndarray           # (K, K, Cin, Cout)
-    bias: np.ndarray             # (Cout,)
-
-
-@dataclass(frozen=True)
-class HeadWeights:
-    cls_conv: ConvWeights        # 3x3, align -> align
-    cls_out: ConvWeights         # 1x1, align -> num_classes
-    reg_conv: ConvWeights        # 3x3
-    reg_out: ConvWeights         # 1x1, align -> 8
-
-
-@dataclass(frozen=True)
 class NetworkWeights:
     form: str                    # "train" | "fused"
     dbpfn: DbpfnParams
-    stages: tuple                # 4 tuples of RepConvLayer | FusedConvLayer
-    align: ConvWeights
-    head: HeadWeights
+    ops: tuple                   # network_ops of the stage depths
+    layers: dict                 # conv op name -> RepConvLayer | FusedConvLayer
+
+    def apply(self, op: Op, xs: list, threads: int = 1) -> SparseTensor2D:
+        """One op on real tensors (its ReLU is the executor's)."""
+        if op.kind == "add":
+            return sparse_add_projected(xs[0], xs[1], op.factor)
+        layer = self.layers[op.name]
+        if isinstance(layer, RepConvLayer):
+            return apply_training_form(layer, xs[0], threads=threads)
+        conv = sparse_conv_stride2 if op.mode == "stride2" else submanifold_conv
+        return conv(xs[0], layer.kernel, layer.bias, threads=threads)
 
 
 @dataclass(frozen=True)
@@ -133,70 +237,51 @@ def dbpfn_encode(pillars: PillarSet, params: DbpfnParams) -> SparseTensor2D:
                                 np.concatenate([maxs, mins], axis=1))
 
 
-def _apply_layer(layer, x: SparseTensor2D, threads: int = 1) -> SparseTensor2D:
-    if isinstance(layer, RepConvLayer):
-        return apply_training_form(layer, x, threads=threads)
-    return apply_fused(layer, x, threads=threads)
+def _run(weights, segment: str, inputs: tuple, threads: int, observer) -> tuple:
+    """Run one segment of weights.ops, for either path.
+
+    inputs fill the sites the segment reads from earlier segments, in
+    reading order. Each site is dropped after its last reader in the
+    whole network, so what is left -- returned in the order it was
+    made -- is what later segments (or decoding) read.
+    """
+    ops = [op for op in weights.ops if op.segment == segment]
+    made = {op.output for op in ops}
+    sites = dict(zip(dict.fromkeys(s for op in ops for s in op.inputs if s not in made),
+                     inputs))
+    last_reader = {s: op.name for op in weights.ops for s in op.inputs}
+    for op in ops:
+        y = weights.apply(op, [sites[s] for s in op.inputs], threads)
+        if op.relu:
+            y = relu(y)
+        for s in op.inputs:
+            if last_reader[s] == op.name:
+                del sites[s]
+        sites[op.output] = y
+        if observer is not None:
+            observer(op.output, y.features)
+    return tuple(sites.values())
 
 
-def run_backbone(x: SparseTensor2D, weights: NetworkWeights, threads: int = 1,
-                 observer=None):
+def run_backbone(x: SparseTensor2D, weights, threads: int = 1, observer=None):
     """Run the 4 stages; returns stage 2, 3, 4 outputs (strides 4, 8, 16)."""
-    outs = []
-    cur = x
-    for s, layers in enumerate(weights.stages, start=1):
-        for idx, layer in enumerate(layers):
-            cur = relu(_apply_layer(layer, cur, threads))
-            if observer is not None:
-                observer(f"stage{s}.layer{idx}.out", cur.features)
-        outs.append(cur)
-    return outs[1], outs[2], outs[3]
+    return _run(weights, "backbone", (x,), threads, observer)
 
 
-def fuse_scales(s2: SparseTensor2D, s3: SparseTensor2D, s4: SparseTensor2D,
-                align_weights: ConvWeights, threads: int = 1, observer=None,
-                int8_plan=None) -> SparseTensor2D:
+def fuse_scales(s2: SparseTensor2D, s3: SparseTensor2D, s4: SparseTensor2D, weights,
+                threads: int = 1, observer=None) -> SparseTensor2D:
     """Project stages 3 and 4 onto stage 2's active set and add.
 
     s2 first passes a 1x1 submanifold alignment conv to the fusion
     width. The result keeps exactly s2's active pixels.
     """
-    aligned = submanifold_conv(
-        s2, align_weights.kernel, align_weights.bias, threads=threads,
-        out_quant=None if int8_plan is None else int8_plan["align"])
-    if observer is not None:
-        observer("align.out", aligned.features)
-    out = sparse_add_projected(
-        aligned, s3, 2, add_quant=None if int8_plan is None else int8_plan["add3"])
-    if observer is not None:
-        observer("fusion.add3.out", out.features)
-    out = sparse_add_projected(
-        out, s4, 4, add_quant=None if int8_plan is None else int8_plan["add4"])
-    if observer is not None:
-        observer("fusion.out", out.features)
-    return out
+    (fused,) = _run(weights, "fusion", (s2, s3, s4), threads, observer)
+    return fused
 
 
-def run_head(x: SparseTensor2D, head_weights: HeadWeights, threads: int = 1,
-             observer=None, int8_plan=None):
+def run_head(x: SparseTensor2D, weights, threads: int = 1, observer=None):
     """Two shallow submanifold branches: class logits and box regression."""
-
-    def branch(conv, out, tag):
-        hidden = submanifold_conv(
-            x, conv.kernel, conv.bias, threads=threads,
-            out_quant=None if int8_plan is None else int8_plan[f"{tag}.conv"])
-        hidden = relu(hidden)
-        if observer is not None:
-            observer(f"head.{tag}.conv.out", hidden.features)
-        result = submanifold_conv(
-            hidden, out.kernel, out.bias, threads=threads,
-            out_quant=None if int8_plan is None else int8_plan[f"{tag}.out"])
-        if observer is not None:
-            observer(f"head.{tag}.out", result.features)
-        return result
-
-    heatmap = branch(head_weights.cls_conv, head_weights.cls_out, "cls")
-    regression = branch(head_weights.reg_conv, head_weights.reg_out, "reg")
+    heatmap, regression = _run(weights, "head", (x,), threads, observer)
     return heatmap, regression
 
 
@@ -285,22 +370,29 @@ class InferenceResult:
     stage_sizes: dict = field(default_factory=dict)
 
 
+def run_encoded(x: SparseTensor2D, pillars: PillarSet, weights, grid: GridConfig,
+                cfg: NetworkConfig, score_threshold: float, top_k: int, threads: int,
+                observer=None) -> InferenceResult:
+    """Encoder output to boxes on either path, recording active-set sizes."""
+    s2, s3, s4 = run_backbone(x, weights, threads=threads, observer=observer)
+    fused = fuse_scales(s2, s3, s4, weights, threads=threads, observer=observer)
+    heatmap, regression = run_head(fused, weights, threads=threads, observer=observer)
+    boxes = decode(heatmap, regression, grid, cfg, score_threshold, top_k)
+    sizes = {"pillars": len(pillars), "encoder": len(x), "stage2": len(s2),
+             "stage3": len(s3), "stage4": len(s4), "fused": len(fused)}
+    return InferenceResult(boxes=boxes, heatmap=heatmap, regression=regression,
+                           stage_sizes=sizes)
+
+
 def run_network(pillars: PillarSet, weights: NetworkWeights, grid: GridConfig,
                 cfg: NetworkConfig, score_threshold: float = 0.1, top_k: int = 500,
                 threads: int = 1, observer=None) -> InferenceResult:
     """Float path, pillars to boxes, recording active-set sizes."""
     x = dbpfn_encode(pillars, weights.dbpfn)
     if observer is not None:
-        observer("dbpfn.out", x.features)
-    sizes = {"pillars": len(pillars), "encoder": len(x)}
-    s2, s3, s4 = run_backbone(x, weights, threads=threads, observer=observer)
-    sizes.update(stage2=len(s2), stage3=len(s3), stage4=len(s4))
-    fused = fuse_scales(s2, s3, s4, weights.align, threads=threads, observer=observer)
-    sizes["fused"] = len(fused)
-    heatmap, regression = run_head(fused, weights.head, threads=threads, observer=observer)
-    boxes = decode(heatmap, regression, grid, cfg, score_threshold, top_k)
-    return InferenceResult(boxes=boxes, heatmap=heatmap, regression=regression,
-                           stage_sizes=sizes)
+        observer(ENCODER_SITE, x.features)
+    return run_encoded(x, pillars, weights, grid, cfg, score_threshold, top_k, threads,
+                       observer)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +407,9 @@ def fuse_network(weights: NetworkWeights) -> NetworkWeights:
     if dbpfn.bn is not None:
         w, b = fold_linear_bn(dbpfn.weight, dbpfn.bias, dbpfn.bn)
         dbpfn = DbpfnParams(weight=w, bias=b, bn=None)
-    stages = tuple(tuple(fuse(layer) for layer in stage) for stage in weights.stages)
-    return NetworkWeights(form="fused", dbpfn=dbpfn, stages=stages,
-                          align=weights.align, head=weights.head)
+    layers = {name: fuse(layer) if isinstance(layer, RepConvLayer) else layer
+              for name, layer in weights.layers.items()}
+    return NetworkWeights(form="fused", dbpfn=dbpfn, ops=weights.ops, layers=layers)
 
 
 def fold_linear_bn(weight: np.ndarray, bias: np.ndarray, bn: BnParams):
@@ -328,37 +420,28 @@ def fold_linear_bn(weight: np.ndarray, bias: np.ndarray, bn: BnParams):
 @dataclass(frozen=True)
 class GraphOp:
     name: str
-    kind: str                    # conv | add | relu | pool | encode
+    kind: str                    # conv | add | relu | encode
 
 
 def inference_graph(weights: NetworkWeights) -> list:
     """Structural op list of the network as it would execute.
 
-    Training-form layers contribute one add per extra branch; fused
-    layers contribute none, so a fused graph carries residual adds only
-    at the two multi-scale fusion points.
+    Training-form layers expand into one conv per branch and one add
+    per extra branch; fused layers are one conv, so a fused graph
+    carries residual adds only at the two multi-scale fusion points.
     """
-    ops = [GraphOp("dbpfn", "encode")]
-    for s, stage in enumerate(weights.stages, start=1):
-        for idx, layer in enumerate(stage):
-            tag = f"stage{s}.layer{idx}"
-            if isinstance(layer, RepConvLayer):
-                branches = 3 if layer.identity_bn is not None else 2
-                for b in range(branches):
-                    ops.append(GraphOp(f"{tag}.branch{b}", "conv"))
-                for b in range(branches - 1):
-                    ops.append(GraphOp(f"{tag}.branch_sum{b}", "add"))
-            else:
-                ops.append(GraphOp(f"{tag}.fused", "conv"))
-            ops.append(GraphOp(f"{tag}.relu", "relu"))
-    ops.append(GraphOp("align", "conv"))
-    ops.append(GraphOp("fusion.add3", "add"))
-    ops.append(GraphOp("fusion.add4", "add"))
-    for tag in ("cls", "reg"):
-        ops.append(GraphOp(f"head.{tag}.conv", "conv"))
-        ops.append(GraphOp(f"head.{tag}.relu", "relu"))
-        ops.append(GraphOp(f"head.{tag}.out", "conv"))
-    return ops
+    graph = [GraphOp("dbpfn", "encode")]
+    for op in weights.ops:
+        layer = weights.layers.get(op.name)
+        if isinstance(layer, RepConvLayer):
+            branches = 3 if layer.identity_bn is not None else 2
+            graph += [GraphOp(f"{op.name}.branch{b}", "conv") for b in range(branches)]
+            graph += [GraphOp(f"{op.name}.branch_sum{b}", "add") for b in range(branches - 1)]
+        else:
+            graph.append(GraphOp(op.name, op.kind))
+        if op.relu:
+            graph.append(GraphOp(f"{op.name}.relu", "relu"))
+    return graph
 
 
 def residual_add_count(weights: NetworkWeights) -> int:
@@ -371,19 +454,21 @@ def fusion_probe_deviation(train: NetworkWeights, fused: NetworkWeights,
     over random sparse probe inputs, layer by layer."""
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
-    for stage_t, stage_f in zip(train.stages, fused.stages):
-        for layer_t, layer_f in zip(stage_t, stage_f):
-            for _ in range(probes):
-                n = int(rng.integers(1, grid * grid // 3))
-                flat = rng.choice(grid * grid, size=n, replace=False)
-                coords = np.column_stack([flat % grid, flat // grid])
-                feats = rng.normal(size=(n, layer_t.cin))
-                x = SparseTensor2D.build(grid, grid, coords, feats)
-                out_t = apply_training_form(layer_t, x)
-                out_f = apply_fused(layer_f, x)
-                scale = max(np.abs(out_t.features).max(initial=0.0), 1e-30)
-                dev = np.abs(out_t.features - out_f.features).max(initial=0.0) / scale
-                worst = max(worst, float(dev))
+    for name, layer_t in train.layers.items():
+        if not isinstance(layer_t, RepConvLayer):
+            continue
+        layer_f = fused.layers[name]
+        for _ in range(probes):
+            n = int(rng.integers(1, grid * grid // 3))
+            flat = rng.choice(grid * grid, size=n, replace=False)
+            coords = np.column_stack([flat % grid, flat // grid])
+            feats = rng.normal(size=(n, layer_t.cin))
+            x = SparseTensor2D.build(grid, grid, coords, feats)
+            out_t = apply_training_form(layer_t, x)
+            out_f = apply_fused(layer_f, x)
+            scale = max(np.abs(out_t.features).max(initial=0.0), 1e-30)
+            dev = np.abs(out_t.features - out_f.features).max(initial=0.0) / scale
+            worst = max(worst, float(dev))
     return worst
 
 
@@ -397,12 +482,6 @@ def _random_bn(rng, channels) -> BnParams:
                     beta=rng.uniform(-0.5, 0.5, channels),
                     running_mean=rng.uniform(-0.5, 0.5, channels),
                     running_var=rng.uniform(0.5, 1.5, channels))
-
-
-def _random_conv(rng, k, cin, cout) -> ConvWeights:
-    fan_in, fan_out = k * k * cin, k * k * cout
-    return ConvWeights(kernel=_xavier(rng, (k, k, cin, cout), fan_in, fan_out),
-                       bias=_xavier(rng, (cout,), fan_in, fan_out))
 
 
 def random_network_weights(cfg: NetworkConfig, feature_length: int, seed: int,
@@ -423,36 +502,25 @@ def random_network_weights(cfg: NetworkConfig, feature_length: int, seed: int,
         bias=_xavier(rng, (hidden,), feature_length, hidden),
         bn=_random_bn(rng, hidden) if form == "train" else None)
 
-    stages = []
-    cin = cfg.encoder_out
-    for s in range(4):
-        cout = cfg.stage_channels[s]
-        layers = []
-        for idx in range(cfg.stage_depths[s] + 1):
-            down = idx == 0
-            lin, lout = (cin, cout) if down else (cout, cout)
-            if form == "fused":
-                conv = _random_conv(rng, 3, lin, lout)
-                layers.append(FusedConvLayer(kernel=conv.kernel, bias=conv.bias,
-                                             stride=2 if down else 1,
-                                             kind="downsample" if down else "submanifold"))
-            else:
-                k3 = _xavier(rng, (3, 3, lin, lout), 9 * lin, 9 * lout)
-                k1 = _xavier(rng, (1, 1, lin, lout), lin, lout)
-                layers.append(RepConvLayer(
-                    kernel3=k3, bn3=_random_bn(rng, lout),
-                    kernel1=k1, bn1=_random_bn(rng, lout),
-                    identity_bn=None if down else _random_bn(rng, lout),
-                    stride=2 if down else 1,
-                    kind="downsample" if down else "submanifold"))
-        stages.append(tuple(layers))
-        cin = cout
-
-    align = _random_conv(rng, 1, cfg.stage_channels[1], cfg.align_channels)
-    head = HeadWeights(
-        cls_conv=_random_conv(rng, 3, cfg.align_channels, cfg.align_channels),
-        cls_out=_random_conv(rng, 1, cfg.align_channels, cfg.num_classes),
-        reg_conv=_random_conv(rng, 3, cfg.align_channels, cfg.align_channels),
-        reg_out=_random_conv(rng, 1, cfg.align_channels, REGRESSION_CHANNELS))
-    return NetworkWeights(form=form, dbpfn=dbpfn, stages=tuple(stages),
-                          align=align, head=head)
+    ops = network_ops(cfg.stage_depths, cfg)
+    widths = {ENCODER_SITE: cfg.encoder_out}
+    layers = {}
+    for op in ops:
+        cin = widths[op.inputs[0]]
+        cout = widths[op.output] = op.out_width(cin)
+        if op.kind != "conv":
+            continue
+        if op.stage and form == "train":
+            k3 = _xavier(rng, (3, 3, cin, cout), 9 * cin, 9 * cout)
+            k1 = _xavier(rng, (1, 1, cin, cout), cin, cout)
+            layers[op.name] = RepConvLayer(
+                kernel3=k3, bn3=_random_bn(rng, cout),
+                kernel1=k1, bn1=_random_bn(rng, cout),
+                identity_bn=None if op.mode == "stride2" else _random_bn(rng, cout),
+                **op.layer_args())
+        else:
+            fan_in, fan_out = op.k * op.k * cin, op.k * op.k * cout
+            layers[op.name] = FusedConvLayer(
+                kernel=_xavier(rng, (op.k, op.k, cin, cout), fan_in, fan_out),
+                bias=_xavier(rng, (cout,), fan_in, fan_out), **op.layer_args())
+    return NetworkWeights(form=form, dbpfn=dbpfn, ops=ops, layers=layers)

@@ -10,18 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError
-
-
-class Point(NamedTuple):
-    x: float
-    y: float
-    z: float
-    intensity: float
 
 
 @dataclass
@@ -39,14 +31,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.data.shape[0]
-
-    def point(self, k: int) -> Point:
-        x, y, z, intensity = self.data[k]
-        return Point(float(x), float(y), float(z), float(intensity))
-
-    @property
-    def points(self):
-        return [self.point(k) for k in range(len(self))]
 
 
 def _keep_finite(rows: np.ndarray, stride: int) -> PointCloud:

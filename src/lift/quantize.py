@@ -7,7 +7,7 @@ magnitude by construction); those scales are folded into the encoder
 weights before weight quantization so the integer pipeline still sees a
 single accumulator scale per output channel. Everything downstream is
 per-tensor activations + per-output-channel weights, with fixed-point
-requantizers derived at load time from the stored scales.
+requantizers derived from the stored scales as each op runs.
 """
 
 from __future__ import annotations
@@ -17,26 +17,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ShapeError
-from .network import (ConvWeights, HeadWeights, InferenceResult, NetworkConfig,
-                      NetworkWeights, decode, fuse_scales, run_head)
+from .network import (ENCODER_SITE, InferenceResult, NetworkConfig, NetworkWeights, Op,
+                      network_ops, run_encoded)
 from .pillarizer import GridConfig, PillarSet
 from .quant import QuantParams, calibrate, requantize_array
-from .sparse import (AddQuant, OutputQuant, SparseTensor2D, relu,
+from .sparse import (AddQuant, OutputQuant, SparseTensor2D, sparse_add_projected,
                      sparse_conv_stride2, submanifold_conv)
 
 INPUT_FEATURES_SITE = "input_features"
 
 
 def activation_sites(cfg: NetworkConfig) -> list:
-    """Per-tensor activation sites, in network order."""
-    sites = ["dbpfn.out"]
-    for s in range(1, 5):
-        for idx in range(cfg.stage_depths[s - 1] + 1):
-            sites.append(f"stage{s}.layer{idx}.out")
-    sites += ["align.out", "fusion.add3.out", "fusion.out",
-              "head.cls.conv.out", "head.cls.out",
-              "head.reg.conv.out", "head.reg.out"]
-    return sites
+    """Per-tensor activation sites, in network order: the encoder
+    output, then every op's output."""
+    return [ENCODER_SITE] + [op.output for op in network_ops(cfg.stage_depths)]
 
 
 @dataclass
@@ -103,31 +97,41 @@ def _quantize_per_channel(kernel: np.ndarray, axis: int):
 
 
 @dataclass(frozen=True)
-class Int8Linear:
-    q_weight: np.ndarray         # (F, H) int8, input-feature scales folded in
-    weight_scales: np.ndarray    # (H,)
-    bias: np.ndarray             # (H,) real
+class Int8Weights:
+    """Symmetric int8 weights, channels last: the encoder's (F, H) map,
+    input-feature scales folded in, or a conv's (K, K, Cin, Cout) kernel."""
 
-
-@dataclass(frozen=True)
-class Int8Conv:
-    q_kernel: np.ndarray         # (K, K, Cin, Cout) int8
+    q_weight: np.ndarray         # int8
     weight_scales: np.ndarray    # (Cout,)
     bias: np.ndarray             # (Cout,) real
-    kind: str                    # submanifold | downsample
-    apply_relu: bool
-    in_site: str
-    out_site: str
+
+    @property
+    def cout(self) -> int:
+        return self.q_weight.shape[-1]
 
 
 @dataclass
 class Int8Network:
     feature_qps: list
-    encoder: Int8Linear
-    stages: list                 # 4 lists of Int8Conv
-    align: Int8Conv
-    head: dict                   # cls_conv / cls_out / reg_conv / reg_out
+    encoder: Int8Weights
+    ops: tuple                   # network_ops of the stage depths
+    layers: dict                 # conv op name -> Int8Weights
     act: dict                    # site -> QuantParams
+
+    def apply(self, op: Op, xs: list, threads: int = 1) -> SparseTensor2D:
+        """One op on int8 tensors (its ReLU is the executor's); the
+        requantization plan is built from the stored scales per call."""
+        act = self.act
+        if op.kind == "add":
+            add_quant = AddQuant.from_scales(act[op.inputs[0]], act[op.inputs[1]],
+                                             act[op.output])
+            return sparse_add_projected(xs[0], xs[1], op.factor, add_quant=add_quant)
+        conv = self.layers[op.name]
+        in_scale = act[op.inputs[0]].scale
+        oq = OutputQuant.from_scales(in_scale, conv.weight_scales, act[op.output])
+        bias_i = np.rint(conv.bias / (in_scale * conv.weight_scales)).astype(np.int64)
+        fn = sparse_conv_stride2 if op.mode == "stride2" else submanifold_conv
+        return fn(xs[0], conv.q_weight, bias_i, out_quant=oq, threads=threads)
 
 
 # requantization factors must stay below 1 to be representable as a Q31
@@ -153,50 +157,23 @@ def quantize_network(weights: NetworkWeights, feature_qps: list,
     scales = np.array([qp.scale for qp in feature_qps])
     folded = weights.dbpfn.weight * scales[:, None]
     q_w, w_scales = _quantize_per_channel(folded, axis=1)
-    widen("dbpfn.out", float(w_scales.max()))
-    encoder = Int8Linear(q_weight=q_w, weight_scales=w_scales,
+    widen(ENCODER_SITE, float(w_scales.max()))
+    encoder = Int8Weights(q_weight=q_w, weight_scales=w_scales,
                          bias=np.asarray(weights.dbpfn.bias, dtype=np.float64))
 
-    stages = []
-    in_site = "dbpfn.out"
-    for s, stage in enumerate(weights.stages, start=1):
-        layers = []
-        for idx, layer in enumerate(stage):
-            qk, ws = _quantize_per_channel(layer.kernel, axis=3)
-            out_site = f"stage{s}.layer{idx}.out"
-            widen(out_site, act[in_site].scale * float(ws.max()))
-            layers.append(Int8Conv(q_kernel=qk, weight_scales=ws, bias=layer.bias,
-                                   kind=layer.kind, apply_relu=True,
-                                   in_site=in_site, out_site=out_site))
-            in_site = out_site
-        stages.append(layers)
-
-    def plain(conv: ConvWeights, kind, relu_flag, in_s, out_s) -> Int8Conv:
-        qk, ws = _quantize_per_channel(np.asarray(conv.kernel, dtype=np.float64), axis=3)
-        widen(out_s, act[in_s].scale * float(ws.max()))
-        return Int8Conv(q_kernel=qk, weight_scales=ws,
-                        bias=np.asarray(conv.bias, dtype=np.float64), kind=kind,
-                        apply_relu=relu_flag, in_site=in_s, out_site=out_s)
-
-    align = plain(weights.align, "submanifold", False,
-                  f"stage2.layer{len(weights.stages[1]) - 1}.out", "align.out")
-    # projected adds rescale both operands onto the output scale
-    widen("fusion.add3.out", max(act["align.out"].scale,
-                                 act[f"stage3.layer{len(weights.stages[2]) - 1}.out"].scale))
-    widen("fusion.out", max(act["fusion.add3.out"].scale,
-                            act[f"stage4.layer{len(weights.stages[3]) - 1}.out"].scale))
-    head = {
-        "cls_conv": plain(weights.head.cls_conv, "submanifold", True,
-                          "fusion.out", "head.cls.conv.out"),
-        "cls_out": plain(weights.head.cls_out, "submanifold", False,
-                         "head.cls.conv.out", "head.cls.out"),
-        "reg_conv": plain(weights.head.reg_conv, "submanifold", True,
-                          "fusion.out", "head.reg.conv.out"),
-        "reg_out": plain(weights.head.reg_out, "submanifold", False,
-                         "head.reg.conv.out", "head.reg.out"),
-    }
-    return Int8Network(feature_qps=list(feature_qps), encoder=encoder,
-                       stages=stages, align=align, head=head, act=act)
+    layers = {}
+    for op in weights.ops:
+        if op.kind == "add":
+            # projected adds rescale both operands onto the output scale
+            widen(op.output, max(act[s].scale for s in op.inputs))
+            continue
+        layer = weights.layers[op.name]
+        qk, ws = _quantize_per_channel(np.asarray(layer.kernel, dtype=np.float64), axis=3)
+        widen(op.output, act[op.inputs[0]].scale * float(ws.max()))
+        layers[op.name] = Int8Weights(q_weight=qk, weight_scales=ws,
+                                      bias=np.asarray(layer.bias, dtype=np.float64))
+    return Int8Network(feature_qps=list(feature_qps), encoder=encoder, ops=weights.ops,
+                       layers=layers, act=act)
 
 
 def quantize_features(features: np.ndarray, feature_qps: list) -> np.ndarray:
@@ -208,7 +185,7 @@ def quantize_features(features: np.ndarray, feature_qps: list) -> np.ndarray:
 
 def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
     """Integer dual-bound encoding: int32 accumulate, pool, requantize."""
-    enc_qp = net.act["dbpfn.out"]
+    enc_qp = net.act[ENCODER_SITE]
     hidden = net.encoder.q_weight.shape[1]
     if len(pillars) == 0:
         return SparseTensor2D.empty(pillars.width, pillars.height, 2 * hidden,
@@ -231,71 +208,9 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
                                 np.concatenate([q_max, q_min], axis=1), qparams=enc_qp)
 
 
-def _exec_conv(x: SparseTensor2D, conv: Int8Conv, act: dict, threads: int = 1):
-    in_qp = act[conv.in_site]
-    out_qp = act[conv.out_site]
-    oq = OutputQuant.from_scales(in_qp.scale, conv.weight_scales, out_qp)
-    bias_i = np.rint(conv.bias / (in_qp.scale * conv.weight_scales)).astype(np.int64)
-    op = sparse_conv_stride2 if conv.kind == "downsample" else submanifold_conv
-    y = op(x, conv.q_kernel, bias_i, out_quant=oq, threads=threads)
-    return relu(y) if conv.apply_relu else y
-
-
 def run_int8_network(pillars: PillarSet, net: Int8Network, grid: GridConfig,
                      cfg: NetworkConfig, score_threshold: float = 0.1,
                      top_k: int = 500, threads: int = 1) -> InferenceResult:
     """Integer path, pillars to boxes; bitwise deterministic."""
-    x = encode_int8(pillars, net)
-    sizes = {"pillars": len(pillars), "encoder": len(x)}
-    outs = []
-    cur = x
-    for s, layers in enumerate(net.stages, start=1):
-        for conv in layers:
-            cur = _exec_conv(cur, conv, net.act, threads)
-        outs.append(cur)
-    s2, s3, s4 = outs[1], outs[2], outs[3]
-    sizes.update(stage2=len(s2), stage3=len(s3), stage4=len(s4))
-
-    act = net.act
-    align_bias = np.rint(net.align.bias /
-                         (act[net.align.in_site].scale * net.align.weight_scales)
-                         ).astype(np.int64)
-    plan = {
-        "align": OutputQuant.from_scales(act[net.align.in_site].scale,
-                                         net.align.weight_scales, act["align.out"]),
-        "add3": AddQuant.from_scales(act["align.out"], act["stage3.layer%d.out"
-                                     % (len(net.stages[2]) - 1)], act["fusion.add3.out"]),
-        "add4": AddQuant.from_scales(act["fusion.add3.out"], act["stage4.layer%d.out"
-                                     % (len(net.stages[3]) - 1)], act["fusion.out"]),
-    }
-    fused = fuse_scales(s2, s3, s4,
-                        ConvWeights(kernel=net.align.q_kernel, bias=align_bias),
-                        threads=threads, int8_plan=plan)
-    sizes["fused"] = len(fused)
-
-    head_plan = {}
-    head_convs = {}
-    for tag in ("cls", "reg"):
-        conv = net.head[f"{tag}_conv"]
-        out = net.head[f"{tag}_out"]
-        head_plan[f"{tag}.conv"] = OutputQuant.from_scales(
-            act[conv.in_site].scale, conv.weight_scales, act[conv.out_site])
-        head_plan[f"{tag}.out"] = OutputQuant.from_scales(
-            act[out.in_site].scale, out.weight_scales, act[out.out_site])
-        head_convs[f"{tag}_conv"] = ConvWeights(
-            kernel=conv.q_kernel,
-            bias=np.rint(conv.bias / (act[conv.in_site].scale * conv.weight_scales)
-                         ).astype(np.int64))
-        head_convs[f"{tag}_out"] = ConvWeights(
-            kernel=out.q_kernel,
-            bias=np.rint(out.bias / (act[out.in_site].scale * out.weight_scales)
-                         ).astype(np.int64))
-    head_weights = HeadWeights(cls_conv=head_convs["cls_conv"],
-                               cls_out=head_convs["cls_out"],
-                               reg_conv=head_convs["reg_conv"],
-                               reg_out=head_convs["reg_out"])
-    heatmap, regression = run_head(fused, head_weights, threads=threads,
-                                   int8_plan=head_plan)
-    boxes = decode(heatmap, regression, grid, cfg, score_threshold, top_k)
-    return InferenceResult(boxes=boxes, heatmap=heatmap, regression=regression,
-                           stage_sizes=sizes)
+    return run_encoded(encode_int8(pillars, net), pillars, net, grid, cfg,
+                       score_threshold, top_k, threads)

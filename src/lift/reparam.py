@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, StructuralError
-from .sparse import SparseTensor2D, sparse_conv_dilate, sparse_conv_stride2, submanifold_conv
+from .sparse import SparseTensor2D, sparse_conv_stride2, submanifold_conv
 
-KINDS = ("submanifold", "sparse", "downsample")
+KINDS = ("submanifold", "downsample")
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,10 @@ class RepConvLayer:
 
 @dataclass(frozen=True)
 class FusedConvLayer:
-    """Single-kernel inference form: one 3x3 conv plus bias, nothing else."""
+    """Single-kernel inference form: one conv plus bias, nothing else.
+    The detector's plain convs (alignment, head) use it too."""
 
-    kernel: np.ndarray             # (3, 3, Cin, Cout)
+    kernel: np.ndarray             # (K, K, Cin, Cout)
     bias: np.ndarray               # (Cout,)
     stride: int = 1
     kind: str = "submanifold"
@@ -130,28 +131,20 @@ def fuse(layer: RepConvLayer) -> FusedConvLayer:
     kernel = k3 + k1
     bias = b3 + b1
     if layer.identity_bn is not None:
-        if layer.cin != layer.cout:
-            raise StructuralError("identity branch with Cin != Cout")
         kid, bid = fold_bn(_identity_kernel(layer.cin), layer.identity_bn)
         kernel = kernel + kid
         bias = bias + bid
     return FusedConvLayer(kernel=kernel, bias=bias, stride=layer.stride, kind=layer.kind)
 
 
-def _branch_conv(x: SparseTensor2D, kernel: np.ndarray, kind: str, threads: int = 1):
-    if kind == "submanifold":
-        return submanifold_conv(x, kernel, threads=threads)
-    if kind == "downsample":
-        return sparse_conv_stride2(x, kernel, threads=threads)
-    return sparse_conv_dilate(x, kernel, threads=threads)
+def _branch_conv(x: SparseTensor2D, kernel: np.ndarray, kind: str, threads: int = 1,
+                 bias=None):
+    conv = sparse_conv_stride2 if kind == "downsample" else submanifold_conv
+    return conv(x, kernel, bias, threads=threads)
 
 
 def apply_fused(layer: FusedConvLayer, x: SparseTensor2D, threads: int = 1) -> SparseTensor2D:
-    if layer.kind == "submanifold":
-        return submanifold_conv(x, layer.kernel, layer.bias, threads=threads)
-    if layer.kind == "downsample":
-        return sparse_conv_stride2(x, layer.kernel, layer.bias, threads=threads)
-    return sparse_conv_dilate(x, layer.kernel, layer.bias, threads=threads)
+    return _branch_conv(x, layer.kernel, layer.kind, threads, layer.bias)
 
 
 def apply_training_form(layer: RepConvLayer, x: SparseTensor2D,

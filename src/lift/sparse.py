@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .quant import QuantParams, Requantizer, requantize_array
 
-MODES = ("submanifold", "dilate", "stride2")
+MODES = ("submanifold", "stride2")
 
 
 @dataclass
@@ -92,24 +92,6 @@ class SparseTensor2D:
             self._keys = self.coords[:, 1] * self.width + self.coords[:, 0]
         return self._keys
 
-    def feature_at(self, i: int, j: int):
-        """Feature row at (i, j) or None if inactive. For tests/debugging."""
-        key = j * self.width + i
-        keys = self.keys()
-        pos = np.searchsorted(keys, key)
-        if pos < keys.size and keys[pos] == key:
-            return self.features[pos]
-        return None
-
-    def to_dense(self) -> np.ndarray:
-        """(height, width, channels) array; inactive sites are 0 (real)
-        or the zero point (int8)."""
-        fill = self.qparams.zero_point if self.is_int8 else 0
-        dense = np.full((self.height, self.width, self.channels), fill,
-                        dtype=self.features.dtype)
-        dense[self.coords[:, 1], self.coords[:, 0]] = self.features
-        return dense
-
 
 def _lookup(keys: np.ndarray, cand_i: np.ndarray, cand_j: np.ndarray,
             width: int, height: int):
@@ -128,12 +110,10 @@ def _lookup(keys: np.ndarray, cand_i: np.ndarray, cand_j: np.ndarray,
 class Rulebook:
     """Per kernel offset, the (input row, output row) pairs to process."""
 
-    kernel: int
-    mode: str
     out_width: int
     out_height: int
     out_coords: np.ndarray
-    pairs: list  # index d = dy * kernel + dx -> (in_rows, out_rows)
+    pairs: list  # index d = dy * k + dx -> (in_rows, out_rows)
 
     def pair_count(self) -> int:
         return sum(int(in_rows.size) for in_rows, _ in self.pairs)
@@ -149,9 +129,6 @@ def build_rulebook(x: SparseTensor2D, k: int, mode: str) -> Rulebook:
     if mode == "submanifold":
         out_w, out_h = x.width, x.height
         out_coords = x.coords
-    elif mode == "dilate":
-        out_w, out_h = x.width, x.height
-        out_coords = _dilated_coords(x, k)
     else:  # stride2
         if k != 3:
             raise ParameterError("stride-2 convolution is defined for k = 3")
@@ -173,28 +150,7 @@ def build_rulebook(x: SparseTensor2D, k: int, mode: str) -> Rulebook:
                 cj = oj + dy - center
             hit, rows = _lookup(keys, ci, cj, x.width, x.height)
             pairs.append((rows[hit], out_rows_all[hit]))
-    return Rulebook(kernel=k, mode=mode, out_width=out_w, out_height=out_h,
-                    out_coords=out_coords, pairs=pairs)
-
-
-def _canonical_unique(coords_i, coords_j, width):
-    keys = np.unique(coords_j * width + coords_i)
-    return np.column_stack([keys % width, keys // width])
-
-
-def _dilated_coords(x: SparseTensor2D, k: int) -> np.ndarray:
-    center = k // 2
-    ii, jj = [], []
-    for dy in range(k):
-        for dx in range(k):
-            ci = x.coords[:, 0] + center - dx
-            cj = x.coords[:, 1] + center - dy
-            ok = (ci >= 0) & (ci < x.width) & (cj >= 0) & (cj < x.height)
-            ii.append(ci[ok])
-            jj.append(cj[ok])
-    if not any(a.size for a in ii):
-        return np.empty((0, 2), dtype=np.int64)
-    return _canonical_unique(np.concatenate(ii), np.concatenate(jj), x.width)
+    return Rulebook(out_width=out_w, out_height=out_h, out_coords=out_coords, pairs=pairs)
 
 
 def _stride2_coords(x: SparseTensor2D, out_w: int, out_h: int) -> np.ndarray:
@@ -212,7 +168,8 @@ def _stride2_coords(x: SparseTensor2D, out_w: int, out_h: int) -> np.ndarray:
             jj.append(oj[ok2])
     if not any(a.size for a in ii):
         return np.empty((0, 2), dtype=np.int64)
-    return _canonical_unique(np.concatenate(ii), np.concatenate(jj), out_w)
+    keys = np.unique(np.concatenate(jj) * out_w + np.concatenate(ii))
+    return np.column_stack([keys % out_w, keys // out_w])
 
 
 @dataclass(frozen=True)
@@ -250,49 +207,32 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
     rb = build_rulebook(x, k, mode)
     n_out = rb.out_coords.shape[0]
 
-    if x.is_int8:
-        if out_quant is None:
-            raise ShapeError("int8 convolution requires an OutputQuant")
-        # GEMMs run in float64 for BLAS speed: every operand and partial sum
-        # is an integer far below 2^53, so results are exact and identical
-        # to integer arithmetic regardless of summation order
-        w_i = w.astype(np.float64)
-        bias_i = np.zeros(cout, dtype=np.int64) if bias is None \
-            else np.asarray(bias, dtype=np.int64)
-        acc = np.tile(bias_i, (n_out, 1))
-        zp_in = x.qparams.zero_point
-        feats = x.features.astype(np.float64)
-
-        def partial(d):
-            in_rows, out_rows = rb.pairs[d]
-            if in_rows.size == 0:
-                return d, out_rows, None
-            return d, out_rows, (feats[in_rows] - zp_in) @ w_i[d // k, d % k]
-
-        for _, out_rows, prod in _offset_products(partial, k * k, threads):
-            if prod is not None:
-                acc[out_rows] += prod.astype(np.int64)
-        out_feats = requantize_array(acc, out_quant.multipliers, out_quant.shifts,
-                                     out_quant.qparams.zero_point)
-        return SparseTensor2D(width=rb.out_width, height=rb.out_height,
-                              coords=rb.out_coords, features=out_feats,
-                              qparams=out_quant.qparams)
-
+    if x.is_int8 and out_quant is None:
+        raise ShapeError("int8 convolution requires an OutputQuant")
+    # int8 GEMMs run in float64 too, for BLAS speed: every operand and
+    # partial sum is an integer far below 2^53, so results are exact and
+    # identical to integer arithmetic regardless of summation order
+    acc_type = np.int64 if x.is_int8 else np.float64
+    feats = np.subtract(x.features, x.qparams.zero_point, dtype=np.float64) \
+        if x.is_int8 else x.features
     w_f = w.astype(np.float64)
-    bias_f = np.zeros(cout) if bias is None else np.asarray(bias, dtype=np.float64)
-    acc = np.tile(bias_f, (n_out, 1))
+    acc = np.tile(np.zeros(cout, dtype=acc_type) if bias is None
+                  else np.asarray(bias, dtype=acc_type), (n_out, 1))
 
     def partial(d):
         in_rows, out_rows = rb.pairs[d]
         if in_rows.size == 0:
             return d, out_rows, None
-        return d, out_rows, x.features[in_rows] @ w_f[d // k, d % k]
+        return d, out_rows, feats[in_rows] @ w_f[d // k, d % k]
 
     for _, out_rows, prod in _offset_products(partial, k * k, threads):
         if prod is not None:
-            acc[out_rows] += prod
-    return SparseTensor2D(width=rb.out_width, height=rb.out_height,
-                          coords=rb.out_coords, features=acc)
+            acc[out_rows] += prod.astype(acc_type, copy=False)
+    if x.is_int8:
+        acc = requantize_array(acc, out_quant.multipliers, out_quant.shifts,
+                               out_quant.qparams.zero_point)
+    return SparseTensor2D(width=rb.out_width, height=rb.out_height, coords=rb.out_coords,
+                          features=acc, qparams=out_quant.qparams if x.is_int8 else None)
 
 
 def _offset_products(partial, n_offsets: int, threads: int):
@@ -333,14 +273,6 @@ def sparse_conv_stride2(x: SparseTensor2D, w, bias=None,
     if np.asarray(w).shape[0] != 3:
         raise ParameterError("stride-2 convolution requires a 3x3 kernel")
     return _conv(x, w, bias, "stride2", out_quant=out_quant, threads=threads)
-
-
-def sparse_conv_dilate(x: SparseTensor2D, w, bias=None,
-                       out_quant: OutputQuant | None = None,
-                       threads: int = 1) -> SparseTensor2D:
-    """Stride-1 regular sparse convolution: active set dilates by the
-    kernel footprint."""
-    return _conv(x, w, bias, "dilate", out_quant=out_quant, threads=threads)
 
 
 def sparse_max_pool(x: SparseTensor2D, k: int = 3) -> SparseTensor2D:

@@ -14,10 +14,15 @@ Layout (all little-endian):
                  1 -> axis u8, count u32, scales f32 x C, zero_points i32 x C
         payload  row-major
 
-Tensor names are unique and follow "stage{S}.layer{L}.{branch}.{param}"
-for backbone layers so the fuse command can locate branches
-structurally. Activation quantization parameters ride along as f32
-tensors named "act.{site}.scale" / "act.{site}.zero_point".
+Tensor names are unique and start with the name of the op they belong
+to (see network.network_ops); backbone layers add their branch, as in
+"stage{S}.layer{L}.{branch}.{param}", so the fuse command can locate
+branches structurally. Activation quantization parameters ride along
+as f32 tensors named "act.{site}.scale" / "act.{site}.zero_point".
+The float and int8 readers walk the same op list and check every conv
+kernel against its op with one shared check; the int8 reader also
+rejects weights that break the int8 contract (nonzero zero points,
+non-finite or non-positive scales).
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ import numpy as np
 
 from .config import EngineConfig
 from .errors import FormatError, StructuralError
-from .network import (REGRESSION_CHANNELS, BnParams, ConvWeights, DbpfnParams,
-                      FusedConvLayer, HeadWeights, NetworkWeights, RepConvLayer)
+from .network import (ENCODER_SITE, BnParams, DbpfnParams, FusedConvLayer, NetworkWeights,
+                      Op, RepConvLayer, network_ops, present_stage_depths)
 from .quant import QuantParams
-from .quantize import Int8Conv, Int8Linear, Int8Network, activation_sites
+from .quantize import INPUT_FEATURES_SITE, Int8Network, Int8Weights
 
 MAGIC = b"LIFW"
 VERSION = 1
@@ -169,7 +174,13 @@ def file_kind(records) -> str:
 
 
 # ---------------------------------------------------------------------------
-# float network <-> records
+# networks <-> records: tensor names are op names, one shared dims check
+
+
+def _prefix(op: Op) -> str:
+    """Name prefix of a fused or int8 conv op's tensors; backbone layers
+    name their branch, as training-form files do."""
+    return f"{op.name}.fused" if op.stage else op.name
 
 
 def _bn_records(prefix: str, bn: BnParams) -> list:
@@ -184,26 +195,18 @@ def float_network_records(weights: NetworkWeights) -> list:
             TensorRecord("dbpfn.linear.bias", _f32(weights.dbpfn.bias))]
     if weights.dbpfn.bn is not None:
         recs += _bn_records("dbpfn.bn", weights.dbpfn.bn)
-    for s, stage in enumerate(weights.stages, start=1):
-        for idx, layer in enumerate(stage):
-            prefix = f"stage{s}.layer{idx}"
-            if isinstance(layer, FusedConvLayer):
-                recs.append(TensorRecord(f"{prefix}.fused.kernel", _f32(layer.kernel)))
-                recs.append(TensorRecord(f"{prefix}.fused.bias", _f32(layer.bias)))
-            else:
-                recs.append(TensorRecord(f"{prefix}.branch3x3.kernel", _f32(layer.kernel3)))
-                recs += _bn_records(f"{prefix}.branch3x3.bn", layer.bn3)
-                recs.append(TensorRecord(f"{prefix}.branch1x1.kernel", _f32(layer.kernel1)))
-                recs += _bn_records(f"{prefix}.branch1x1.bn", layer.bn1)
-                if layer.identity_bn is not None:
-                    recs += _bn_records(f"{prefix}.identity.bn", layer.identity_bn)
-    recs.append(TensorRecord("align.kernel", _f32(weights.align.kernel)))
-    recs.append(TensorRecord("align.bias", _f32(weights.align.bias)))
-    for tag in ("cls", "reg"):
-        for part in ("conv", "out"):
-            conv: ConvWeights = getattr(weights.head, f"{tag}_{part}")
-            recs.append(TensorRecord(f"head.{tag}.{part}.kernel", _f32(conv.kernel)))
-            recs.append(TensorRecord(f"head.{tag}.{part}.bias", _f32(conv.bias)))
+    for op in weights.ops:
+        layer = weights.layers.get(op.name)
+        if isinstance(layer, RepConvLayer):
+            recs.append(TensorRecord(f"{op.name}.branch3x3.kernel", _f32(layer.kernel3)))
+            recs += _bn_records(f"{op.name}.branch3x3.bn", layer.bn3)
+            recs.append(TensorRecord(f"{op.name}.branch1x1.kernel", _f32(layer.kernel1)))
+            recs += _bn_records(f"{op.name}.branch1x1.bn", layer.bn1)
+            if layer.identity_bn is not None:
+                recs += _bn_records(f"{op.name}.identity.bn", layer.identity_bn)
+        elif layer is not None:
+            recs.append(TensorRecord(f"{_prefix(op)}.kernel", _f32(layer.kernel)))
+            recs.append(TensorRecord(f"{_prefix(op)}.bias", _f32(layer.bias)))
     return recs
 
 
@@ -242,124 +245,105 @@ def _bn_from(rm: _RecordMap, prefix: str, channels: int) -> BnParams:
                     running_var=rm.array(f"{prefix}.var", dims))
 
 
+def _encoder_weight(rm: _RecordMap) -> TensorRecord:
+    rec = rm.get("dbpfn.linear.weight")
+    if rec.data.ndim != 2:
+        raise FormatError("tensor 'dbpfn.linear.weight': expected rank 2")
+    return rec
+
+
+def _conv_kernel(rm: _RecordMap, name: str, op: Op, cin: int) -> TensorRecord:
+    """A conv op's kernel tensor, checked against the op: K x K x Cin x
+    Cout, with Cout fixed where the op fixes it."""
+    rec = rm.get(name)
+    cout = op.out_width(cin)
+    got = tuple(rec.data.shape)
+    if len(got) != 4 or got[:3] != (op.k, op.k, cin) or cout not in (None, got[3]):
+        raise FormatError(f"tensor {name!r}: expected dims "
+                          f"({op.k}, {op.k}, {cin}, {cout or 'Cout'}), got {got}")
+    return rec
+
+
+def _read_layers(rm: _RecordMap, branch: str, hidden: int, read_conv):
+    """The ops of the stage depths the file holds, and their layers:
+    read_conv(op, cin) reads one conv once the ops before it have fixed
+    its input width."""
+    ops = network_ops(present_stage_depths(lambda name: rm.has(f"{name}.{branch}.kernel")))
+    widths = {ENCODER_SITE: 2 * hidden}
+    layers = {}
+    for op in ops:
+        cin = widths[op.inputs[0]]
+        if op.kind == "conv":
+            layers[op.name] = read_conv(op, cin)
+            widths[op.output] = layers[op.name].cout
+        else:
+            widths[op.output] = cin
+    return ops, layers
+
+
 def records_to_float_network(records) -> NetworkWeights:
     """Rebuild a float network from tensors alone (no config needed);
     structure and channel widths come from names and dims."""
     rm = _RecordMap(records)
     form = "train" if any(".branch3x3." in r.name for r in records) else "fused"
-
-    w = rm.get("dbpfn.linear.weight").data
-    if w.ndim != 2:
-        raise FormatError("tensor 'dbpfn.linear.weight': expected rank 2")
-    f_in, hidden = w.shape
+    w = _encoder_weight(rm).data
+    hidden = w.shape[1]
     dbpfn = DbpfnParams(
         weight=w.astype(np.float64),
         bias=rm.array("dbpfn.linear.bias", (hidden,)),
         bn=_bn_from(rm, "dbpfn.bn", hidden) if rm.has("dbpfn.bn.gamma") else None)
 
-    stages = []
-    cin = 2 * hidden
-    for s in range(1, 5):
-        layers = []
-        depth = 0
-        while True:
-            prefix = f"stage{s}.layer{depth}"
-            if not (rm.has(f"{prefix}.fused.kernel") or rm.has(f"{prefix}.branch3x3.kernel")):
-                break
-            down = depth == 0
-            if form == "fused":
-                kernel = rm.get(f"{prefix}.fused.kernel").data
-                if kernel.ndim != 4 or kernel.shape[:2] != (3, 3) or kernel.shape[2] != cin:
-                    raise FormatError(f"tensor '{prefix}.fused.kernel': expected dims "
-                                      f"(3, 3, {cin}, Cout), got {tuple(kernel.shape)}")
-                cout = kernel.shape[3]
-                layers.append(FusedConvLayer(
-                    kernel=kernel.astype(np.float64),
-                    bias=rm.array(f"{prefix}.fused.bias", (cout,)),
-                    stride=2 if down else 1,
-                    kind="downsample" if down else "submanifold"))
-            else:
-                k3 = rm.get(f"{prefix}.branch3x3.kernel").data
-                if k3.ndim != 4 or k3.shape[:2] != (3, 3) or k3.shape[2] != cin:
-                    raise FormatError(f"tensor '{prefix}.branch3x3.kernel': expected dims "
-                                      f"(3, 3, {cin}, Cout), got {tuple(k3.shape)}")
-                cout = k3.shape[3]
-                has_id = rm.has(f"{prefix}.identity.bn.gamma")
-                layers.append(RepConvLayer(
-                    kernel3=k3.astype(np.float64),
-                    bn3=_bn_from(rm, f"{prefix}.branch3x3.bn", cout),
-                    kernel1=rm.array(f"{prefix}.branch1x1.kernel", (1, 1, cin, cout)),
-                    bn1=_bn_from(rm, f"{prefix}.branch1x1.bn", cout),
-                    identity_bn=_bn_from(rm, f"{prefix}.identity.bn", cout)
-                    if has_id else None,
-                    stride=2 if down else 1,
-                    kind="downsample" if down else "submanifold"))
-            cin = cout
-            depth += 1
-        if not layers:
-            raise FormatError(f"missing tensor 'stage{s}.layer0.fused.kernel'")
-        stages.append(tuple(layers))
+    def read_conv(op: Op, cin: int):
+        if form == "fused" or not op.stage:
+            kernel = _conv_kernel(rm, f"{_prefix(op)}.kernel", op, cin).data
+            return FusedConvLayer(kernel=kernel.astype(np.float64),
+                                  bias=rm.array(f"{_prefix(op)}.bias", (kernel.shape[3],)),
+                                  **op.layer_args())
+        k3 = _conv_kernel(rm, f"{op.name}.branch3x3.kernel", op, cin).data
+        cout = k3.shape[3]
+        has_id = rm.has(f"{op.name}.identity.bn.gamma")
+        return RepConvLayer(
+            kernel3=k3.astype(np.float64),
+            bn3=_bn_from(rm, f"{op.name}.branch3x3.bn", cout),
+            kernel1=rm.array(f"{op.name}.branch1x1.kernel", (1, 1, cin, cout)),
+            bn1=_bn_from(rm, f"{op.name}.branch1x1.bn", cout),
+            identity_bn=_bn_from(rm, f"{op.name}.identity.bn", cout) if has_id else None,
+            **op.layer_args())
 
-    stage2_out = stages[1][-1].cout
-    align_kernel = rm.get("align.kernel").data
-    if align_kernel.ndim != 4 or align_kernel.shape[:3] != (1, 1, stage2_out):
-        raise FormatError(f"tensor 'align.kernel': expected dims (1, 1, {stage2_out}, C), "
-                          f"got {tuple(align_kernel.shape)}")
-    align_channels = align_kernel.shape[3]
-    align = ConvWeights(kernel=align_kernel.astype(np.float64),
-                        bias=rm.array("align.bias", (align_channels,)))
-
-    def head_conv(tag, part, k, cout=None) -> ConvWeights:
-        name = f"head.{tag}.{part}.kernel"
-        kernel = rm.get(name).data
-        want = (k, k, align_channels) + ((cout,) if cout else ())
-        if kernel.ndim != 4 or kernel.shape[:len(want)] != want:
-            raise FormatError(f"tensor {name!r}: expected dims {(k, k, align_channels, cout or 'C')}, "
-                              f"got {tuple(kernel.shape)}")
-        return ConvWeights(kernel=kernel.astype(np.float64),
-                           bias=rm.array(f"head.{tag}.{part}.bias", (kernel.shape[3],)))
-
-    head = HeadWeights(cls_conv=head_conv("cls", "conv", 3, align_channels),
-                       cls_out=head_conv("cls", "out", 1),
-                       reg_conv=head_conv("reg", "conv", 3, align_channels),
-                       reg_out=head_conv("reg", "out", 1, REGRESSION_CHANNELS))
+    ops, layers = _read_layers(rm, "branch3x3" if form == "train" else "fused", hidden,
+                               read_conv)
     rm.check_all_used()
-    return NetworkWeights(form=form, dbpfn=dbpfn, stages=tuple(stages),
-                          align=align, head=head)
+    return NetworkWeights(form=form, dbpfn=dbpfn, ops=ops, layers=layers)
+
+
+def _validate(ops, layers: dict, encoder_dims, form: str, cfg: EngineConfig) -> None:
+    """Shape compatibility between a loaded network and an engine config;
+    reports the first offending tensor by name."""
+    net = cfg.network
+    want = (cfg.feature_length, net.encoder_hidden)
+    if tuple(encoder_dims) != want:
+        raise FormatError(f"tensor 'dbpfn.linear.weight': expected dims {want}, "
+                          f"got {tuple(encoder_dims)}")
+    for s, depth in enumerate(net.stage_depths, start=1):
+        got = sum(op.stage == s for op in ops) - 1
+        if got != depth:
+            raise FormatError(f"stage{s} has {got} submanifold layers, "
+                              f"config expects {depth}")
+    widths = {ENCODER_SITE: net.encoder_out}
+    for op in network_ops(net.stage_depths, net):
+        cout = widths[op.output] = op.out_width(widths[op.inputs[0]])
+        if op.kind == "conv" and layers[op.name].cout != cout:
+            kernel = f"{op.name}.branch3x3" if form == "train" and op.stage else _prefix(op)
+            raise FormatError(f"tensor '{kernel}.kernel': expected {cout} output "
+                              f"channels, got {layers[op.name].cout}")
 
 
 def validate_float_against_config(weights: NetworkWeights, cfg: EngineConfig) -> None:
-    """Shape compatibility between a loaded network and an engine config;
-    reports the first offending tensor by name."""
-    if weights.dbpfn.weight.shape[0] != cfg.feature_length:
-        raise FormatError(f"tensor 'dbpfn.linear.weight': expected dims "
-                          f"({cfg.feature_length}, {cfg.network.encoder_hidden}), "
-                          f"got {tuple(weights.dbpfn.weight.shape)}")
-    if weights.dbpfn.weight.shape[1] != cfg.network.encoder_hidden:
-        raise FormatError(f"tensor 'dbpfn.linear.weight': expected dims "
-                          f"({cfg.feature_length}, {cfg.network.encoder_hidden}), "
-                          f"got {tuple(weights.dbpfn.weight.shape)}")
-    for s, stage in enumerate(weights.stages, start=1):
-        if len(stage) != cfg.network.stage_depths[s - 1] + 1:
-            raise FormatError(f"stage{s} has {len(stage) - 1} submanifold layers, "
-                              f"config expects {cfg.network.stage_depths[s - 1]}")
-        for idx, layer in enumerate(stage):
-            if layer.cout != cfg.network.stage_channels[s - 1]:
-                raise FormatError(
-                    f"tensor 'stage{s}.layer{idx}.{'fused' if weights.form == 'fused' else 'branch3x3'}"
-                    f".kernel': expected {cfg.network.stage_channels[s - 1]} output "
-                    f"channels, got {layer.cout}")
-    if weights.align.kernel.shape[3] != cfg.network.align_channels:
-        raise FormatError(f"tensor 'align.kernel': expected {cfg.network.align_channels} "
-                          f"output channels, got {weights.align.kernel.shape[3]}")
-    if weights.head.cls_out.kernel.shape[3] != cfg.network.num_classes:
-        raise FormatError(f"tensor 'head.cls.out.kernel': expected "
-                          f"{cfg.network.num_classes} output channels, "
-                          f"got {weights.head.cls_out.kernel.shape[3]}")
+    _validate(weights.ops, weights.layers, weights.dbpfn.weight.shape, weights.form, cfg)
 
 
-# ---------------------------------------------------------------------------
-# int8 network <-> records
+def validate_int8_against_config(net: Int8Network, cfg: EngineConfig) -> None:
+    _validate(net.ops, net.layers, net.encoder.q_weight.shape, "fused", cfg)
 
 
 def _qp_records(site: str, qps) -> list:
@@ -375,30 +359,18 @@ def _i8_record(name: str, q: np.ndarray, axis: int, scales: np.ndarray) -> Tenso
 
 
 def int8_network_records(net: Int8Network) -> list:
-    recs = _qp_records("input_features", net.feature_qps)
+    recs = _qp_records(INPUT_FEATURES_SITE, net.feature_qps)
     recs.append(_i8_record("dbpfn.linear.weight", net.encoder.q_weight, 1,
                            net.encoder.weight_scales))
     recs.append(TensorRecord("dbpfn.linear.bias", _f32(net.encoder.bias)))
-    recs += _qp_records("act.dbpfn.out", net.act["dbpfn.out"])
-    for s, stage in enumerate(net.stages, start=1):
-        for idx, conv in enumerate(stage):
-            prefix = f"stage{s}.layer{idx}"
-            recs.append(_i8_record(f"{prefix}.fused.kernel", conv.q_kernel, 3,
+    recs += _qp_records(f"act.{ENCODER_SITE}", net.act[ENCODER_SITE])
+    for op in net.ops:
+        if op.kind == "conv":
+            conv = net.layers[op.name]
+            recs.append(_i8_record(f"{_prefix(op)}.kernel", conv.q_weight, 3,
                                    conv.weight_scales))
-            recs.append(TensorRecord(f"{prefix}.fused.bias", _f32(conv.bias)))
-            recs += _qp_records(f"act.{prefix}.out", net.act[f"{prefix}.out"])
-    recs.append(_i8_record("align.kernel", net.align.q_kernel, 3, net.align.weight_scales))
-    recs.append(TensorRecord("align.bias", _f32(net.align.bias)))
-    recs += _qp_records("act.align.out", net.act["align.out"])
-    recs += _qp_records("act.fusion.add3.out", net.act["fusion.add3.out"])
-    recs += _qp_records("act.fusion.out", net.act["fusion.out"])
-    for tag in ("cls", "reg"):
-        for part in ("conv", "out"):
-            conv: Int8Conv = net.head[f"{tag}_{part}"]
-            recs.append(_i8_record(f"head.{tag}.{part}.kernel", conv.q_kernel, 3,
-                                   conv.weight_scales))
-            recs.append(TensorRecord(f"head.{tag}.{part}.bias", _f32(conv.bias)))
-            recs += _qp_records(f"act.{conv.out_site}", net.act[conv.out_site])
+            recs.append(TensorRecord(f"{_prefix(op)}.bias", _f32(conv.bias)))
+        recs += _qp_records(f"act.{op.output}", net.act[op.output])
     return recs
 
 
@@ -410,93 +382,47 @@ def _qp_from(rm: _RecordMap, site: str):
     return [QuantParams(scale=float(s), zero_point=int(z)) for s, z in zip(scales, zps)]
 
 
-def _i8_from(rm: _RecordMap, name: str, axis: int):
-    rec = rm.get(name)
-    if rec.data.dtype != np.int8 or rec.quant is None:
+def _act_from(rm: _RecordMap, site: str) -> QuantParams:
+    qps = _qp_from(rm, f"act.{site}")
+    if len(qps) != 1:
+        raise FormatError(f"tensor 'act.{site}.scale': expected 1 value, got {len(qps)}")
+    return qps[0]
+
+
+def _i8_weights(rec: TensorRecord, axis: int):
+    """Data and scales of an int8 weight tensor holding the advertised
+    contract: per-channel along axis, zero points 0, scales finite and
+    positive. The caller has checked the rank."""
+    name, q = rec.name, rec.quant
+    if rec.data.dtype != np.int8 or q is None:
         raise FormatError(f"tensor {name!r}: expected quantized int8 data")
-    if rec.quant.axis != axis:
+    if q.axis != axis:
         raise FormatError(f"tensor {name!r}: expected channel axis {axis}")
-    return rec.data, rec.quant.scales.astype(np.float64)
+    if q.scales.size != rec.data.shape[axis]:
+        raise FormatError(f"tensor {name!r}: {q.scales.size} scales for "
+                          f"{rec.data.shape[axis]} channels")
+    # count_nonzero: reductions cost microseconds on these small arrays
+    if np.count_nonzero(q.zero_points):
+        raise FormatError(f"tensor {name!r}: weight zero points must be 0")
+    if np.count_nonzero((q.scales > 0) & (q.scales < np.inf)) != q.scales.size:  # NaN fails
+        raise FormatError(f"tensor {name!r}: weight scales must be finite and positive")
+    return rec.data, q.scales.astype(np.float64)
 
 
 def records_to_int8_network(records) -> Int8Network:
     rm = _RecordMap(records)
-    feature_qps = _qp_from(rm, "input_features")
-    q_w, w_scales = _i8_from(rm, "dbpfn.linear.weight", 1)
-    encoder = Int8Linear(q_weight=q_w, weight_scales=w_scales,
+    feature_qps = _qp_from(rm, INPUT_FEATURES_SITE)
+    q_w, w_scales = _i8_weights(_encoder_weight(rm), 1)
+    encoder = Int8Weights(q_weight=q_w, weight_scales=w_scales,
                          bias=rm.array("dbpfn.linear.bias", (q_w.shape[1],)))
-    act = {"dbpfn.out": _qp_from(rm, "act.dbpfn.out")[0]}
 
-    stages = []
-    in_site = "dbpfn.out"
-    cin = 2 * q_w.shape[1]
-    for s in range(1, 5):
-        layers = []
-        idx = 0
-        while rm.has(f"stage{s}.layer{idx}.fused.kernel"):
-            prefix = f"stage{s}.layer{idx}"
-            qk, ws = _i8_from(rm, f"{prefix}.fused.kernel", 3)
-            if qk.ndim != 4 or qk.shape[:2] != (3, 3) or qk.shape[2] != cin:
-                raise FormatError(f"tensor '{prefix}.fused.kernel': expected dims "
-                                  f"(3, 3, {cin}, Cout), got {tuple(qk.shape)}")
-            cout = qk.shape[3]
-            out_site = f"{prefix}.out"
-            act[out_site] = _qp_from(rm, f"act.{out_site}")[0]
-            layers.append(Int8Conv(q_kernel=qk, weight_scales=ws,
-                                   bias=rm.array(f"{prefix}.fused.bias", (cout,)),
-                                   kind="downsample" if idx == 0 else "submanifold",
-                                   apply_relu=True, in_site=in_site, out_site=out_site))
-            in_site = out_site
-            cin = cout
-            idx += 1
-        if not layers:
-            raise FormatError(f"missing tensor 'stage{s}.layer0.fused.kernel'")
-        stages.append(layers)
+    def read_conv(op: Op, cin: int) -> Int8Weights:
+        qk, ws = _i8_weights(_conv_kernel(rm, f"{_prefix(op)}.kernel", op, cin), 3)
+        return Int8Weights(q_weight=qk, weight_scales=ws,
+                           bias=rm.array(f"{_prefix(op)}.bias", (qk.shape[3],)))
 
-    qk, ws = _i8_from(rm, "align.kernel", 3)
-    align = Int8Conv(q_kernel=qk, weight_scales=ws,
-                     bias=rm.array("align.bias", (qk.shape[3],)),
-                     kind="submanifold", apply_relu=False,
-                     in_site=stages[1][-1].out_site, out_site="align.out")
-    for site in ("align.out", "fusion.add3.out", "fusion.out"):
-        act[site] = _qp_from(rm, f"act.{site}")[0]
-
-    head = {}
-    for tag in ("cls", "reg"):
-        for part, relu_flag, in_site in (("conv", True, "fusion.out"),
-                                         ("out", False, f"head.{tag}.conv.out")):
-            qk, ws = _i8_from(rm, f"head.{tag}.{part}.kernel", 3)
-            out_site = f"head.{tag}.conv.out" if part == "conv" else f"head.{tag}.out"
-            act[out_site] = _qp_from(rm, f"act.{out_site}")[0]
-            head[f"{tag}_{part}"] = Int8Conv(
-                q_kernel=qk, weight_scales=ws,
-                bias=rm.array(f"head.{tag}.{part}.bias", (qk.shape[3],)),
-                kind="submanifold", apply_relu=relu_flag,
-                in_site=in_site, out_site=out_site)
+    ops, layers = _read_layers(rm, "fused", q_w.shape[1], read_conv)
+    act = {site: _act_from(rm, site) for site in [ENCODER_SITE] + [op.output for op in ops]}
     rm.check_all_used()
-    return Int8Network(feature_qps=feature_qps, encoder=encoder, stages=stages,
-                       align=align, head=head, act=act)
-
-
-def validate_int8_against_config(net: Int8Network, cfg: EngineConfig) -> None:
-    if net.encoder.q_weight.shape != (cfg.feature_length, cfg.network.encoder_hidden):
-        raise FormatError(f"tensor 'dbpfn.linear.weight': expected dims "
-                          f"({cfg.feature_length}, {cfg.network.encoder_hidden}), "
-                          f"got {tuple(net.encoder.q_weight.shape)}")
-    for s, stage in enumerate(net.stages, start=1):
-        if len(stage) != cfg.network.stage_depths[s - 1] + 1:
-            raise FormatError(f"stage{s} has {len(stage) - 1} submanifold layers, "
-                              f"config expects {cfg.network.stage_depths[s - 1]}")
-        for idx, conv in enumerate(stage):
-            if conv.q_kernel.shape[3] != cfg.network.stage_channels[s - 1]:
-                raise FormatError(f"tensor 'stage{s}.layer{idx}.fused.kernel': expected "
-                                  f"{cfg.network.stage_channels[s - 1]} output channels, "
-                                  f"got {conv.q_kernel.shape[3]}")
-    if net.head["cls_out"].q_kernel.shape[3] != cfg.network.num_classes:
-        raise FormatError(f"tensor 'head.cls.out.kernel': expected "
-                          f"{cfg.network.num_classes} output channels, "
-                          f"got {net.head['cls_out'].q_kernel.shape[3]}")
-    expected = set(activation_sites(cfg.network))
-    missing = expected - set(net.act)
-    if missing:
-        raise FormatError(f"missing tensor 'act.{sorted(missing)[0]}.scale'")
+    return Int8Network(feature_qps=feature_qps, encoder=encoder, ops=ops, layers=layers,
+                       act=act)

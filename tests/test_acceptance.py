@@ -122,9 +122,11 @@ def test_criterion_4_reparameterization_equivalence(capsys):
     rng = np.random.default_rng(7)
     worst_layer = 0.0
     for case in range(1000):
-        kind = ("submanifold", "downsample", "sparse")[case % 3]
+        kind = ("submanifold", "downsample")[case % 2]
         cin = int(rng.integers(1, 9))
-        cout = cin if (kind != "downsample" and case % 2 == 0) else int(rng.integers(1, 9))
+        # half of the submanifold layers keep their width, so they carry
+        # an identity branch
+        cout = cin if (kind != "downsample" and case % 4 == 0) else int(rng.integers(1, 9))
         layer = random_layer(rng, cin, cout, kind)
         x = random_sparse(rng, 10, 10, cin, occupancy=float(rng.uniform(0.1, 0.7)))
         fused = fuse(layer)

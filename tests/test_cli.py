@@ -166,23 +166,22 @@ class TestFuse:
         cfg = load_config(cfg_path)
         seeded = network.random_network_weights(cfg.network, cfg.feature_length,
                                                 0, "train")
-        stages = []
-        for stage in seeded.stages:
-            layers = []
-            for layer in stage:
-                cin, cout = layer.cin, layer.cout
-                layers.append(RepConvLayer(
-                    kernel3=np.zeros((3, 3, cin, cout)),
-                    bn3=BnParams.identity(cout),
-                    kernel1=np.zeros((1, 1, cin, cout)),
-                    bn1=BnParams.identity(cout),
-                    identity_bn=None if layer.identity_bn is None
-                    else BnParams.identity(cout),
-                    stride=layer.stride, kind=layer.kind))
-            stages.append(tuple(layers))
+        layers = {}
+        for name, layer in seeded.layers.items():
+            if not isinstance(layer, RepConvLayer):
+                layers[name] = layer
+                continue
+            cin, cout = layer.cin, layer.cout
+            layers[name] = RepConvLayer(
+                kernel3=np.zeros((3, 3, cin, cout)),
+                bn3=BnParams.identity(cout),
+                kernel1=np.zeros((1, 1, cin, cout)),
+                bn1=BnParams.identity(cout),
+                identity_bn=None if layer.identity_bn is None
+                else BnParams.identity(cout),
+                stride=layer.stride, kind=layer.kind)
         identity_net = network.NetworkWeights(form="train", dbpfn=seeded.dbpfn,
-                                              stages=tuple(stages),
-                                              align=seeded.align, head=seeded.head)
+                                              ops=seeded.ops, layers=layers)
         train_path = tmp_path / "identity.w"
         write_weight_file(train_path, float_network_records(identity_net))
         assert main(["fuse", "--weights-train", str(train_path),
@@ -319,3 +318,80 @@ def test_env_var_thread_fallback(workspace, monkeypatch):
     assert main(["infer", "--weights", weights, "--cloud", cloud,
                  "--config", cfg_path, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestInt8Contract:
+    """Int8 files that break the weight contract or the op wiring are
+    rejected at load with exit 2 and the tensor named."""
+
+    def infer_mutated(self, workspace, tmp_path, capsys, name, mutate):
+        from lift.weights_io import read_weight_file, write_weight_file
+
+        code, cfg_path, cloud, int8_path = TestCalibrate().run_calibrate(workspace, tmp_path)
+        assert code == 0
+        records = read_weight_file(int8_path)
+        by_name = {r.name: r for r in records}
+        mutate(by_name)
+        path = tmp_path / "mutated.w"
+        write_weight_file(path, records)
+        capsys.readouterr()
+        code = main(["infer", "--weights", str(path), "--cloud", cloud,
+                     "--config", cfg_path, "--out", str(tmp_path / "d.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert name in err and "Traceback" not in err
+
+    def test_nonzero_weight_zero_point(self, workspace, tmp_path, capsys):
+        from lift.weights_io import TensorQuant
+
+        name = "stage1.layer1.fused.kernel"
+
+        def mutate(recs):
+            q = recs[name].quant
+            recs[name].quant = TensorQuant(axis=q.axis, scales=q.scales,
+                                           zero_points=np.full_like(q.zero_points, 7))
+        self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+
+    def test_negative_weight_scales(self, workspace, tmp_path, capsys):
+        from lift.weights_io import TensorQuant
+
+        name = "head.cls.out.kernel"
+
+        def mutate(recs):
+            q = recs[name].quant
+            recs[name].quant = TensorQuant(axis=q.axis, scales=-q.scales,
+                                           zero_points=q.zero_points)
+        self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+
+    def test_3x3_align_kernel(self, workspace, tmp_path, capsys):
+        name = "align.kernel"
+
+        def mutate(recs):
+            _, _, cin, cout = recs[name].data.shape
+            recs[name].data = np.ones((3, 3, cin, cout), dtype=np.int8)
+        self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+
+    def test_six_channel_regression_output(self, workspace, tmp_path, capsys):
+        from lift.weights_io import TensorQuant
+
+        name = "head.reg.out.kernel"
+
+        def mutate(recs):
+            kernel, bias = recs[name], recs["head.reg.out.bias"]
+            kernel.data = kernel.data[..., :6].copy()
+            kernel.quant = TensorQuant(axis=3, scales=kernel.quant.scales[:6],
+                                       zero_points=kernel.quant.zero_points[:6])
+            bias.data = bias.data[:6].copy()
+        self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+
+
+def test_infer_validates_weights_before_reading_the_cloud(workspace, tmp_path, capsys):
+    tmp_path, cfg_path, _ = workspace
+    other_cfg = tmp_path / "other.json"
+    other_cfg.write_text(json.dumps(dict(CONFIG_DOC, network={
+        "num_classes": 5, "stage_depths": [1, 2, 1, 1]})))
+    weights = gen(tmp_path, cfg_path, "fused")
+    assert main(["infer", "--weights", weights, "--cloud", str(tmp_path / "absent.bin"),
+                 "--config", str(other_cfg), "--out", str(tmp_path / "d.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "head.cls.out.kernel" in err and "absent.bin" not in err

@@ -102,8 +102,9 @@ class TestFuseScales:
         s2 = random_sparse(rng, 8, 8, 8, occupancy=0.4)
         s3 = SparseTensor2D.empty(4, 4, 16)
         s4 = SparseTensor2D.empty(2, 2, 16)
-        out = fuse_scales(s2, s3, s4, weights.align)
-        expected = s2.features @ weights.align.kernel[0, 0] + weights.align.bias
+        out = fuse_scales(s2, s3, s4, weights)
+        align = weights.layers["align"]
+        expected = s2.features @ align.kernel[0, 0] + align.bias
         assert np.allclose(out.features, expected)
 
     def test_active_set_is_s2(self, rng):
@@ -111,17 +112,17 @@ class TestFuseScales:
         s2 = random_sparse(rng, 8, 8, 8, occupancy=0.5)
         s3 = random_sparse(rng, 4, 4, 16, occupancy=0.7)
         s4 = random_sparse(rng, 2, 2, 16, occupancy=0.9)
-        out = fuse_scales(s2, s3, s4, weights.align)
+        out = fuse_scales(s2, s3, s4, weights)
         assert np.array_equal(out.coords, s2.coords)
 
     def test_hand_floor_division_addition(self, rng):
         cfg, weights = tiny_network(rng)
-        align = weights.align
+        align = weights.layers["align"]
         s2 = SparseTensor2D.build(8, 8, [(4, 6), (5, 5), (0, 0)],
                                   rng.normal(size=(3, 8)))
         s3 = SparseTensor2D.build(4, 4, [(2, 3)], rng.normal(size=(1, 16)))
         s4 = SparseTensor2D.build(2, 2, [(1, 1)], rng.normal(size=(1, 16)))
-        out = fuse_scales(s2, s3, s4, align)
+        out = fuse_scales(s2, s3, s4, weights)
         aligned = {tuple(c): f @ align.kernel[0, 0] + align.bias
                    for c, f in zip(map(tuple, s2.coords), s2.features)}
         want = {
@@ -137,7 +138,7 @@ class TestHeadAndDecode:
     def test_head_active_sets(self, rng):
         cfg, weights = tiny_network(rng)
         x = random_sparse(rng, 8, 8, 16, occupancy=0.4)
-        heat, reg = run_head(x, weights.head)
+        heat, reg = run_head(x, weights)
         assert np.array_equal(heat.coords, x.coords)
         assert np.array_equal(reg.coords, x.coords)
         assert heat.channels == 3 and reg.channels == 8
@@ -145,15 +146,14 @@ class TestHeadAndDecode:
     def test_head_dense_oracle(self, rng):
         cfg, weights = tiny_network(rng)
         x = random_sparse(rng, 16, 16, 16, occupancy=0.3)
-        heat, _ = run_head(x, weights.head)
-        hidden = dense_conv(densify(x), weights.head.cls_conv.kernel,
-                            weights.head.cls_conv.bias)
+        heat, _ = run_head(x, weights)
+        cls_conv, cls_out = weights.layers["head.cls.conv"], weights.layers["head.cls.out"]
+        hidden = dense_conv(densify(x), cls_conv.kernel, cls_conv.bias)
         hidden = np.maximum(hidden, 0.0)
         mask = np.zeros((16, 16), dtype=bool)
         mask[x.coords[:, 1], x.coords[:, 0]] = True
         hidden[~mask] = 0.0  # submanifold: inactive sites carry nothing
-        logits = dense_conv(hidden, weights.head.cls_out.kernel,
-                            weights.head.cls_out.bias)
+        logits = dense_conv(hidden, cls_out.kernel, cls_out.bias)
         ref = np.stack([logits[j, i] for (i, j) in heat.coords])
         assert max_rel_dev(heat.features, ref) < 1e-10
 
@@ -271,3 +271,52 @@ class TestWholeNetwork:
         once = stride2_active_set({tuple(c) for c in pillars.coords}, w, w)
         twice = stride2_active_set(once, -(-w // 2), -(-w // 2))
         assert {tuple(c) for c in res.heatmap.coords} == twice
+
+
+class TestOpListDerivations:
+    def test_sites_act_tensors_and_mac_layers_follow_the_executor(
+            self, rng, small_config, monkeypatch):
+        from lift import quantize
+        from lift.analysis import count_macs_network
+        from lift.network import NetworkWeights
+        from lift.weights_io import int8_network_records
+
+        cfg = small_config
+        cloud = random_cloud(rng, 600, cfg.grid)
+        pillars = pillarize(cloud, cfg.grid)
+        weights = random_network_weights(cfg.network, cfg.feature_length, 3, "fused")
+        ran = {"float": [], "int8": []}
+
+        def recording(cls, path):
+            apply = cls.apply
+
+            def wrapper(self, op, xs, threads=1):
+                ran[path].append(op.name)
+                return apply(self, op, xs, threads)
+            monkeypatch.setattr(cls, "apply", wrapper)
+
+        recording(NetworkWeights, "float")
+        recording(quantize.Int8Network, "int8")
+        sites = []
+        collector = quantize.CalibrationCollector()
+        collector(quantize.INPUT_FEATURES_SITE, pillars.features)
+
+        def observer(site, values):
+            sites.append(site)
+            collector(site, values)
+
+        run_network(pillars, weights, cfg.grid, cfg.network, 0.05, 32, observer=observer)
+        assert sites == quantize.activation_sites(cfg.network)
+
+        act = {s: collector.qparams(s) for s in sites}
+        net8 = quantize.quantize_network(weights, collector.feature_qparams(), act)
+        act_tensors = [r.name[len("act."):-len(".scale")]
+                       for r in int8_network_records(net8)
+                       if r.name.startswith("act.") and r.name.endswith(".scale")]
+        assert act_tensors == sites
+
+        quantize.run_int8_network(pillars, net8, cfg.grid, cfg.network, 0.05, 32)
+        assert ran["int8"] == ran["float"]
+        convs = [name for name in ran["float"] if name in weights.layers]
+        report = count_macs_network(cloud, cfg.grid, cfg.network)
+        assert [layer.name for layer in report.layers if layer.kind != "linear"] == convs

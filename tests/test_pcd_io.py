@@ -31,7 +31,7 @@ def test_single_record_stride5(tmp_path):
     assert path.stat().st_size == 20
     cloud = read_binary_cloud(path, stride=5)
     assert len(cloud) == 1
-    assert cloud.point(0) == (1.0, 2.0, 3.0, 0.5)  # ring discarded
+    assert tuple(cloud.data[0]) == (1.0, 2.0, 3.0, 0.5)  # ring discarded
 
 
 def test_length_mismatch_names_byte_count(tmp_path):
@@ -68,7 +68,7 @@ def test_text_cloud_basic(tmp_path):
     path.write_text("# header\n1.0 2.0 3.0 0.5\n4.0,5.0,6.0,0.25,99\n\n")
     cloud = read_text_cloud(path)
     assert len(cloud) == 2
-    assert cloud.point(1).intensity == 0.25
+    assert cloud.data[1, 3] == 0.25  # intensity
 
 
 def test_text_cloud_comment_only(tmp_path):

@@ -94,7 +94,7 @@ class TestFuse:
 class TestTrainingFormEquivalence:
     @pytest.mark.parametrize("kind,cin,cout", [
         ("submanifold", 4, 4), ("submanifold", 3, 7),
-        ("downsample", 4, 6), ("sparse", 3, 3)])
+        ("downsample", 4, 6)])
     def test_fused_matches_training_form(self, rng, kind, cin, cout):
         for _ in range(25):
             layer = random_layer(rng, cin, cout, kind)

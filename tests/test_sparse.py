@@ -7,7 +7,7 @@ from oracles import (dense_conv, dense_conv_int, densify, conv_loops,
 from lift.errors import ShapeError
 from lift.quant import QuantParams
 from lift.sparse import (AddQuant, OutputQuant, SparseTensor2D, build_rulebook,
-                         sparse_add_projected, sparse_conv_dilate,
+                         sparse_add_projected,
                          sparse_conv_stride2, sparse_max_pool, submanifold_conv)
 
 
@@ -136,21 +136,6 @@ class TestStride2:
         x = random_sparse(rng, 15, 9, 2, occupancy=0.4)
         y = sparse_conv_stride2(x, rng.normal(size=(3, 3, 2, 2)))
         assert (y.width, y.height) == (8, 5)
-
-
-class TestDilate:
-    def test_dilates_by_footprint(self):
-        x = SparseTensor2D.build(8, 8, [(4, 4)], np.ones((1, 1)))
-        y = sparse_conv_dilate(x, np.ones((3, 3, 1, 1)))
-        assert {tuple(c) for c in y.coords} == {(i, j) for i in (3, 4, 5) for j in (3, 4, 5)}
-
-    def test_dense_oracle_equivalence(self, rng):
-        x = random_sparse(rng, 12, 12, 3, occupancy=0.15)
-        w = rng.normal(size=(3, 3, 3, 4))
-        b = rng.normal(size=4)
-        y = sparse_conv_dilate(x, w, b)
-        ref = masked_dense(y, dense_conv(densify(x), w, b))
-        assert max_rel_dev(y.features, ref) < 1e-12
 
 
 class TestInt8Conv:

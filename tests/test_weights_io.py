@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import random_cloud
 
 from lift.config import config_from_dict
 from lift.errors import FormatError
-from lift.network import fuse_network, random_network_weights, run_network
+from lift.network import fuse_network, network_ops, random_network_weights, run_network
 from lift.pillarizer import pillarize
 from lift import quantize
 from lift.weights_io import (TensorQuant, TensorRecord, file_kind,
@@ -187,3 +189,42 @@ def test_quantparams_tensor_shape_mismatch():
                TensorRecord("input_features.zero_point", np.zeros(4, dtype=np.float32))]
     with pytest.raises(FormatError):
         records_to_int8_network(records)
+
+
+SMALL_DEPTHS = (1, 2, 1, 1)
+CONV_OPS = [op for op in network_ops(SMALL_DEPTHS) if op.kind == "conv"]
+
+
+@pytest.fixture(scope="module")
+def float_and_int8_records():
+    cfg = config_from_dict({
+        "grid": {"x_min": -4.8, "x_max": 4.8, "y_min": -4.8, "y_max": 4.8},
+        "network": {"num_classes": 3, "stage_depths": list(SMALL_DEPTHS)},
+    })
+    weights = random_network_weights(cfg.network, cfg.feature_length, 5, "fused")
+    pillars = pillarize(random_cloud(np.random.default_rng(4), 500, cfg.grid), cfg.grid)
+    collector = quantize.CalibrationCollector()
+    collector(quantize.INPUT_FEATURES_SITE, pillars.features)
+    run_network(pillars, weights, cfg.grid, cfg.network, observer=collector)
+    act = {s: collector.qparams(s) for s in quantize.activation_sites(cfg.network)}
+    net = quantize.quantize_network(weights, collector.feature_qparams(), act)
+    return float_network_records(weights), int8_network_records(net)
+
+
+@pytest.mark.parametrize("mutation", ["k", "cin"])
+@pytest.mark.parametrize("op", CONV_OPS, ids=[op.name for op in CONV_OPS])
+def test_float_and_int8_readers_reject_the_same_kernel_dims(float_and_int8_records,
+                                                             op, mutation):
+    messages = []
+    for records, reader in zip(float_and_int8_records,
+                               (records_to_float_network, records_to_int8_network)):
+        (kernel,) = [r for r in records
+                     if r.name.startswith(f"{op.name}.") and r.name.endswith(".kernel")]
+        k, _, cin, cout = kernel.data.shape
+        shape = (4 - k, 4 - k, cin, cout) if mutation == "k" else (k, k, cin + 1, cout)
+        mutated = TensorRecord(kernel.name, np.zeros(shape, dtype=kernel.data.dtype),
+                               kernel.quant)
+        with pytest.raises(FormatError, match=re.escape(kernel.name)) as err:
+            reader([mutated if r is kernel else r for r in records])
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
