@@ -17,13 +17,14 @@ all derived from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ShapeError, StructuralError
 from .pillarizer import GridConfig, PillarSet
+from .quant import dequantize
 from .reparam import (BnParams, FusedConvLayer, RepConvLayer, apply_fused,
                       apply_training_form, fuse)
 from .sparse import (SparseTensor2D, relu, sparse_add_projected, sparse_conv_stride2,
@@ -308,10 +309,9 @@ def decode(heatmap: SparseTensor2D, regression: SparseTensor2D, grid: GridConfig
     """
     if len(heatmap) == 0:
         return []
-    if heatmap.is_int8:
-        heatmap = _dequantized(heatmap)
-    if regression.is_int8:
-        regression = _dequantized(regression)
+    heatmap, regression = (
+        replace(m, features=dequantize(m.features, m.qparams), qparams=None)
+        if m.is_int8 else m for m in (heatmap, regression))
     if not np.array_equal(heatmap.coords, regression.coords):
         raise ShapeError("heatmap and regression maps must share an active set")
 
@@ -354,12 +354,6 @@ def decode(heatmap: SparseTensor2D, regression: SparseTensor2D, grid: GridConfig
             yaw=yaw,
         ))
     return boxes
-
-
-def _dequantized(x: SparseTensor2D) -> SparseTensor2D:
-    feats = (x.features.astype(np.float64) - x.qparams.zero_point) * x.qparams.scale
-    return SparseTensor2D(width=x.width, height=x.height, coords=x.coords,
-                          features=feats, _keys=x.keys())
 
 
 @dataclass

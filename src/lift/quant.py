@@ -5,7 +5,11 @@ Conventions used throughout the engine:
 * activations: per-tensor asymmetric (scale + zero point),
 * weights: per-output-channel symmetric (zero point 0),
 * rounding: half-to-even everywhere, so integer results do not depend
-  on platform or vectorization.
+  on platform or vectorization,
+* accumulators: int32. A layer adds ``taps`` products of a centered
+  input (|q - zero_point| <= 255) and a weight (|w| <= 128) onto its
+  integer bias, so it needs |bias_q| + taps * 255 * 128 < 2^31.
+  ``integer_bias`` computes every bias_q and checks that bound.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, ParameterError
+from .errors import CalibrationError, ParameterError, RangeError
 
 INT8_MIN = -128
 INT8_MAX = 127
@@ -49,6 +53,22 @@ def dequantize(q, qp: QuantParams):
     """Map int8 values back to reals: (q - zero_point) * scale."""
     x = (np.asarray(q, dtype=np.float64) - qp.zero_point) * qp.scale
     return x if x.ndim else float(x)
+
+
+def integer_bias(bias, in_scale: float, weight_scales, taps: int) -> np.ndarray:
+    """A layer's bias on its accumulator scale, rint(bias / (in_scale * s_w)).
+
+    The values are integers held in float64. The layer adds taps
+    products (K * K * Cin for a conv, the feature count for the encoder)
+    onto them. RangeError unless every |bias_q| + taps * 255 * 128 is
+    below 2^31, the int32 accumulator bound; NaN and inf fail too.
+    """
+    bias_q = np.rint(bias / (in_scale * weight_scales))
+    ok = np.abs(bias_q) < 2 ** 31 - taps * 255 * 128   # False for NaN
+    if np.count_nonzero(ok) != ok.size:
+        raise RangeError(f"integer bias {bias_q[~ok][0]:.6g} plus {taps} taps of "
+                         f"255 x 128 leaves the int32 accumulator range")
+    return bias_q
 
 
 def calibrate(samples, mode: str = "minmax", percentile: float = 99.9) -> QuantParams:
@@ -157,9 +177,12 @@ def requantize_array(acc: np.ndarray, multipliers: np.ndarray, shifts: np.ndarra
                      zero_point: int) -> np.ndarray:
     """Vectorized requantize over per-channel multiplier/shift arrays.
 
-    acc is int64 (values within int32 range), multipliers/shifts
-    broadcast against it. Matches requantize() exactly: shift amounts
-    stay <= 63 because from_factor bounds factors below by 2^-32.
+    acc holds integers (int64, or float64 from a conv or the encoder)
+    that must lie within int32 range: callers keep the accumulator
+    bound that integer_bias checks, and the int8 weight reader and
+    quantize_network enforce it. multipliers/shifts broadcast against
+    acc. Matches requantize() exactly: shift amounts stay <= 63 because
+    from_factor bounds factors below by 2^-32.
     """
     total = acc.astype(np.int64) * multipliers.astype(np.int64)
     sh = (31 + shifts).astype(np.int64)

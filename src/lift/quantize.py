@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ShapeError
+from .errors import CalibrationError, RangeError, ShapeError
 from .network import (ENCODER_SITE, InferenceResult, NetworkConfig, NetworkWeights, Op,
                       network_ops, run_encoded)
 from .pillarizer import GridConfig, PillarSet
-from .quant import QuantParams, calibrate, requantize_array
+from .quant import QuantParams, calibrate, integer_bias, quantize, requantize_array
 from .sparse import (AddQuant, OutputQuant, SparseTensor2D, sparse_add_projected,
                      sparse_conv_stride2, submanifold_conv)
 
@@ -109,6 +109,12 @@ class Int8Weights:
     def cout(self) -> int:
         return self.q_weight.shape[-1]
 
+    def integer_bias(self, in_scale: float) -> np.ndarray:
+        """The bias on the accumulator scale; RangeError if it breaks
+        the int32 accumulator bound (see quant.integer_bias)."""
+        return integer_bias(self.bias, in_scale, self.weight_scales,
+                            self.q_weight.size // self.cout)
+
 
 @dataclass
 class Int8Network:
@@ -129,9 +135,9 @@ class Int8Network:
         conv = self.layers[op.name]
         in_scale = act[op.inputs[0]].scale
         oq = OutputQuant.from_scales(in_scale, conv.weight_scales, act[op.output])
-        bias_i = np.rint(conv.bias / (in_scale * conv.weight_scales)).astype(np.int64)
         fn = sparse_conv_stride2 if op.mode == "stride2" else submanifold_conv
-        return fn(xs[0], conv.q_weight, bias_i, out_quant=oq, threads=threads)
+        return fn(xs[0], conv.q_weight, conv.integer_bias(in_scale), out_quant=oq,
+                  threads=threads)
 
 
 # requantization factors must stay below 1 to be representable as a Q31
@@ -154,12 +160,20 @@ def quantize_network(weights: NetworkWeights, feature_qps: list,
             act[site] = QuantParams(scale=needed * _SCALE_MARGIN,
                                     zero_point=qp.zero_point)
 
+    def check_bias(name: str, layer: Int8Weights, in_scale: float):
+        try:
+            layer.integer_bias(in_scale)
+        except RangeError as e:
+            raise CalibrationError(f"op {name!r}: {e}") from None
+
     scales = np.array([qp.scale for qp in feature_qps])
     folded = weights.dbpfn.weight * scales[:, None]
     q_w, w_scales = _quantize_per_channel(folded, axis=1)
     widen(ENCODER_SITE, float(w_scales.max()))
     encoder = Int8Weights(q_weight=q_w, weight_scales=w_scales,
                          bias=np.asarray(weights.dbpfn.bias, dtype=np.float64))
+
+    check_bias("dbpfn", encoder, 1.0)
 
     layers = {}
     for op in weights.ops:
@@ -172,15 +186,9 @@ def quantize_network(weights: NetworkWeights, feature_qps: list,
         widen(op.output, act[op.inputs[0]].scale * float(ws.max()))
         layers[op.name] = Int8Weights(q_weight=qk, weight_scales=ws,
                                       bias=np.asarray(layer.bias, dtype=np.float64))
+        check_bias(op.name, layers[op.name], act[op.inputs[0]].scale)
     return Int8Network(feature_qps=list(feature_qps), encoder=encoder, ops=weights.ops,
                        layers=layers, act=act)
-
-
-def quantize_features(features: np.ndarray, feature_qps: list) -> np.ndarray:
-    scales = np.array([qp.scale for qp in feature_qps])
-    zps = np.array([qp.zero_point for qp in feature_qps])
-    q = np.rint(features / scales) + zps
-    return np.clip(q, -128, 127).astype(np.int8)
 
 
 def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
@@ -192,12 +200,12 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
                                     qparams=enc_qp, int8=True)
     if pillars.feature_length != net.encoder.q_weight.shape[0]:
         raise ShapeError("pillar feature length does not match encoder weights")
-    q = quantize_features(pillars.features, net.feature_qps)
-    zps = np.array([qp.zero_point for qp in net.feature_qps], dtype=np.float64)
-    # exact in float64: integer operands and sums stay far below 2^53
-    acc = ((q.astype(np.float64) - zps) @ net.encoder.q_weight.astype(np.float64)
-           ).astype(np.int64)
-    acc += np.rint(net.encoder.bias / net.encoder.weight_scales).astype(np.int64)
+    centered = np.column_stack([
+        np.subtract(quantize(pillars.features[:, f], qp), qp.zero_point, dtype=np.float64)
+        for f, qp in enumerate(net.feature_qps)])
+    # exact in float64: with the accumulator bound held, every integer
+    # operand and sum stays below 2^31, far inside float64's 2^53
+    acc = centered @ net.encoder.q_weight.astype(np.float64) + net.encoder.integer_bias(1.0)
     starts = pillars.offsets[:-1]
     oq = OutputQuant.from_scales(1.0, net.encoder.weight_scales, enc_qp)
     q_max = requantize_array(np.maximum.reduceat(acc, starts, axis=0),

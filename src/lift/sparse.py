@@ -9,10 +9,13 @@ indexed add and the accumulation order is fixed by the offset loop --
 results are bitwise reproducible for the int8 path and reproducible
 under the canonical order for the real path.
 
-The int8 path accumulates in 64-bit lanes whose values stay within
-int32 range (|acc| <= 9 * Cin * 255 * 127 plus bias, far under 2^31
-for any channel width this network uses), so results are identical to
-an int32-accumulator implementation.
+The int8 path accumulates in the same float64 lanes as the real path.
+Its precondition is the int32 accumulator bound: |bias| + K * K * Cin *
+255 * 128 < 2^31 (quant.integer_bias, checked by the int8 weight reader
+and by quantize_network). Every operand and partial sum is then an
+integer below 2^31, far inside float64's exact range of 2^53, so results
+are identical to an int32-accumulator implementation in any summation
+order.
 """
 
 from __future__ import annotations
@@ -209,15 +212,13 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
 
     if x.is_int8 and out_quant is None:
         raise ShapeError("int8 convolution requires an OutputQuant")
-    # int8 GEMMs run in float64 too, for BLAS speed: every operand and
-    # partial sum is an integer far below 2^53, so results are exact and
-    # identical to integer arithmetic regardless of summation order
-    acc_type = np.int64 if x.is_int8 else np.float64
+    # int8 GEMMs run in float64 too, for BLAS speed; under the module's
+    # accumulator bound they are exact (see the module docstring)
     feats = np.subtract(x.features, x.qparams.zero_point, dtype=np.float64) \
         if x.is_int8 else x.features
     w_f = w.astype(np.float64)
-    acc = np.tile(np.zeros(cout, dtype=acc_type) if bias is None
-                  else np.asarray(bias, dtype=acc_type), (n_out, 1))
+    acc = np.tile(np.zeros(cout) if bias is None else np.asarray(bias, dtype=np.float64),
+                  (n_out, 1))
 
     def partial(d):
         in_rows, out_rows = rb.pairs[d]
@@ -227,7 +228,7 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
 
     for _, out_rows, prod in _offset_products(partial, k * k, threads):
         if prod is not None:
-            acc[out_rows] += prod.astype(acc_type, copy=False)
+            acc[out_rows] += prod
     if x.is_int8:
         acc = requantize_array(acc, out_quant.multipliers, out_quant.shifts,
                                out_quant.qparams.zero_point)
@@ -252,7 +253,10 @@ def submanifold_conv(x: SparseTensor2D, w, bias=None, k: int | None = None,
     """Convolution whose output active set equals the input active set.
 
     Out-of-range or inactive taps contribute zero (real) / the input
-    zero point (int8), matching zero-padded dense semantics.
+    zero point (int8), matching zero-padded dense semantics. An int8
+    call requires the integer bias to keep the int32 accumulator bound,
+    |bias| + K * K * Cin * 255 * 128 < 2^31; this function does not
+    check it, the int8 weight reader and quantize_network do.
     """
     w = np.asarray(w)
     if k is not None and w.shape[0] != k:

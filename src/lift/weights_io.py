@@ -21,22 +21,25 @@ branches structurally. Activation quantization parameters ride along
 as f32 tensors named "act.{site}.scale" / "act.{site}.zero_point".
 The float and int8 readers walk the same op list and check every conv
 kernel against its op with one shared check; the int8 reader also
-rejects weights that break the int8 contract (nonzero zero points,
-non-finite or non-positive scales).
+rejects files that break the int8 contract: weights with nonzero zero
+points or non-finite or non-positive scales, activation params with
+such scales or with zero points that are not integers in [-128, 127],
+and biases that break the int32 accumulator bound (quant.integer_bias).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import EngineConfig
-from .errors import FormatError, StructuralError
+from .errors import FormatError, RangeError, StructuralError
 from .network import (ENCODER_SITE, BnParams, DbpfnParams, FusedConvLayer, NetworkWeights,
                       Op, RepConvLayer, network_ops, present_stage_depths)
-from .quant import QuantParams
+from .quant import INT8_MAX, INT8_MIN, QuantParams
 from .quantize import INPUT_FEATURES_SITE, Int8Network, Int8Weights
 
 MAGIC = b"LIFW"
@@ -375,11 +378,21 @@ def int8_network_records(net: Int8Network) -> list:
 
 
 def _qp_from(rm: _RecordMap, site: str):
+    """Activation params stored as f32 tensors: scales finite and
+    positive, zero points integers in the int8 range."""
     scales = rm.get(f"{site}.scale").data
     zps = rm.get(f"{site}.zero_point").data
     if scales.shape != zps.shape:
         raise FormatError(f"tensor '{site}.zero_point': dims differ from scales")
-    return [QuantParams(scale=float(s), zero_point=int(z)) for s, z in zip(scales, zps)]
+    qps = []
+    for s, z in zip(scales.ravel().tolist(), zps.ravel().tolist()):
+        if not (math.isfinite(s) and s > 0):
+            raise FormatError(f"tensor '{site}.scale': scale {s} is not finite and positive")
+        if not (float(z).is_integer() and INT8_MIN <= z <= INT8_MAX):   # NaN fails
+            raise FormatError(f"tensor '{site}.zero_point': zero point {z} is not an "
+                              f"integer in [{INT8_MIN}, {INT8_MAX}]")
+        qps.append(QuantParams(scale=s, zero_point=int(z)))
+    return qps
 
 
 def _act_from(rm: _RecordMap, site: str) -> QuantParams:
@@ -409,6 +422,13 @@ def _i8_weights(rec: TensorRecord, axis: int):
     return rec.data, q.scales.astype(np.float64)
 
 
+def _check_bias(name: str, layer: Int8Weights, in_scale: float) -> None:
+    try:
+        layer.integer_bias(in_scale)
+    except RangeError as e:
+        raise FormatError(f"tensor {name!r}: {e}") from None
+
+
 def records_to_int8_network(records) -> Int8Network:
     rm = _RecordMap(records)
     feature_qps = _qp_from(rm, INPUT_FEATURES_SITE)
@@ -423,6 +443,10 @@ def records_to_int8_network(records) -> Int8Network:
 
     ops, layers = _read_layers(rm, "fused", q_w.shape[1], read_conv)
     act = {site: _act_from(rm, site) for site in [ENCODER_SITE] + [op.output for op in ops]}
+    _check_bias("dbpfn.linear.bias", encoder, 1.0)
+    for op in ops:
+        if op.kind == "conv":
+            _check_bias(f"{_prefix(op)}.bias", layers[op.name], act[op.inputs[0]].scale)
     rm.check_all_used()
     return Int8Network(feature_qps=feature_qps, encoder=encoder, ops=ops, layers=layers,
                        act=act)

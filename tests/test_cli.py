@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lift.cli import main
 
@@ -383,6 +387,78 @@ class TestInt8Contract:
                                        zero_points=kernel.quant.zero_points[:6])
             bias.data = bias.data[:6].copy()
         self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+
+    @pytest.mark.parametrize("name, value", [
+        ("act.align.out.zero_point", 1.6),
+        ("act.stage2.layer1.out.zero_point", 300.0),
+        ("input_features.zero_point", np.nan),
+        ("act.dbpfn.out.scale", -1.0),
+        ("input_features.scale", np.inf),
+        ("stage2.layer1.fused.bias", 1e6),
+        ("head.cls.conv.bias", np.nan),
+        ("dbpfn.linear.bias", 1e30),
+    ])
+    def test_bad_quant_param_or_bias(self, workspace, tmp_path, capsys, name, value):
+        def mutate(recs):
+            recs[name].data[0] = value
+        self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+
+
+def test_calibrate_rejects_a_bias_past_the_accumulator_bound(workspace, tmp_path, capsys):
+    from lift.weights_io import read_weight_file, write_weight_file
+
+    tmp_path, cfg_path, _ = workspace
+    clouds = tmp_path / "cal"
+    clouds.mkdir()
+    write_cloud(clouds / "a.bin", n=500, seed=3)
+    records = read_weight_file(gen(tmp_path, cfg_path, "fused"))
+    {r.name: r for r in records}["stage2.layer1.fused.bias"].data[0] = 1e6
+    weights, out = tmp_path / "big_bias.w", tmp_path / "int8.w"
+    write_weight_file(weights, records)
+    assert main(["calibrate", "--weights", str(weights), "--clouds", str(clouds),
+                 "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "op 'stage2.layer1'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+TINY_CONFIG_DOC = dict(CONFIG_DOC, network={
+    "encoder_out": 8, "stage_channels": [8, 8, 8, 8], "align_channels": 8,
+    "num_classes": 3, "stage_depths": [1, 1, 1, 1]})
+
+
+@pytest.fixture(scope="module")
+def tiny_int8_file(tmp_path_factory):
+    """A calibrated int8 file small enough that byte mutations often land
+    in headers, quant blocks and f32 tensors, not only kernel payloads."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG_DOC))
+    (tmp_path / "cal").mkdir()
+    write_cloud(tmp_path / "cal" / "a.bin", n=500, seed=3)
+    write_cloud(tmp_path / "cloud.bin")
+    int8_path = tmp_path / "int8.w"
+    assert main(["calibrate", "--weights", gen(tmp_path, str(cfg_path), "fused"),
+                 "--clouds", str(tmp_path / "cal"), "--config", str(cfg_path),
+                 "--out", str(int8_path)]) == 0
+    return tmp_path, int8_path.read_bytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 31), st.integers(1, 255)),
+                min_size=1, max_size=4))
+def test_mutated_int8_file_exits_0_or_2(tiny_int8_file, mutations):
+    tmp_path, raw = tiny_int8_file
+    data = bytearray(raw)
+    for pos, flip in mutations:
+        data[pos % len(data)] ^= flip
+    path = tmp_path / "mutated.w"
+    path.write_bytes(data)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["infer", "--weights", str(path), "--cloud", str(tmp_path / "cloud.bin"),
+                     "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "d.jsonl"), "--threads", "1"])
+    assert code in (0, 2)
 
 
 def test_infer_validates_weights_before_reading_the_cloud(workspace, tmp_path, capsys):

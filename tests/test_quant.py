@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lift.errors import CalibrationError, ParameterError
-from lift.quant import (QuantParams, Requantizer, calibrate, dequantize,
+from lift.errors import CalibrationError, ParameterError, RangeError
+from lift.quant import (QuantParams, Requantizer, calibrate, dequantize, integer_bias,
                         quantize, requantize, requantize_array)
 
 
@@ -145,3 +145,19 @@ def test_quantparams_validation():
         QuantParams(scale=0.0)
     with pytest.raises(ParameterError):
         QuantParams(scale=1.0, zero_point=300)
+
+
+def test_integer_bias_rounds_onto_the_accumulator_scale():
+    got = integer_bias(np.array([0.25, -0.26, 1e-9]), 0.5, np.array([0.1, 0.1, 1.0]), 9)
+    assert got.tolist() == [5.0, -5.0, 0.0]
+
+
+@pytest.mark.parametrize("taps", [1, 9 * 128])
+def test_integer_bias_bound_is_tight(taps):
+    limit = 2 ** 31 - taps * 255 * 128
+    ones = np.ones(2)
+    assert integer_bias(np.array([limit - 1, 1 - limit]), 1.0, ones, taps).tolist() == \
+        [limit - 1, 1 - limit]
+    for bad in (limit, -limit, np.nan, np.inf, -np.inf):
+        with pytest.raises(RangeError, match="int32 accumulator"):
+            integer_bias(np.array([0.0, bad]), 1.0, ones, taps)

@@ -5,7 +5,7 @@ from oracles import (dense_conv, dense_conv_int, densify, conv_loops,
                      max_rel_dev, stride2_active_set)
 
 from lift.errors import ShapeError
-from lift.quant import QuantParams
+from lift.quant import QuantParams, integer_bias
 from lift.sparse import (AddQuant, OutputQuant, SparseTensor2D, build_rulebook,
                          sparse_add_projected,
                          sparse_conv_stride2, sparse_max_pool, submanifold_conv)
@@ -162,6 +162,29 @@ class TestInt8Conv:
             ref = dense_conv_int(densify(x), x.qparams.zero_point, kernel, bias, oq,
                                  stride=2)
             assert np.array_equal(y.features, masked_dense(y, ref).astype(np.int8))
+
+    @pytest.mark.parametrize("zero_point", [-128, 127])
+    def test_bitwise_at_the_accumulator_bound(self, zero_point):
+        # every input is centered to +255 or -255 and every tap is active at
+        # the interior sites, so channel 0 (weights -128) and channel 1
+        # (weights 127) sum 9 * 128 products of 255 * 128 and 255 * 127 onto
+        # the largest integer bias the bound admits, of the product's sign
+        cin, taps = 128, 9 * 128
+        sign = 1 if zero_point < 0 else -1
+        coords = [(i, j) for j in range(5) for i in range(5)]
+        feats = np.full((25, cin), 127 if sign > 0 else -128, dtype=np.int8)
+        x = SparseTensor2D.build(5, 5, coords, feats, qparams=QuantParams(1.0, zero_point))
+        kernel = np.empty((3, 3, cin, 2), dtype=np.int8)
+        kernel[..., 0], kernel[..., 1] = -128, 127
+        limit = 2 ** 31 - taps * 255 * 128
+        bias = integer_bias(np.array([-sign, sign]) * (limit - 1.0), 1.0, np.ones(2), taps)
+        oq = OutputQuant.from_scales(1.0, np.ones(2), QuantParams(2.0 ** 31 / 100))
+        y = submanifold_conv(x, kernel, bias, out_quant=oq)
+        ref = dense_conv_int(densify(x), zero_point, kernel, bias.astype(np.int64), oq)
+        # the center site's accumulators have magnitudes 2^31 - 1 and
+        # 2^31 - 1 - 9 * 128 * 255
+        assert ref[2, 2].tolist() == [-100 * sign, 100 * sign]
+        assert np.array_equal(y.features, masked_dense(y, ref).astype(np.int8))
 
     def test_int8_requires_plan(self, rng):
         x = random_sparse(rng, 8, 8, 2, int8=True)

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_cloud
 
 from lift.config import config_from_dict
-from lift.errors import FormatError
+from lift.errors import CalibrationError, FormatError
 from lift.network import fuse_network, network_ops, random_network_weights, run_network
 from lift.pillarizer import pillarize
 from lift import quantize
@@ -137,7 +137,7 @@ class TestNetworkBinding:
 
 
 class TestInt8Binding:
-    def build_int8(self, rng, cfg):
+    def calibrate(self, rng, cfg):
         weights = random_network_weights(cfg.network, cfg.feature_length, 5, "fused")
         cloud = random_cloud(rng, 500, cfg.grid)
         pillars = pillarize(cloud, cfg.grid)
@@ -147,8 +147,19 @@ class TestInt8Binding:
                     observer=collector)
         act = {s: collector.qparams(s)
                for s in quantize.activation_sites(cfg.network)}
-        return quantize.quantize_network(weights, collector.feature_qparams(), act), \
-            pillars
+        return weights, collector.feature_qparams(), act, pillars
+
+    def build_int8(self, rng, cfg):
+        weights, feature_qps, act, pillars = self.calibrate(rng, cfg)
+        return quantize.quantize_network(weights, feature_qps, act), pillars
+
+    @pytest.mark.parametrize("op", ["dbpfn", "stage2.layer1", "head.reg.out"])
+    def test_quantize_rejects_a_bias_past_the_accumulator_bound(self, rng, cfg, op):
+        weights, feature_qps, act, _ = self.calibrate(rng, cfg)
+        layer = weights.dbpfn if op == "dbpfn" else weights.layers[op]
+        layer.bias[0] = 1e30 if op == "dbpfn" else 1e6
+        with pytest.raises(CalibrationError, match=f"op '{op}'.*int32 accumulator"):
+            quantize.quantize_network(weights, feature_qps, act)
 
     def test_int8_round_trip_bitwise(self, tmp_path, rng, cfg):
         net, pillars = self.build_int8(rng, cfg)
