@@ -159,6 +159,16 @@ class Requantizer:
         return self.multiplier * 2.0 ** -(31 + self.shift)
 
 
+def requantization_factor(in_scale: float, weight_scale: float, out_scale: float) -> float:
+    """The real factor s_in * s_w / s_out a requantizer encodes (s_w = 1
+    for an add operand). Factors below 2^-32 are raised to it: they
+    requantize every input to the zero point anyway, so clamping keeps
+    them encodable without changing any output. Factors above 1 are
+    returned as they are; from_factor rejects them.
+    """
+    return max(in_scale * weight_scale / out_scale, 2.0 ** -32)
+
+
 def requantize(acc: int, r: Requantizer) -> int:
     """Rescale an int32 accumulator to int8 through r, saturating.
 
@@ -177,14 +187,19 @@ def requantize_array(acc: np.ndarray, multipliers: np.ndarray, shifts: np.ndarra
                      zero_point: int) -> np.ndarray:
     """Vectorized requantize over per-channel multiplier/shift arrays.
 
-    acc holds integers (int64, or float64 from a conv or the encoder)
-    that must lie within int32 range: callers keep the accumulator
-    bound that integer_bias checks, and the int8 weight reader and
-    quantize_network enforce it. multipliers/shifts broadcast against
-    acc. Matches requantize() exactly: shift amounts stay <= 63 because
-    from_factor bounds factors below by 2^-32.
+    acc holds integers (int32 from a conv, int64, or float64 from the
+    encoder) that must lie within int32 range: callers keep the
+    accumulator bound that integer_bias checks, and the int8 weight
+    reader and quantize_network enforce it. multipliers/shifts broadcast
+    to acc's shape (per channel along the last axis, or scalars).
+    Matches requantize() exactly: shift amounts stay <= 63 because
+    from_factor bounds factors below by 2^-32. Works in place on one
+    int64 copy of acc; the caller's array is left unchanged.
     """
-    total = acc.astype(np.int64) * multipliers.astype(np.int64)
-    sh = (31 + shifts).astype(np.int64)
-    rounded = (total + (np.int64(1) << (sh - 1))) >> sh
-    return np.clip(rounded + zero_point, INT8_MIN, INT8_MAX).astype(np.int8)
+    total = acc.astype(np.int64)
+    total *= multipliers
+    sh = 31 + np.asarray(shifts, dtype=np.int64)
+    total += np.int64(1) << (sh - 1)
+    total >>= sh
+    total += zero_point
+    return np.clip(total, INT8_MIN, INT8_MAX, out=total).astype(np.int8)

@@ -9,13 +9,15 @@ indexed add and the accumulation order is fixed by the offset loop --
 results are bitwise reproducible for the int8 path and reproducible
 under the canonical order for the real path.
 
-The int8 path accumulates in the same float64 lanes as the real path.
-Its precondition is the int32 accumulator bound: |bias| + K * K * Cin *
-255 * 128 < 2^31 (quant.integer_bias, checked by the int8 weight reader
-and by quantize_network). Every operand and partial sum is then an
-integer below 2^31, far inside float64's exact range of 2^53, so results
-are identical to an int32-accumulator implementation in any summation
-order.
+The int8 path sums into int32 accumulators that start at the integer
+bias. Its precondition is the int32 accumulator bound: |bias| + K * K *
+Cin * 255 * 128 < 2^31 (quant.integer_bias, checked by the int8 weight
+reader and by quantize_network), so no sum overflows. Each offset's
+GEMM runs on centered inputs (|q - zero_point| <= 255) and weights
+(|w| <= 128) in float32 when Cin * 255 * 128 < 2^24, i.e. Cin <= 514:
+every product and partial sum is then an integer float32 holds exactly,
+in any summation order. Wider inputs run that GEMM in float64 (exact
+below 2^53). The partial is cast to int32 before it is added.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .quant import QuantParams, Requantizer, requantize_array
+from .quant import QuantParams, Requantizer, requantization_factor, requantize_array
 
 MODES = ("submanifold", "stride2")
 
@@ -189,11 +191,9 @@ class OutputQuant:
 
     @classmethod
     def from_scales(cls, in_scale: float, weight_scales, out_qp: QuantParams) -> "OutputQuant":
-        # factors below 2^-32 requantize everything to the zero point anyway;
-        # clamping keeps them encodable without changing any output
-        rs = [Requantizer.from_factor(
-            max(in_scale * float(s) / out_qp.scale, 2.0 ** -32),
-            zero_point=out_qp.zero_point) for s in np.atleast_1d(weight_scales)]
+        rs = [Requantizer.from_factor(requantization_factor(in_scale, s, out_qp.scale),
+                                      zero_point=out_qp.zero_point)
+              for s in np.atleast_1d(weight_scales).tolist()]
         return cls(qparams=out_qp,
                    multipliers=np.array([r.multiplier for r in rs], dtype=np.int64),
                    shifts=np.array([r.shift for r in rs], dtype=np.int64))
@@ -212,22 +212,34 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
 
     if x.is_int8 and out_quant is None:
         raise ShapeError("int8 convolution requires an OutputQuant")
-    # int8 GEMMs run in float64 too, for BLAS speed; under the module's
-    # accumulator bound they are exact (see the module docstring)
-    feats = np.subtract(x.features, x.qparams.zero_point, dtype=np.float64) \
-        if x.is_int8 else x.features
-    w_f = w.astype(np.float64)
-    acc = np.tile(np.zeros(cout) if bias is None else np.asarray(bias, dtype=np.float64),
-                  (n_out, 1))
+    bias = np.zeros(cout) if bias is None else np.asarray(bias)
+    if x.is_int8:
+        # exact per-offset GEMMs (see the module docstring); one fused
+        # K * K * Cin GEMM would not be exact in float32
+        gemm = np.float32 if cin * 255 * 128 < 2 ** 24 else np.float64
+        feats = np.subtract(x.features, x.qparams.zero_point, dtype=gemm)
+        w_g = w.astype(gemm)
+        acc = np.tile(bias.astype(np.int32), (n_out, 1))
+    else:
+        feats = x.features
+        w_g = w.astype(np.float64)
+        acc = np.tile(bias.astype(np.float64), (n_out, 1))
+    # a submanifold conv's center offset maps every row onto itself
+    center = k * k // 2 if mode == "submanifold" else None
 
     def partial(d):
         in_rows, out_rows = rb.pairs[d]
         if in_rows.size == 0:
             return d, out_rows, None
-        return d, out_rows, feats[in_rows] @ w_f[d // k, d % k]
+        prod = (feats if d == center else feats[in_rows]) @ w_g[d // k, d % k]
+        return d, out_rows, prod.astype(np.int32) if x.is_int8 else prod
 
-    for _, out_rows, prod in _offset_products(partial, k * k, threads):
-        if prod is not None:
+    for d, out_rows, prod in _offset_products(partial, k * k, threads):
+        if prod is None:
+            continue
+        if d == center:
+            acc += prod
+        else:
             acc[out_rows] += prod
     if x.is_int8:
         acc = requantize_array(acc, out_quant.multipliers, out_quant.shifts,
@@ -309,11 +321,9 @@ class AddQuant:
     @classmethod
     def from_scales(cls, base_qp: QuantParams, other_qp: QuantParams,
                     out_qp: QuantParams) -> "AddQuant":
-        return cls(qparams=out_qp,
-                   base=Requantizer.from_factor(
-                       max(base_qp.scale / out_qp.scale, 2.0 ** -32)),
-                   other=Requantizer.from_factor(
-                       max(other_qp.scale / out_qp.scale, 2.0 ** -32)))
+        base, other = (Requantizer.from_factor(
+            requantization_factor(qp.scale, 1.0, out_qp.scale)) for qp in (base_qp, other_qp))
+        return cls(qparams=out_qp, base=base, other=other)
 
 
 def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: int,

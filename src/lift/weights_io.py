@@ -24,7 +24,8 @@ kernel against its op with one shared check; the int8 reader also
 rejects files that break the int8 contract: weights with nonzero zero
 points or non-finite or non-positive scales, activation params with
 such scales or with zero points that are not integers in [-128, 127],
-and biases that break the int32 accumulator bound (quant.integer_bias).
+biases that break the int32 accumulator bound (quant.integer_bias), and
+activation scales that give an op a requantization factor above 1.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .config import EngineConfig
 from .errors import FormatError, RangeError, StructuralError
 from .network import (ENCODER_SITE, BnParams, DbpfnParams, FusedConvLayer, NetworkWeights,
                       Op, RepConvLayer, network_ops, present_stage_depths)
-from .quant import INT8_MAX, INT8_MIN, QuantParams
+from .quant import INT8_MAX, INT8_MIN, QuantParams, requantization_factor
 from .quantize import INPUT_FEATURES_SITE, Int8Network, Int8Weights
 
 MAGIC = b"LIFW"
@@ -134,11 +135,16 @@ def read_weight_file(path) -> list:
     seen = set()
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name at byte {r.off - name_len} "
+                              "is not UTF-8") from None
         if name in seen:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
         seen.add(name)
         dtype, rank = r.unpack("<BB")
+        rank_at = r.off - 1
         dims = r.unpack(f"<{rank}I") if rank else ()
         quant = None
         if dtype == DTYPE_I8:
@@ -156,11 +162,14 @@ def read_weight_file(path) -> list:
                 raise FormatError(f"{path}: tensor {name!r}: bad per_channel flag")
         elif dtype != DTYPE_F32:
             raise FormatError(f"{path}: tensor {name!r}: unknown dtype code {dtype}")
-        n = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        if dtype == DTYPE_F32:
-            data = np.frombuffer(r.take(4 * n), dtype="<f4").copy().reshape(dims)
-        else:
-            data = np.frombuffer(r.take(n), dtype=np.int8).copy().reshape(dims)
+        item = np.dtype("<f4" if dtype == DTYPE_F32 else np.int8)
+        # math.prod: a Python int, so huge dims cannot wrap to a small count
+        data = np.frombuffer(r.take(item.itemsize * math.prod(dims)), dtype=item).copy()
+        try:
+            data = data.reshape(dims)
+        except ValueError as e:   # past numpy's rank limit, or huge dims beside a 0
+            raise FormatError(f"{path}: tensor {name!r}: the {rank} dims at byte "
+                              f"{rank_at} do not form an array ({e})") from None
         records.append(TensorRecord(name=name, data=data, quant=quant))
     if r.off != len(raw):
         raise FormatError(f"{path}: {len(raw) - r.off} trailing bytes after "
@@ -429,6 +438,16 @@ def _check_bias(name: str, layer: Int8Weights, in_scale: float) -> None:
         raise FormatError(f"tensor {name!r}: {e}") from None
 
 
+def _check_factor(act: dict, op_name: str, out_site: str, in_scale: float,
+                  weight_scale: float) -> None:
+    """An op's largest requantization factor (that of its largest weight
+    scale) must not exceed 1; the output scale is the tensor named."""
+    factor = requantization_factor(in_scale, weight_scale, act[out_site].scale)
+    if factor > 1.0:
+        raise FormatError(f"tensor 'act.{out_site}.scale': op {op_name!r} would "
+                          f"requantize by {factor:.6g}, above 1")
+
+
 def records_to_int8_network(records) -> Int8Network:
     rm = _RecordMap(records)
     feature_qps = _qp_from(rm, INPUT_FEATURES_SITE)
@@ -444,9 +463,15 @@ def records_to_int8_network(records) -> Int8Network:
     ops, layers = _read_layers(rm, "fused", q_w.shape[1], read_conv)
     act = {site: _act_from(rm, site) for site in [ENCODER_SITE] + [op.output for op in ops]}
     _check_bias("dbpfn.linear.bias", encoder, 1.0)
+    _check_factor(act, "dbpfn", ENCODER_SITE, 1.0, max(w_scales.tolist()))
     for op in ops:
         if op.kind == "conv":
-            _check_bias(f"{_prefix(op)}.bias", layers[op.name], act[op.inputs[0]].scale)
+            layer, in_scale = layers[op.name], act[op.inputs[0]].scale
+            _check_bias(f"{_prefix(op)}.bias", layer, in_scale)
+            _check_factor(act, op.name, op.output, in_scale, max(layer.weight_scales.tolist()))
+        else:
+            for site in op.inputs:
+                _check_factor(act, op.name, op.output, act[site].scale, 1.0)
     rm.check_all_used()
     return Int8Network(feature_qps=feature_qps, encoder=encoder, ops=ops, layers=layers,
                        act=act)

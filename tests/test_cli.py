@@ -328,11 +328,13 @@ class TestInt8Contract:
     """Int8 files that break the weight contract or the op wiring are
     rejected at load with exit 2 and the tensor named."""
 
-    def infer_mutated(self, workspace, tmp_path, capsys, name, mutate):
+    def infer_mutated(self, workspace, tmp_path, capsys, name, mutate, cloud=None):
         from lift.weights_io import read_weight_file, write_weight_file
 
-        code, cfg_path, cloud, int8_path = TestCalibrate().run_calibrate(workspace, tmp_path)
+        code, cfg_path, cal_cloud, int8_path = TestCalibrate().run_calibrate(workspace,
+                                                                             tmp_path)
         assert code == 0
+        cloud = cloud or cal_cloud
         records = read_weight_file(int8_path)
         by_name = {r.name: r for r in records}
         mutate(by_name)
@@ -344,6 +346,7 @@ class TestInt8Contract:
         err = capsys.readouterr().err
         assert code == 2, err
         assert name in err and "Traceback" not in err
+        return err
 
     def test_nonzero_weight_zero_point(self, workspace, tmp_path, capsys):
         from lift.weights_io import TensorQuant
@@ -402,6 +405,21 @@ class TestInt8Contract:
         def mutate(recs):
             recs[name].data[0] = value
         self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+
+    @pytest.mark.parametrize("site, op", [("dbpfn.out", "dbpfn"),
+                                          ("stage3.layer1.out", "stage3.layer1"),
+                                          ("fusion.add3.out", "fusion.add3")])
+    def test_act_scale_giving_a_factor_above_1(self, workspace, tmp_path, capsys, site, op):
+        # shrinking an op's output scale 10^6-fold pushes its requantization
+        # factors s_in * s_w / s_out above 1; the reader refuses the file
+        # before the cloud (absent here) is read
+        name = f"act.{site}.scale"
+
+        def mutate(recs):
+            recs[name].data[0] /= 1e6
+        err = self.infer_mutated(workspace, tmp_path, capsys, name, mutate,
+                                 cloud=str(tmp_path / "absent.bin"))
+        assert f"op {op!r}" in err and "above 1" in err and "absent.bin" not in err
 
 
 def test_calibrate_rejects_a_bias_past_the_accumulator_bound(workspace, tmp_path, capsys):

@@ -320,3 +320,47 @@ class TestOpListDerivations:
         convs = [name for name in ran["float"] if name in weights.layers]
         report = count_macs_network(cloud, cfg.grid, cfg.network)
         assert [layer.name for layer in report.layers if layer.kind != "linear"] == convs
+
+
+# Fixed activation params, not calibrated ones: quantize_network then does
+# only elementwise float work, so the int8 network (and this digest) is the
+# same on every platform and BLAS build.
+GOLDEN_FEATURE_QPS = [(0.0375, 0), (1.5e-4, -128), (0.0375, 0), (1.5e-4, -128),
+                      (0.03125, 32), (1.25e-4, -128), (1.0, -128), (6e-4, 0), (6e-4, 0)]
+GOLDEN_STAGE_SCALES = (0.25, 0.06, 0.02, 0.006)
+# sha256 of the int8 heatmap and regression coords and features below; a
+# change to int8 arithmetic that alters any output changes it
+GOLDEN_INT8_DIGEST = "c96d3c172f5e1165adeb92d730904650d6b1f63913e1a8de87434c85b5ef003c"
+
+
+def golden_act(site):
+    from lift.quant import QuantParams
+
+    if site == "dbpfn.out":
+        return QuantParams(0.75, 0)
+    if site.startswith("stage"):
+        return QuantParams(GOLDEN_STAGE_SCALES[int(site[len("stage")]) - 1], -128)
+    return QuantParams(0.03, -128) if ".conv." in site else QuantParams(0.05, -16)
+
+
+def test_int8_outputs_match_the_golden_digest(small_config):
+    import hashlib
+
+    from lift import quantize
+    from lift.quant import QuantParams
+
+    cfg = small_config
+    weights = random_network_weights(cfg.network, cfg.feature_length, 0, "fused")
+    net8 = quantize.quantize_network(
+        weights, [QuantParams(s, z) for s, z in GOLDEN_FEATURE_QPS],
+        {site: golden_act(site) for site in quantize.activation_sites(cfg.network)})
+    pillars = pillarize(random_cloud(np.random.default_rng(5), 2000, cfg.grid), cfg.grid)
+    res = quantize.run_int8_network(pillars, net8, cfg.grid, cfg.network, 0.05, 32)
+    # the digest covers real work: many sites, many distinct int8 values
+    assert len(res.heatmap) > 100 and np.unique(res.heatmap.features).size > 50
+    assert np.unique(res.regression.features).size > 50
+    digest = hashlib.sha256()
+    for t in (res.heatmap, res.regression):
+        digest.update(np.ascontiguousarray(t.coords, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(t.features).tobytes())
+    assert digest.hexdigest() == GOLDEN_INT8_DIGEST

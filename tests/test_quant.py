@@ -140,6 +140,34 @@ def test_requantize_array_matches_scalar(rng):
             assert got[row, ch] == requantize(int(acc[row, ch]), rs[ch])
 
 
+EDGE_ACCS = [2 ** 31 - 1, -(2 ** 31 - 1), -2 ** 31, 0, 1, -1]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+@pytest.mark.parametrize("per_channel", [True, False])
+def test_requantize_array_matches_scalar_at_the_edges(rng, dtype, per_channel):
+    # factors down to 2^-32 (from_factor's smallest: multiplier 2^30, shift
+    # 31) and a directly built shift of 32, the largest whose rounding term
+    # keeps int64 exact for int32 accumulators
+    rs = [Requantizer.from_factor(f, zero_point=-3) for f in (2.0 ** -32, 0.37, 1.0)]
+    rs.append(Requantizer(multiplier=(1 << 31) - 1, shift=32, zero_point=-3))
+    col = np.concatenate([EDGE_ACCS, rng.integers(-2 ** 31, 2 ** 31, size=26)]).astype(dtype)
+    if per_channel:
+        accs = [col.reshape(-1, 1).repeat(len(rs), axis=1)]
+        plans = [(np.array([r.multiplier for r in rs], dtype=np.int64),
+                  np.array([r.shift for r in rs], dtype=np.int64))]
+    else:   # the AddQuant form: one scalar multiplier and shift per call
+        accs = [col] * len(rs)
+        plans = [(np.int64(r.multiplier), np.int64(r.shift)) for r in rs]
+    before = [a.copy() for a in accs]
+    outs = [requantize_array(a, m, s, -3) for a, (m, s) in zip(accs, plans)]
+    got = outs[0] if per_channel else np.stack(outs, axis=1)
+    assert got.dtype == np.int8
+    assert got.tolist() == [[requantize(int(a), r) for r in rs] for a in col]
+    for a, b in zip(accs, before):   # the caller's accumulators are left as they were
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_quantparams_validation():
     with pytest.raises(ParameterError):
         QuantParams(scale=0.0)

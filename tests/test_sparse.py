@@ -186,6 +186,38 @@ class TestInt8Conv:
         assert ref[2, 2].tolist() == [-100 * sign, 100 * sign]
         assert np.array_equal(y.features, masked_dense(y, ref).astype(np.int8))
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("zero_point", [-128, 127])
+    @pytest.mark.parametrize("mode", ["submanifold", "stride2"])
+    @pytest.mark.parametrize("cin", [514, 515])
+    def test_bitwise_at_the_float32_gemm_edge(self, cin, mode, zero_point, threads):
+        # Cin <= 514 runs each offset's GEMM in float32, Cin = 515 in
+        # float64. Every input is centered to v = +255 or -255. Output
+        # channel 0 weighs input channel 0 by -127 and the rest by -128, so
+        # each full offset sums to the odd -v/255 * (32385 + (Cin - 1) *
+        # 32640): 16,776,705 < 2^24 in magnitude at 514, 16,809,345 > 2^24
+        # at 515, where float32 cannot hold it. Channel 1 weighs all by 127.
+        # The bias cancels the 9 offsets of a site with every tap active and
+        # the requantization factor is 1, so an error of 1 shows.
+        v = 255 if zero_point < 0 else -255
+        feats = np.full((25, cin), 127 if v > 0 else -128, dtype=np.int8)
+        x = SparseTensor2D.build(5, 5, [(i, j) for j in range(5) for i in range(5)],
+                                 feats, qparams=QuantParams(1.0, zero_point))
+        kernel = np.empty((3, 3, cin, 2), dtype=np.int8)
+        kernel[..., 0], kernel[..., 1] = -128, 127
+        kernel[:, :, 0, 0] = -127
+        full = 9 * v * np.array([-127 - 128 * (cin - 1), 127 * cin])
+        bias = integer_bias(np.array([5.0, -7.0]) - full, 1.0, np.ones(2), 9 * cin)
+        oq = OutputQuant.from_scales(1.0, np.ones(2), QuantParams(1.0))
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        y = conv(x, kernel, bias, out_quant=oq, threads=threads)
+        stride = 1 if mode == "submanifold" else 2
+        ref = dense_conv_int(densify(x), zero_point, kernel, bias.astype(np.int64), oq,
+                             stride=stride)
+        # the site with every tap active: (2, 2) of 5 x 5, or (1, 1) of 3 x 3
+        assert ref[2 // stride, 2 // stride].tolist() == [5, -7]
+        assert np.array_equal(y.features, masked_dense(y, ref).astype(np.int8))
+
     def test_int8_requires_plan(self, rng):
         x = random_sparse(rng, 8, 8, 2, int8=True)
         with pytest.raises(ShapeError):

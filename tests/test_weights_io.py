@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -75,6 +76,43 @@ class TestRawFormat:
         raw = path.read_bytes()
         path.write_bytes(raw[:-3])
         with pytest.raises(FormatError, match="truncated"):
+            read_weight_file(path)
+
+    # the first tensor's header: name length at byte 12, name "alpha" at
+    # 14..18, dtype at 19, rank at 20
+    def test_non_utf8_name_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "w.bin"
+        write_weight_file(path, sample_records())
+        raw = bytearray(path.read_bytes())
+        raw[15] = 0xFF
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: tensor name at byte 14 "
+                                                        "is not UTF-8")):
+            read_weight_file(path)
+
+    @pytest.mark.parametrize("rank, dims", [
+        (65, ()),                                         # past numpy's 64 dims
+        (4, (0, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1)),  # 0 elements, too big to index
+    ])
+    def test_dims_numpy_refuses_name_file_and_offset(self, tmp_path, rank, dims):
+        path = tmp_path / "w.bin"
+        write_weight_file(path, sample_records())
+        raw = path.read_bytes()
+        # a rank of 65 reads the bytes after it as dims; the zeros appended
+        # keep that read inside the file and make the element count 0
+        head = struct.pack(f"<B{len(dims)}I", rank, *dims)
+        path.write_bytes(raw[:20] + head + raw[21 + 4 * len(dims):] + bytes(4 * 65))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: tensor 'alpha': the {rank} dims at byte 20 do not form an array")):
+            read_weight_file(path)
+
+    def test_dims_whose_product_wraps_int64_are_truncation(self, tmp_path):
+        # 2^31 * 2^31 * 4 = 2^64 elements: an int64 product wraps to 0
+        path = tmp_path / "w.bin"
+        write_weight_file(path, sample_records())
+        raw = path.read_bytes()
+        path.write_bytes(raw[:20] + struct.pack("<B3I", 3, 2 ** 31, 2 ** 31, 4) + raw[29:])
+        with pytest.raises(FormatError, match=re.escape(f"{path}: truncated at byte 33")):
             read_weight_file(path)
 
 
