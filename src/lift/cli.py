@@ -2,8 +2,10 @@
 
 Subcommands: infer, fuse, gen-weights, macs, ocm, calibrate.
 Exit codes: 0 success, 1 over MAC budget (macs only), 2 any error.
---threads (or the LIFT_THREADS environment variable) sets worker count
-for the per-offset convolution GEMMs; results are identical regardless.
+--threads (or the LIFT_THREADS environment variable) sets how many
+workers split a convolution's output tiles; results are identical
+regardless. It defaults to 1: BLAS already threads each GEMM, and engine
+workers on top of it oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def _threads(value) -> int:
     env = os.environ.get("LIFT_THREADS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    return 1
 
 
 def _read_cloud(path, stride):

@@ -23,6 +23,8 @@ from .errors import ParameterError, RangeError
 from .pcd_io import PointCloud
 
 COARSE_LEVELS = 256  # one signed byte of lattice positions per axis
+# the sparse engine indexes a grid densely, one machine word per cell
+MAX_GRID_CELLS = 4096 * 4096
 
 FEATURE_NAMES = (
     "x_coarse", "x_detail", "y_coarse", "y_detail", "z_coarse", "z_detail",
@@ -57,6 +59,9 @@ class GridConfig:
             if cells < 1 or abs(cells * size - span) > 1e-9:
                 raise ParameterError(
                     f"{axis} range {span} is not an exact multiple of pillar size {size}")
+        if self.width * self.height > MAX_GRID_CELLS:
+            raise ParameterError(f"grid of {self.width} x {self.height} pillars exceeds "
+                                 f"{MAX_GRID_CELLS} cells")
 
     @property
     def width(self) -> int:
@@ -170,8 +175,9 @@ def pillarize(cloud: PointCloud, cfg: GridConfig, *, include_offsets: bool = Tru
 
     pts = cloud.data.astype(np.float64)
     x, y, z, intensity = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-    i = np.floor((x - cfg.x_min) / cfg.pillar_size_x).astype(np.int64)
-    j = np.floor((y - cfg.y_min) / cfg.pillar_size_y).astype(np.int64)
+    # clipped: a far-off point would overflow the cast, and is dropped anyway
+    i = np.floor(np.clip((x - cfg.x_min) / cfg.pillar_size_x, -1, width)).astype(np.int64)
+    j = np.floor(np.clip((y - cfg.y_min) / cfg.pillar_size_y, -1, height)).astype(np.int64)
     in_range = (
         (x >= cfg.x_min) & (x < cfg.x_max)
         & (y >= cfg.y_min) & (y < cfg.y_max)

@@ -12,7 +12,7 @@ requantizers derived from the stored scales as each op runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,6 +83,12 @@ class CalibrationCollector:
             return [self._qp_from_samples(stacked[:, f]) for f in range(los.size)]
         return [self._qp_from_samples([float(los[f]), float(his[f])])
                 for f in range(los.size)]
+
+
+def _as_stored(values) -> np.ndarray:
+    """values as a weight file stores them: rounded to float32, held in
+    float64."""
+    return np.asarray(values, dtype=np.float32).astype(np.float64)
 
 
 def _quantize_per_channel(kernel: np.ndarray, axis: int):
@@ -161,8 +167,11 @@ def quantize_network(weights: NetworkWeights, feature_qps: list,
                                     zero_point=qp.zero_point)
 
     def check_bias(name: str, layer: Int8Weights, in_scale: float):
+        # on the stored values, which the int8 reader checks
+        stored = replace(layer, bias=_as_stored(layer.bias),
+                         weight_scales=_as_stored(layer.weight_scales))
         try:
-            layer.integer_bias(in_scale)
+            stored.integer_bias(float(_as_stored(in_scale)))
         except RangeError as e:
             raise CalibrationError(f"op {name!r}: {e}") from None
 

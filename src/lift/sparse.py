@@ -1,13 +1,16 @@
-"""2D sparse tensors, rulebooks, and the convolution flavors.
+"""2D sparse tensors, neighbour tables, and the convolution flavors.
 
 A sparse tensor stores only its active coordinates plus one feature
 row per coordinate, kept in canonical row-major order (by j, then i).
-Convolutions run gather/GEMM/scatter over a rulebook: per kernel
-offset, the (input row, output row) pairs it connects. Within one
-offset every output row appears at most once, so scatter is a plain
-indexed add and the accumulation order is fixed by the offset loop --
-results are bitwise reproducible for the int8 path and reproducible
-under the canonical order for the real path.
+A conv's rulebook is an output-major table: nbr[d, o] is the input row
+that kernel offset d feeds into output row o, or n_in where that tap is
+missing, and row n_in of the copied features is zeros. Output rows run
+in tiles of TILE_ROWS (the remainder joins the last tile, since BLAS may
+round a shorter GEMM differently); per tile, each offset gathers its
+rows, runs one GEMM and adds the product onto the tile's accumulators,
+which start at the bias. So every output row gets its bias and then one
+addition per offset, in offset order, whatever the tiling and the
+number of workers (which take disjoint tiles).
 
 The int8 path sums into int32 accumulators that start at the integer
 bias. Its precondition is the int32 accumulator bound: |bias| + K * K *
@@ -28,9 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .quant import QuantParams, Requantizer, requantization_factor, requantize_array
+from .quant import (INT8_MAX, INT8_MIN, QuantParams, Requantizer, requantization_factor,
+                    requantize_array)
 
 MODES = ("submanifold", "stride2")
+TILE_ROWS = 1024
 
 
 @dataclass
@@ -98,30 +103,29 @@ class SparseTensor2D:
         return self._keys
 
 
-def _lookup(keys: np.ndarray, cand_i: np.ndarray, cand_j: np.ndarray,
-            width: int, height: int):
-    """Rows of sorted keys matching candidate coords; returns (hit_mask, rows)."""
-    in_range = (cand_i >= 0) & (cand_i < width) & (cand_j >= 0) & (cand_j < height)
-    cand_keys = np.where(in_range, cand_j * width + cand_i, -1)
-    rows = np.searchsorted(keys, cand_keys)
-    rows = np.minimum(rows, max(keys.size - 1, 0))
-    hit = in_range & (keys.size > 0)
-    if keys.size:
-        hit &= keys[rows] == cand_keys
-    return hit, rows
+def _rows_at(x: SparseTensor2D, ci: np.ndarray, cj: np.ndarray) -> np.ndarray:
+    """Rows of x at candidate coords, len(x) where a site is inactive or
+    off the grid (the extra last entry of the dense key -> row index)."""
+    index = np.full(x.width * x.height + 1, len(x), dtype=np.intp)
+    index[x.keys()] = np.arange(len(x))
+    on_grid = (ci >= 0) & (ci < x.width) & (cj >= 0) & (cj < x.height)
+    return index[np.where(on_grid, cj * x.width + ci, x.width * x.height)]
 
 
 @dataclass
 class Rulebook:
-    """Per kernel offset, the (input row, output row) pairs to process."""
+    """Output-major neighbour table: nbr[d, o] is the input row that
+    kernel offset d = dy * k + dx feeds into output row o, or n_in where
+    that tap is missing."""
 
     out_width: int
     out_height: int
     out_coords: np.ndarray
-    pairs: list  # index d = dy * k + dx -> (in_rows, out_rows)
+    nbr: np.ndarray  # (k * k, n_out) intp
+    n_in: int
 
     def pair_count(self) -> int:
-        return sum(int(in_rows.size) for in_rows, _ in self.pairs)
+        return int(np.count_nonzero(self.nbr < self.n_in))
 
 
 def build_rulebook(x: SparseTensor2D, k: int, mode: str) -> Rulebook:
@@ -129,33 +133,24 @@ def build_rulebook(x: SparseTensor2D, k: int, mode: str) -> Rulebook:
         raise ParameterError(f"unknown conv mode {mode!r}")
     if k % 2 != 1:
         raise ParameterError("kernel size must be odd")
-    center = k // 2
 
     if mode == "submanifold":
         out_w, out_h = x.width, x.height
         out_coords = x.coords
+        step, pad = 1, k // 2
     else:  # stride2
         if k != 3:
             raise ParameterError("stride-2 convolution is defined for k = 3")
         out_w = -(-x.width // 2)
         out_h = -(-x.height // 2)
         out_coords = _stride2_coords(x, out_w, out_h)
+        step, pad = 2, 1
 
-    keys = x.keys()
-    pairs = []
-    out_rows_all = np.arange(out_coords.shape[0])
-    oi, oj = out_coords[:, 0], out_coords[:, 1]
-    for dy in range(k):
-        for dx in range(k):
-            if mode == "stride2":
-                ci = 2 * oi + dx - 1
-                cj = 2 * oj + dy - 1
-            else:
-                ci = oi + dx - center
-                cj = oj + dy - center
-            hit, rows = _lookup(keys, ci, cj, x.width, x.height)
-            pairs.append((rows[hit], out_rows_all[hit]))
-    return Rulebook(out_width=out_w, out_height=out_h, out_coords=out_coords, pairs=pairs)
+    dy, dx = np.divmod(np.arange(k * k), k)
+    ci = step * out_coords[:, 0] + (dx - pad)[:, None]
+    cj = step * out_coords[:, 1] + (dy - pad)[:, None]
+    return Rulebook(out_width=out_w, out_height=out_h, out_coords=out_coords,
+                    nbr=_rows_at(x, ci, cj), n_in=len(x))
 
 
 def _stride2_coords(x: SparseTensor2D, out_w: int, out_h: int) -> np.ndarray:
@@ -199,6 +194,19 @@ class OutputQuant:
                    shifts=np.array([r.shift for r in rs], dtype=np.int64))
 
 
+def _tiles(n: int) -> list:
+    """Row ranges of TILE_ROWS rows; the remainder joins the last range."""
+    starts = list(range(0, n - TILE_ROWS + 1, TILE_ROWS)) or [0]
+    return list(zip(starts, starts[1:] + [n])) if n else []
+
+
+def _padded(features: np.ndarray, fill, dtype=None) -> np.ndarray:
+    """features plus one row of fill, the row a missing neighbour reads."""
+    out = np.empty((features.shape[0] + 1, features.shape[1]), dtype=dtype or features.dtype)
+    out[:-1], out[-1] = features, fill
+    return out
+
+
 def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
           out_quant: OutputQuant | None = None, threads: int = 1) -> SparseTensor2D:
     w = np.asarray(w)
@@ -217,47 +225,38 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
         # exact per-offset GEMMs (see the module docstring); one fused
         # K * K * Cin GEMM would not be exact in float32
         gemm = np.float32 if cin * 255 * 128 < 2 ** 24 else np.float64
-        feats = np.subtract(x.features, x.qparams.zero_point, dtype=gemm)
-        w_g = w.astype(gemm)
-        acc = np.tile(bias.astype(np.int32), (n_out, 1))
+        feats = _padded(x.features, x.qparams.zero_point, gemm)
+        feats -= x.qparams.zero_point   # centered: the padding row reads 0
     else:
-        feats = x.features
-        w_g = w.astype(np.float64)
-        acc = np.tile(bias.astype(np.float64), (n_out, 1))
+        gemm = np.float64
+        feats = _padded(x.features, 0.0)
+    acc = np.empty((n_out, cout), dtype=np.int32 if x.is_int8 else np.float64)
+    acc[:] = bias
+    w_g = w.astype(gemm).reshape(k * k, cin, cout)
+    live = np.flatnonzero((rb.nbr < rb.n_in).any(axis=1)).tolist()
     # a submanifold conv's center offset maps every row onto itself
     center = k * k // 2 if mode == "submanifold" else None
 
-    def partial(d):
-        in_rows, out_rows = rb.pairs[d]
-        if in_rows.size == 0:
-            return d, out_rows, None
-        prod = (feats if d == center else feats[in_rows]) @ w_g[d // k, d % k]
-        return d, out_rows, prod.astype(np.int32) if x.is_int8 else prod
+    def tile(rows):
+        lo, hi = rows
+        out = acc[lo:hi]
+        for d in live:
+            taps = feats[lo:hi] if d == center else feats.take(rb.nbr[d, lo:hi], axis=0)
+            prod = taps @ w_g[d]
+            out += prod.astype(np.int32) if x.is_int8 else prod
 
-    for d, out_rows, prod in _offset_products(partial, k * k, threads):
-        if prod is None:
-            continue
-        if d == center:
-            acc += prod
-        else:
-            acc[out_rows] += prod
+    tiles = _tiles(n_out)
+    if threads > 1 and len(tiles) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(tiles))) as pool:
+            list(pool.map(tile, tiles))
+    else:
+        for rows in tiles:
+            tile(rows)
     if x.is_int8:
         acc = requantize_array(acc, out_quant.multipliers, out_quant.shifts,
                                out_quant.qparams.zero_point)
     return SparseTensor2D(width=rb.out_width, height=rb.out_height, coords=rb.out_coords,
                           features=acc, qparams=out_quant.qparams if x.is_int8 else None)
-
-
-def _offset_products(partial, n_offsets: int, threads: int):
-    """Per-offset gather/GEMM results, always yielded in offset order.
-
-    The scatter stage consumes them sequentially, so results are
-    independent of the worker count.
-    """
-    if threads <= 1 or n_offsets <= 1:
-        return [partial(d) for d in range(n_offsets)]
-    with ThreadPoolExecutor(max_workers=min(threads, n_offsets)) as pool:
-        return sorted(pool.map(partial, range(n_offsets)), key=lambda t: t[0])
 
 
 def submanifold_conv(x: SparseTensor2D, w, bias=None, k: int | None = None,
@@ -298,12 +297,12 @@ def sparse_max_pool(x: SparseTensor2D, k: int = 3) -> SparseTensor2D:
     if len(x) == 0:
         return x
     rb = build_rulebook(x, k, "submanifold")
+    # a missing neighbor reads the smallest value, which never wins
+    feats = _padded(x.features, INT8_MIN if x.is_int8 else -np.inf)
     out = x.features.copy()
-    center = (k // 2) * k + (k // 2)
-    for d, (in_rows, out_rows) in enumerate(rb.pairs):
-        if d == center or in_rows.size == 0:
-            continue
-        np.maximum.at(out, out_rows, x.features[in_rows])
+    for d in range(k * k):
+        if d != k * k // 2:
+            np.maximum(out, feats[rb.nbr[d]], out=out)
     return SparseTensor2D(width=x.width, height=x.height, coords=x.coords,
                           features=out, qparams=x.qparams, _keys=x.keys())
 
@@ -337,30 +336,32 @@ def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: in
     if other.width != -(-base.width // factor) or other.height != -(-base.height // factor):
         raise ShapeError("other dims must be base dims / factor, rounded up")
 
-    pi = base.coords[:, 0] // factor
-    pj = base.coords[:, 1] // factor
-    hit, rows = _lookup(other.keys(), pi, pj, other.width, other.height)
+    rows = _rows_at(other, base.coords[:, 0] // factor, base.coords[:, 1] // factor)
 
     if base.is_int8:
         if add_quant is None or not other.is_int8:
             raise ShapeError("int8 projected add requires int8 operands and an AddQuant")
-        b = base.features.astype(np.int64) - base.qparams.zero_point
-        rb = requantize_array(b, np.int64(add_quant.base.multiplier),
-                              np.int64(add_quant.base.shift), 0).astype(np.int16)
-        ro = np.zeros_like(rb)
-        if hit.any():
-            o = other.features[rows[hit]].astype(np.int64) - other.qparams.zero_point
-            ro[hit] = requantize_array(o, np.int64(add_quant.other.multiplier),
-                                       np.int64(add_quant.other.shift), 0)
-        out = np.clip(rb + ro + add_quant.qparams.zero_point, -128, 127).astype(np.int8)
+        # a site without other reads other's zero point, which requantizes to 0
+        o = _padded(other.features, other.qparams.zero_point)[rows]
+        out = _requantized(base, add_quant.base).take(base.features.view(np.uint8))
+        out += _requantized(other, add_quant.other).take(o.view(np.uint8))
+        out += add_quant.qparams.zero_point
+        out = np.clip(out, INT8_MIN, INT8_MAX, out=out).astype(np.int8)
         return SparseTensor2D(width=base.width, height=base.height, coords=base.coords,
                               features=out, qparams=add_quant.qparams, _keys=base.keys())
 
-    out = base.features.copy()
-    if hit.any():
-        out[hit] += other.features[rows[hit]]
+    # a site without other adds -0.0, which leaves every value as it is
     return SparseTensor2D(width=base.width, height=base.height, coords=base.coords,
-                          features=out, qparams=None, _keys=base.keys())
+                          features=base.features + _padded(other.features, -0.0)[rows],
+                          qparams=None, _keys=base.keys())
+
+
+def _requantized(x: SparseTensor2D, r: Requantizer) -> np.ndarray:
+    """r applied to x's centered value of each int8 byte, as an int16
+    table indexed by the byte read as uint8."""
+    q = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.int64)
+    return requantize_array(q - x.qparams.zero_point, np.int64(r.multiplier),
+                            np.int64(r.shift), 0).astype(np.int16)
 
 
 def relu(x: SparseTensor2D) -> SparseTensor2D:

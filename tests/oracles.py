@@ -145,6 +145,48 @@ def conv_loops(dense, kernel, bias, stride=1):
     return out
 
 
+def scatter_conv(tensor, kernel, bias, stride=1):
+    """Per-offset reference over active sites only (float64): for each
+    kernel offset in order, one GEMM over the input rows that offset
+    reaches, then an indexed add of the products into their output
+    rows. Output rows follow the canonical (j, i) order."""
+    k = kernel.shape[0]
+    c = k // 2
+    row_of = {(i, j): r for r, (i, j) in enumerate(tensor.coords.tolist())}
+    if stride == 1:
+        outs = tensor.coords.tolist()
+    else:
+        outs = sorted(stride2_active_set(set(row_of), tensor.width, tensor.height),
+                      key=lambda ij: (ij[1], ij[0]))
+    acc = np.tile(np.asarray(bias, dtype=np.float64), (len(outs), 1))
+    for dy in range(k):
+        for dx in range(k):
+            pairs = []
+            for o, (i, j) in enumerate(outs):
+                src = (i + dx - c, j + dy - c) if stride == 1 else (2 * i + dx - 1, 2 * j + dy - 1)
+                if src in row_of:
+                    pairs.append((row_of[src], o))
+            if pairs:
+                rows_in, rows_out = np.array(pairs).T
+                acc[rows_out] += tensor.features[rows_in] @ kernel[dy, dx]
+    return acc
+
+
+def dense_max_pool(tensor, k=3):
+    """Per-channel max over the active sites of each k x k window,
+    evaluated at every active site (rows in canonical order)."""
+    c = k // 2
+    h, w = tensor.height, tensor.width
+    pad = np.full((h + 2 * c, w + 2 * c, tensor.channels), -np.inf)
+    for (i, j), row in zip(tensor.coords.tolist(), tensor.features):
+        pad[j + c, i + c] = row
+    pooled = np.full((h, w, tensor.channels), -np.inf)
+    for dy in range(k):
+        for dx in range(k):
+            pooled = np.maximum(pooled, pad[dy:dy + h, dx:dx + w])
+    return np.stack([pooled[j, i] for (i, j) in tensor.coords.tolist()])
+
+
 def stride2_active_set(active, width, height):
     """Independent computation of the stride-2 output active set."""
     out_w, out_h = -(-width // 2), -(-height // 2)

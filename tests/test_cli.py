@@ -324,6 +324,15 @@ def test_env_var_thread_fallback(workspace, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_threads_default_to_one(workspace, monkeypatch, capsys):
+    tmp_path, cfg_path, cloud = workspace
+    monkeypatch.delenv("LIFT_THREADS", raising=False)
+    weights = gen(tmp_path, cfg_path, "fused")
+    assert main(["infer", "--weights", weights, "--cloud", cloud,
+                 "--config", cfg_path, "--out", str(tmp_path / "d.jsonl")]) == 0
+    assert "(float, 1 thread(s))" in capsys.readouterr().err
+
+
 class TestInt8Contract:
     """Int8 files that break the weight contract or the op wiring are
     rejected at load with exit 2 and the tensor named."""
@@ -475,6 +484,26 @@ def test_mutated_int8_file_exits_0_or_2(tiny_int8_file, mutations):
     with contextlib.redirect_stderr(io.StringIO()):
         code = main(["infer", "--weights", str(path), "--cloud", str(tmp_path / "cloud.bin"),
                      "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "d.jsonl"), "--threads", "1"])
+    assert code in (0, 2)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(["cloud.bin", "config.json"]),
+       st.lists(st.tuples(st.integers(0, 2 ** 31), st.integers(1, 255)),
+                min_size=1, max_size=4))
+def test_mutated_cloud_or_config_exits_0_or_2(tiny_int8_file, target, mutations):
+    tmp_path = tiny_int8_file[0]
+    data = bytearray((tmp_path / target).read_bytes())
+    for pos, flip in mutations:
+        data[pos % len(data)] ^= flip
+    inputs = {"cloud.bin": tmp_path / "cloud.bin", "config.json": tmp_path / "config.json"}
+    inputs[target] = tmp_path / f"mutated-{target}"
+    inputs[target].write_bytes(data)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["infer", "--weights", str(tmp_path / "int8.w"),
+                     "--cloud", str(inputs["cloud.bin"]),
+                     "--config", str(inputs["config.json"]),
                      "--out", str(tmp_path / "d.jsonl"), "--threads", "1"])
     assert code in (0, 2)
 

@@ -19,6 +19,14 @@ def test_grid_config_rejects_non_multiple_range():
         GridConfig(x_min=0.0, x_max=1.0, pillar_size_x=0.3)
 
 
+def test_grid_config_caps_the_cell_count():
+    GridConfig(x_min=0.0, x_max=4096 * 0.25, y_min=0.0, y_max=4096 * 0.25,
+               pillar_size_x=0.25, pillar_size_y=0.25)
+    with pytest.raises(ParameterError, match="4097 x 4096 pillars"):
+        GridConfig(x_min=0.0, x_max=4097 * 0.25, y_min=0.0, y_max=4096 * 0.25,
+                   pillar_size_x=0.25, pillar_size_y=0.25)
+
+
 def test_split_lattice_point():
     coarse, detail = coarse_detail_split(0.0, -54.0, 54.0)
     assert coarse == 0.0 and detail == 0.0

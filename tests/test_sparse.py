@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 from conftest import random_sparse
-from oracles import (dense_conv, dense_conv_int, densify, conv_loops,
-                     max_rel_dev, stride2_active_set)
+from oracles import (dense_conv, dense_conv_int, dense_conv_int_fast, dense_max_pool, densify,
+                     conv_loops, max_rel_dev, scatter_conv, stride2_active_set)
 
 from lift.errors import ShapeError
 from lift.quant import QuantParams, integer_bias
-from lift.sparse import (AddQuant, OutputQuant, SparseTensor2D, build_rulebook,
-                         sparse_add_projected,
-                         sparse_conv_stride2, sparse_max_pool, submanifold_conv)
+from lift.sparse import (TILE_ROWS, AddQuant, OutputQuant, SparseTensor2D, _tiles,
+                         build_rulebook, sparse_add_projected, sparse_conv_stride2,
+                         sparse_max_pool, submanifold_conv)
 
 
 def identity_kernel(channels, k=3):
@@ -224,6 +224,87 @@ class TestInt8Conv:
             submanifold_conv(x, np.zeros((3, 3, 2, 2), dtype=np.int8))
 
 
+def tiled_case(rng, n_out, mode, cin, int8=False):
+    """A tensor whose conv in mode has exactly n_out output rows, about
+    half of the other taps of each output active."""
+    if mode == "submanifold":
+        side = int(np.ceil(np.sqrt(2 * n_out)))
+        flat = rng.choice(side * side, n_out, replace=False)
+        width = height = side
+        coords = np.column_stack([flat % side, flat // side])
+    else:
+        # outputs: the first n_out sites of the output grid; each has its
+        # center input, and other inputs join when every output they
+        # reach is one of those
+        wo = int(np.ceil(np.sqrt(n_out)))
+        outs = {(o % wo, o // wo) for o in range(n_out)}
+        width, height = 2 * wo, 2 * (-(-n_out // wo))
+
+        def reach(v):
+            return (v // 2,) if v % 2 == 0 else ((v - 1) // 2, (v + 1) // 2)
+
+        coords = [(2 * i, 2 * j) for i, j in outs]
+        for j in range(height):
+            for i in range(width):
+                if (i % 2 or j % 2) and rng.random() < 0.5 \
+                        and {(a, b) for a in reach(i) for b in reach(j)} <= outs:
+                    coords.append((i, j))
+        coords = np.array(coords)
+    if int8:
+        feats = rng.integers(-128, 128, size=(len(coords), cin)).astype(np.int8)
+        return SparseTensor2D.build(width, height, coords, feats,
+                                    qparams=QuantParams(0.05, int(rng.integers(-20, 20))))
+    return SparseTensor2D.build(width, height, coords, rng.normal(size=(len(coords), cin)))
+
+
+# the detector's conv shapes: 3x3 stage and head convs, 1x1 head outputs
+TILED_SHAPES = [(3, 64, 64, "submanifold"), (3, 128, 128, "submanifold"),
+                (3, 64, 128, "stride2"), (3, 128, 128, "stride2"),
+                (1, 128, 10, "submanifold"), (1, 128, 8, "submanifold")]
+TILED_ROWS = [1, TILE_ROWS - 1, TILE_ROWS, 2 * TILE_ROWS - 1, 3 * TILE_ROWS + 618]
+
+
+class TestTiling:
+    def test_remainder_joins_the_last_tile(self):
+        assert _tiles(0) == []
+        assert _tiles(1) == [(0, 1)]
+        assert _tiles(2 * TILE_ROWS - 1) == [(0, 2 * TILE_ROWS - 1)]
+        assert _tiles(2 * TILE_ROWS) == [(0, TILE_ROWS), (TILE_ROWS, 2 * TILE_ROWS)]
+        assert _tiles(3 * TILE_ROWS + 618) == [(0, TILE_ROWS), (TILE_ROWS, 2 * TILE_ROWS),
+                                               (2 * TILE_ROWS, 4 * TILE_ROWS - 406)]
+
+    @pytest.mark.parametrize("n_out", TILED_ROWS)
+    @pytest.mark.parametrize("k, cin, cout, mode", TILED_SHAPES)
+    def test_float_matches_per_offset_scatter_bitwise(self, rng, k, cin, cout, mode, n_out):
+        x = tiled_case(rng, n_out, mode, cin)
+        kernel = rng.normal(size=(k, k, cin, cout))
+        bias = rng.normal(size=cout)
+        stride = 1 if mode == "submanifold" else 2
+        ref = scatter_conv(x, kernel, bias, stride=stride)
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        for threads in (1, 2, 4):
+            y = conv(x, kernel, bias, threads=threads)
+            assert len(y) == n_out
+            assert y.features.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n_out", TILED_ROWS)
+    @pytest.mark.parametrize("k, cin, cout, mode", TILED_SHAPES)
+    def test_int8_matches_dense_oracle_bitwise(self, rng, k, cin, cout, mode, n_out):
+        x = tiled_case(rng, n_out, mode, cin, int8=True)
+        kernel = rng.integers(-128, 128, size=(k, k, cin, cout)).astype(np.int8)
+        bias = rng.integers(-10 ** 6, 10 ** 6, size=cout).astype(np.float64)
+        oq = OutputQuant.from_scales(x.qparams.scale, rng.uniform(5e-4, 2e-3, size=cout),
+                                     QuantParams(0.5, int(rng.integers(-10, 10))))
+        stride = 1 if mode == "submanifold" else 2
+        ref = dense_conv_int_fast(densify(x), x.qparams.zero_point, kernel,
+                                  bias.astype(np.int64), oq, stride=stride)
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        for threads in (1, 2, 4):
+            y = conv(x, kernel, bias, out_quant=oq, threads=threads)
+            assert len(y) == n_out
+            assert np.array_equal(y.features, masked_dense(y, ref).astype(np.int8))
+
+
 class TestMaxPool:
     def test_single_site(self):
         x = SparseTensor2D.build(8, 8, [(3, 3)], [[2.5, -1.0]])
@@ -243,6 +324,22 @@ class TestMaxPool:
             neighbors = [active[(i + di, j + dj)] for di in (-1, 0, 1)
                          for dj in (-1, 0, 1) if (i + di, j + dj) in active]
             assert np.array_equal(row, np.max(neighbors, axis=0))
+
+    def test_all_negative_features_match_dense_oracle(self, rng):
+        # a missing neighbor must never win, not even against values below 0
+        x = random_sparse(rng, 40, 30, 4, occupancy=0.3)
+        x.features[:] = -1.0 - np.abs(x.features)
+        y = sparse_max_pool(x)
+        assert np.array_equal(y.features, dense_max_pool(x))
+        assert (y.features < -1.0).all()
+
+    def test_int8_at_the_minimum_matches_dense_oracle(self, rng):
+        x = random_sparse(rng, 40, 30, 4, occupancy=0.3, int8=True)
+        x.features[:] = -128
+        x.features[::7, 1] = rng.integers(-128, 128, size=x.features[::7, 1].shape)
+        y = sparse_max_pool(x)
+        assert y.features.dtype == np.int8 and y.qparams == x.qparams
+        assert np.array_equal(y.features, dense_max_pool(x).astype(np.int8))
 
 
 class TestAddProjected:
@@ -288,6 +385,33 @@ class TestAddProjected:
                 want = max(-128, min(127, rb + ro + 1))
                 assert yrow[ch] == want
 
+    @pytest.mark.parametrize("int8", [False, True])
+    def test_mostly_missing_other_matches_per_site_oracle(self, rng, int8):
+        from lift.quant import requantize
+        base = random_sparse(rng, 60, 44, 3, occupancy=0.5, int8=int8,
+                             qparams=QuantParams(0.1, -7) if int8 else None)
+        other = random_sparse(rng, 15, 11, 3, occupancy=0.05, int8=int8,
+                              qparams=QuantParams(0.3, 9) if int8 else None)
+        other.features[0] = 127 if int8 else -0.0
+        base.features[::5, 0] = -128 if int8 else -0.0   # signed zeros stay as they are
+        aq = AddQuant.from_scales(base.qparams, other.qparams, QuantParams(0.4, 2)) \
+            if int8 else None
+        y = sparse_add_projected(base, other, 4, add_quant=aq)
+        other_map = {tuple(c): f for c, f in zip(other.coords.tolist(), other.features)}
+        missing = 0
+        for (i, j), brow, yrow in zip(base.coords.tolist(), base.features, y.features):
+            orow = other_map.get((i // 4, j // 4))
+            missing += orow is None
+            if not int8:
+                want = brow if orow is None else brow + orow
+                assert yrow.tobytes() == want.tobytes()
+                continue
+            for ch in range(3):
+                rb = requantize(int(brow[ch]) + 7, aq.base)
+                ro = requantize(int(orow[ch]) - 9, aq.other) if orow is not None else 0
+                assert yrow[ch] == max(-128, min(127, rb + ro + 2))
+        assert missing > 0.8 * len(base)
+
     def test_dim_mismatch_rejected(self, rng):
         base = random_sparse(rng, 8, 8, 2)
         other = random_sparse(rng, 3, 3, 2)
@@ -298,5 +422,12 @@ class TestAddProjected:
 def test_rulebook_pair_count_consistency(rng):
     x = random_sparse(rng, 10, 10, 1, occupancy=0.35)
     rb = build_rulebook(x, 3, "submanifold")
-    total = sum(in_rows.size for in_rows, _ in rb.pairs)
+    assert rb.nbr.shape == (9, len(x))
+    active = {tuple(c): row for row, c in enumerate(x.coords.tolist())}
+    total = 0
+    for d in range(9):
+        for o, (i, j) in enumerate(x.coords.tolist()):
+            want = active.get((i + d % 3 - 1, j + d // 3 - 1), len(x))
+            assert rb.nbr[d, o] == want
+            total += want < len(x)
     assert rb.pair_count() == total

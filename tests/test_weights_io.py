@@ -199,6 +199,31 @@ class TestInt8Binding:
         with pytest.raises(CalibrationError, match=f"op '{op}'.*int32 accumulator"):
             quantize.quantize_network(weights, feature_qps, act)
 
+    def test_quantize_checks_the_bias_bound_on_stored_f32_values(self, tmp_path, rng, cfg):
+        # a bias whose float64 value passes the bound, but whose f32-rounded
+        # copy (over f32-rounded scales) in the written file would not
+        op = "stage2.layer1"
+        weights, feature_qps, act, _ = self.calibrate(rng, cfg)
+        net = quantize.quantize_network(weights, feature_qps, act)
+        (in_site,) = next(o for o in net.ops if o.name == op).inputs
+        layer, in_scale = net.layers[op], net.act[in_site].scale
+        taps = layer.q_weight.size // layer.cout
+        limit = 2 ** 31 - taps * 255 * 128
+        step = in_scale * layer.weight_scales[0]
+        step32 = float(np.float32(in_scale)) * float(np.float32(layer.weight_scales[0]))
+        bias = next(b for b in ((limit - 1 - m) * step for m in range(1000))
+                    if np.rint(float(np.float32(b)) / step32) >= limit)
+        assert np.rint(bias / step) < limit
+        weights.layers[op].bias[0] = bias
+        with pytest.raises(CalibrationError, match=f"op '{op}'.*int32 accumulator"):
+            quantize.quantize_network(weights, feature_qps, act)
+        # the file it would have written is one the reader refuses
+        net.layers[op].bias[0] = bias
+        path = tmp_path / "w8.bin"
+        write_weight_file(path, int8_network_records(net))
+        with pytest.raises(FormatError, match=f"{op}.fused.bias"):
+            records_to_int8_network(read_weight_file(path))
+
     def test_int8_round_trip_bitwise(self, tmp_path, rng, cfg):
         net, pillars = self.build_int8(rng, cfg)
         path = tmp_path / "w8.bin"
