@@ -83,7 +83,8 @@ class Op:
     is the output width where something fixes it (the regression
     layout, or the config the list was built with); ``keeps_width``
     ops are as wide as their input. Backbone ops (``stage`` > 0) are
-    the reparameterizable layers.
+    the reparameterizable layers. ``mode`` is the only record of how a
+    conv runs (layers hold weights only).
     """
 
     name: str
@@ -101,12 +102,6 @@ class Op:
 
     def out_width(self, cin: int) -> int | None:
         return cin if self.keeps_width else self.cout
-
-    def layer_args(self) -> dict:
-        """stride and kind of the reparam layer that runs this op."""
-        if self.mode == "stride2":
-            return {"stride": 2, "kind": "downsample"}
-        return {"stride": 1, "kind": "submanifold"}
 
 
 def _layer_name(stage: int, idx: int) -> str:
@@ -192,7 +187,7 @@ class NetworkWeights:
             return sparse_add_projected(xs[0], xs[1], op.factor)
         layer = self.layers[op.name]
         if isinstance(layer, RepConvLayer):
-            return apply_training_form(layer, xs[0], threads=threads)
+            return apply_training_form(layer, xs[0], op.mode, threads=threads)
         conv = sparse_conv_stride2 if op.mode == "stride2" else submanifold_conv
         return conv(xs[0], layer.kernel, layer.bias, threads=threads)
 
@@ -448,18 +443,19 @@ def fusion_probe_deviation(train: NetworkWeights, fused: NetworkWeights,
     over random sparse probe inputs, layer by layer."""
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
-    for name, layer_t in train.layers.items():
+    for op in train.ops:
+        layer_t = train.layers.get(op.name)
         if not isinstance(layer_t, RepConvLayer):
             continue
-        layer_f = fused.layers[name]
+        layer_f = fused.layers[op.name]
         for _ in range(probes):
             n = int(rng.integers(1, grid * grid // 3))
             flat = rng.choice(grid * grid, size=n, replace=False)
             coords = np.column_stack([flat % grid, flat // grid])
             feats = rng.normal(size=(n, layer_t.cin))
             x = SparseTensor2D.build(grid, grid, coords, feats)
-            out_t = apply_training_form(layer_t, x)
-            out_f = apply_fused(layer_f, x)
+            out_t = apply_training_form(layer_t, x, op.mode)
+            out_f = apply_fused(layer_f, x, op.mode)
             scale = max(np.abs(out_t.features).max(initial=0.0), 1e-30)
             dev = np.abs(out_t.features - out_f.features).max(initial=0.0) / scale
             worst = max(worst, float(dev))
@@ -510,11 +506,10 @@ def random_network_weights(cfg: NetworkConfig, feature_length: int, seed: int,
             layers[op.name] = RepConvLayer(
                 kernel3=k3, bn3=_random_bn(rng, cout),
                 kernel1=k1, bn1=_random_bn(rng, cout),
-                identity_bn=None if op.mode == "stride2" else _random_bn(rng, cout),
-                **op.layer_args())
+                identity_bn=None if op.mode == "stride2" else _random_bn(rng, cout))
         else:
             fan_in, fan_out = op.k * op.k * cin, op.k * op.k * cout
             layers[op.name] = FusedConvLayer(
                 kernel=_xavier(rng, (op.k, op.k, cin, cout), fan_in, fan_out),
-                bias=_xavier(rng, (cout,), fan_in, fan_out), **op.layer_args())
+                bias=_xavier(rng, (cout,), fan_in, fan_out))
     return NetworkWeights(form=form, dbpfn=dbpfn, ops=ops, layers=layers)

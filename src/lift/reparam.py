@@ -1,12 +1,15 @@
 """Three-branch reparameterizable convolutions and their fusion.
 
-During training a layer is a 3x3 conv, a 1x1 conv and (when shapes
-allow) an identity pass-through, each followed by batch norm, summed.
-For inference the three branches collapse algebraically into a single
-3x3 kernel plus bias: fold each BN into its branch, zero-pad the 1x1
-kernel into the 3x3 center tap, express the identity as a center-tap
-identity matrix, and sum. The skip connections disappear from the
-inference graph without changing the function.
+During training a layer is a 3x3 conv, a 1x1 conv and (at stride 1
+with Cin == Cout) an identity pass-through, each followed by batch
+norm, summed. For inference the three branches collapse algebraically
+into a single 3x3 kernel plus bias: fold each BN into its branch,
+zero-pad the 1x1 kernel into the 3x3 center tap, express the identity
+as a center-tap identity matrix, and sum. The skip connections
+disappear from the inference graph without changing the function.
+
+Layers hold weights only; callers pass the mode of the op a layer runs
+at (network.Op.mode), "submanifold" or "stride2".
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ import numpy as np
 
 from .errors import ShapeError, StructuralError
 from .sparse import SparseTensor2D, sparse_conv_stride2, submanifold_conv
-
-KINDS = ("submanifold", "downsample")
-
 
 @dataclass(frozen=True)
 class BnParams:
@@ -57,22 +57,14 @@ class RepConvLayer:
     kernel1: np.ndarray            # (1, 1, Cin, Cout)
     bn1: BnParams
     identity_bn: BnParams | None = None
-    stride: int = 1
-    kind: str = "submanifold"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise StructuralError(f"unknown layer kind {self.kind!r}")
         if self.kernel3.shape[:2] != (3, 3) or self.kernel1.shape[:2] != (1, 1):
             raise ShapeError("branch kernels must be 3x3 and 1x1")
         if self.kernel3.shape[2:] != self.kernel1.shape[2:]:
             raise ShapeError("branch channel shapes differ")
-        if self.kind == "downsample" and (self.stride != 2 or self.identity_bn is not None):
-            raise StructuralError("downsample layers have stride 2 and no identity branch")
-        if self.kind != "downsample" and self.stride != 1:
-            raise StructuralError("stride 2 is only valid for downsample layers")
-        if self.identity_bn is not None and (self.cin != self.cout or self.stride != 1):
-            raise StructuralError("identity branch requires Cin == Cout and stride 1")
+        if self.identity_bn is not None and self.cin != self.cout:
+            raise StructuralError("identity branch requires Cin == Cout")
 
     @property
     def cin(self) -> int:
@@ -90,12 +82,6 @@ class FusedConvLayer:
 
     kernel: np.ndarray             # (K, K, Cin, Cout)
     bias: np.ndarray               # (Cout,)
-    stride: int = 1
-    kind: str = "submanifold"
-
-    @property
-    def cin(self) -> int:
-        return self.kernel.shape[2]
 
     @property
     def cout(self) -> int:
@@ -134,34 +120,37 @@ def fuse(layer: RepConvLayer) -> FusedConvLayer:
         kid, bid = fold_bn(_identity_kernel(layer.cin), layer.identity_bn)
         kernel = kernel + kid
         bias = bias + bid
-    return FusedConvLayer(kernel=kernel, bias=bias, stride=layer.stride, kind=layer.kind)
+    return FusedConvLayer(kernel=kernel, bias=bias)
 
 
-def _branch_conv(x: SparseTensor2D, kernel: np.ndarray, kind: str, threads: int = 1,
+def _branch_conv(x: SparseTensor2D, kernel: np.ndarray, mode: str, threads: int = 1,
                  bias=None):
-    conv = sparse_conv_stride2 if kind == "downsample" else submanifold_conv
+    conv = sparse_conv_stride2 if mode == "stride2" else submanifold_conv
     return conv(x, kernel, bias, threads=threads)
 
 
-def apply_fused(layer: FusedConvLayer, x: SparseTensor2D, threads: int = 1) -> SparseTensor2D:
-    return _branch_conv(x, layer.kernel, layer.kind, threads, layer.bias)
+def apply_fused(layer: FusedConvLayer, x: SparseTensor2D, mode: str,
+                threads: int = 1) -> SparseTensor2D:
+    return _branch_conv(x, layer.kernel, mode, threads, layer.bias)
 
 
-def apply_training_form(layer: RepConvLayer, x: SparseTensor2D,
+def apply_training_form(layer: RepConvLayer, x: SparseTensor2D, mode: str,
                         threads: int = 1) -> SparseTensor2D:
     """Literal training-form evaluation: conv, normalize, sum branches.
 
     All branches share the output active set the 3x3 branch produces
-    for this kind; the 1x1 and identity branches read through their
+    in this mode; the 1x1 and identity branches read through their
     center-tap placement so the same rule applies to them.
     """
     if x.channels != layer.cin:
         raise ShapeError(f"input has {x.channels} channels, layer expects {layer.cin}")
-    out3 = _branch_conv(x, layer.kernel3.astype(np.float64), layer.kind, threads)
-    out1 = _branch_conv(x, _pad_1x1_to_3x3(layer.kernel1), layer.kind, threads)
+    if mode == "stride2" and layer.identity_bn is not None:
+        raise StructuralError("a stride-2 layer has no identity branch")
+    out3 = _branch_conv(x, layer.kernel3.astype(np.float64), mode, threads)
+    out1 = _branch_conv(x, _pad_1x1_to_3x3(layer.kernel1), mode, threads)
     total = layer.bn3.apply(out3.features) + layer.bn1.apply(out1.features)
     if layer.identity_bn is not None:
-        outi = _branch_conv(x, _identity_kernel(layer.cin), layer.kind, threads)
+        outi = _branch_conv(x, _identity_kernel(layer.cin), mode, threads)
         total = total + layer.identity_bn.apply(outi.features)
     return SparseTensor2D(width=out3.width, height=out3.height,
                           coords=out3.coords, features=total)

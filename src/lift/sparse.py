@@ -259,7 +259,7 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
                           features=acc, qparams=out_quant.qparams if x.is_int8 else None)
 
 
-def submanifold_conv(x: SparseTensor2D, w, bias=None, k: int | None = None,
+def submanifold_conv(x: SparseTensor2D, w, bias=None,
                      out_quant: OutputQuant | None = None, threads: int = 1) -> SparseTensor2D:
     """Convolution whose output active set equals the input active set.
 
@@ -269,10 +269,7 @@ def submanifold_conv(x: SparseTensor2D, w, bias=None, k: int | None = None,
     |bias| + K * K * Cin * 255 * 128 < 2^31; this function does not
     check it, the int8 weight reader and quantize_network do.
     """
-    w = np.asarray(w)
-    if k is not None and w.shape[0] != k:
-        raise ShapeError(f"kernel size {w.shape[0]} does not match k={k}")
-    if w.shape[0] not in (1, 3):
+    if np.asarray(w).shape[0] not in (1, 3):
         raise ParameterError("submanifold kernel must be 1x1 or 3x3")
     return _conv(x, w, bias, "submanifold", out_quant=out_quant, threads=threads)
 

@@ -309,18 +309,17 @@ def records_to_float_network(records) -> NetworkWeights:
         if form == "fused" or not op.stage:
             kernel = _conv_kernel(rm, f"{_prefix(op)}.kernel", op, cin).data
             return FusedConvLayer(kernel=kernel.astype(np.float64),
-                                  bias=rm.array(f"{_prefix(op)}.bias", (kernel.shape[3],)),
-                                  **op.layer_args())
+                                  bias=rm.array(f"{_prefix(op)}.bias", (kernel.shape[3],)))
         k3 = _conv_kernel(rm, f"{op.name}.branch3x3.kernel", op, cin).data
         cout = k3.shape[3]
-        has_id = rm.has(f"{op.name}.identity.bn.gamma")
+        # stride-2 layers have no identity branch: check_all_used names a stray one
+        has_id = op.mode == "submanifold" and rm.has(f"{op.name}.identity.bn.gamma")
         return RepConvLayer(
             kernel3=k3.astype(np.float64),
             bn3=_bn_from(rm, f"{op.name}.branch3x3.bn", cout),
             kernel1=rm.array(f"{op.name}.branch1x1.kernel", (1, 1, cin, cout)),
             bn1=_bn_from(rm, f"{op.name}.branch1x1.bn", cout),
-            identity_bn=_bn_from(rm, f"{op.name}.identity.bn", cout) if has_id else None,
-            **op.layer_args())
+            identity_bn=_bn_from(rm, f"{op.name}.identity.bn", cout) if has_id else None)
 
     ops, layers = _read_layers(rm, "branch3x3" if form == "train" else "fused", hidden,
                                read_conv)

@@ -122,16 +122,16 @@ def test_criterion_4_reparameterization_equivalence(capsys):
     rng = np.random.default_rng(7)
     worst_layer = 0.0
     for case in range(1000):
-        kind = ("submanifold", "downsample")[case % 2]
+        mode = ("submanifold", "stride2")[case % 2]
         cin = int(rng.integers(1, 9))
         # half of the submanifold layers keep their width, so they carry
         # an identity branch
-        cout = cin if (kind != "downsample" and case % 4 == 0) else int(rng.integers(1, 9))
-        layer = random_layer(rng, cin, cout, kind)
+        cout = cin if (mode == "submanifold" and case % 4 == 0) else int(rng.integers(1, 9))
+        layer = random_layer(rng, cin, cout, mode)
         x = random_sparse(rng, 10, 10, cin, occupancy=float(rng.uniform(0.1, 0.7)))
         fused = fuse(layer)
-        dev = max_rel_dev(apply_training_form(layer, x).features,
-                          apply_fused(fused, x).features)
+        dev = max_rel_dev(apply_training_form(layer, x, mode).features,
+                          apply_fused(fused, x, mode).features)
         worst_layer = max(worst_layer, dev)
 
     cfg = config_from_dict(ACCEPT_CONFIG)

@@ -182,8 +182,7 @@ class TestFuse:
                 kernel1=np.zeros((1, 1, cin, cout)),
                 bn1=BnParams.identity(cout),
                 identity_bn=None if layer.identity_bn is None
-                else BnParams.identity(cout),
-                stride=layer.stride, kind=layer.kind)
+                else BnParams.identity(cout))
         identity_net = network.NetworkWeights(form="train", dbpfn=seeded.dbpfn,
                                               ops=seeded.ops, layers=layers)
         train_path = tmp_path / "identity.w"
@@ -192,6 +191,28 @@ class TestFuse:
                      "--out", str(tmp_path / "identity_fused.w")]) == 0
         deviation = float(capsys.readouterr().out.strip().rsplit(" ", 1)[-1])
         assert deviation == 0.0
+
+    @pytest.mark.parametrize("command", ["infer", "fuse"])
+    def test_identity_branch_on_a_stride2_layer_is_named(self, workspace, capsys,
+                                                         command):
+        from lift.weights_io import TensorRecord, read_weight_file, write_weight_file
+
+        tmp_path, cfg_path, cloud = workspace
+        records = read_weight_file(gen(tmp_path, cfg_path, "train"))
+        kernel = next(r for r in records if r.name == "stage1.layer0.branch3x3.kernel")
+        records += [TensorRecord(f"stage1.layer0.identity.bn.{p}",
+                                 np.ones(kernel.data.shape[3], dtype=np.float32))
+                    for p in ("gamma", "beta", "mean", "var")]
+        path = tmp_path / "stray.w"
+        write_weight_file(path, records)
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        argv = (["infer", "--weights", str(path), "--cloud", cloud,
+                 "--config", cfg_path, "--out", out] if command == "infer"
+                else ["fuse", "--weights-train", str(path), "--out", out])
+        assert main(argv) == 2
+        assert "unexpected tensor 'stage1.layer0.identity.bn.beta'" in \
+            capsys.readouterr().err
 
 
 class TestMacs:

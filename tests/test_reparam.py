@@ -15,13 +15,12 @@ def random_bn(rng, c):
                     running_var=rng.uniform(0.1, 1.5, c))
 
 
-def random_layer(rng, cin, cout, kind="submanifold"):
-    down = kind == "downsample"
+def random_layer(rng, cin, cout, mode):
     return RepConvLayer(
         kernel3=rng.normal(size=(3, 3, cin, cout)), bn3=random_bn(rng, cout),
         kernel1=rng.normal(size=(1, 1, cin, cout)), bn1=random_bn(rng, cout),
-        identity_bn=random_bn(rng, cout) if (cin == cout and not down) else None,
-        stride=2 if down else 1, kind=kind)
+        identity_bn=random_bn(rng, cout) if (cin == cout and mode == "submanifold")
+        else None)
 
 
 class TestFoldBn:
@@ -62,7 +61,7 @@ class TestFuse:
                              identity_bn=BnParams.identity(c))
         fused = fuse(layer)
         x = random_sparse(rng, 8, 8, c, occupancy=0.5)
-        y = apply_fused(fused, x)
+        y = apply_fused(fused, x, "submanifold")
         # 3x3/1x1 branches fold to zero kernels but keep their BN shift;
         # with identity BN stats that shift is zero, so only x remains
         assert max_rel_dev(y.features, x.features) < 1e-12
@@ -85,29 +84,31 @@ class TestFuse:
                          identity_bn=random_bn(rng, 4))
 
     def test_downsample_cannot_have_identity(self, rng):
+        layer = RepConvLayer(kernel3=np.zeros((3, 3, 4, 4)), bn3=random_bn(rng, 4),
+                             kernel1=np.zeros((1, 1, 4, 4)), bn1=random_bn(rng, 4),
+                             identity_bn=random_bn(rng, 4))
+        x = random_sparse(rng, 8, 8, 4, occupancy=0.5)
         with pytest.raises(StructuralError):
-            RepConvLayer(kernel3=np.zeros((3, 3, 4, 4)), bn3=random_bn(rng, 4),
-                         kernel1=np.zeros((1, 1, 4, 4)), bn1=random_bn(rng, 4),
-                         identity_bn=random_bn(rng, 4), stride=2, kind="downsample")
+            apply_training_form(layer, x, "stride2")
 
 
 class TestTrainingFormEquivalence:
-    @pytest.mark.parametrize("kind,cin,cout", [
+    @pytest.mark.parametrize("mode,cin,cout", [
         ("submanifold", 4, 4), ("submanifold", 3, 7),
-        ("downsample", 4, 6)])
-    def test_fused_matches_training_form(self, rng, kind, cin, cout):
+        pytest.param("stride2", 4, 6, id="downsample-4-6")])
+    def test_fused_matches_training_form(self, rng, mode, cin, cout):
         for _ in range(25):
-            layer = random_layer(rng, cin, cout, kind)
+            layer = random_layer(rng, cin, cout, mode)
             fused = fuse(layer)
             x = random_sparse(rng, 12, 12, cin, occupancy=float(rng.uniform(0.1, 0.7)))
-            out_train = apply_training_form(layer, x)
-            out_fused = apply_fused(fused, x)
+            out_train = apply_training_form(layer, x, mode)
+            out_fused = apply_fused(fused, x, mode)
             assert np.array_equal(out_train.coords, out_fused.coords)
             assert max_rel_dev(out_train.features, out_fused.features) < 1e-4
 
     def test_empty_input(self, rng):
-        layer = random_layer(rng, 4, 4)
-        y = apply_training_form(layer, SparseTensor2D.empty(8, 8, 4))
+        layer = random_layer(rng, 4, 4, "submanifold")
+        y = apply_training_form(layer, SparseTensor2D.empty(8, 8, 4), "submanifold")
         assert len(y) == 0
 
     def test_single_site_identity_only_layer(self):
@@ -116,13 +117,13 @@ class TestTrainingFormEquivalence:
                              kernel1=np.zeros((1, 1, c, c)), bn1=BnParams.identity(c),
                              identity_bn=BnParams.identity(c))
         x = SparseTensor2D.build(8, 8, [(2, 5)], [[1.0, -2.0, 0.5]])
-        y = apply_training_form(layer, x)
+        y = apply_training_form(layer, x, "submanifold")
         assert np.allclose(y.features, x.features, atol=1e-9)
 
     def test_downsample_active_set_matches_conv(self, rng):
-        layer = random_layer(rng, 2, 4, "downsample")
+        layer = random_layer(rng, 2, 4, "stride2")
         x = random_sparse(rng, 14, 14, 2, occupancy=0.2)
-        out_train = apply_training_form(layer, x)
-        out_fused = apply_fused(fuse(layer), x)
+        out_train = apply_training_form(layer, x, "stride2")
+        out_fused = apply_fused(fuse(layer), x, "stride2")
         assert np.array_equal(out_train.coords, out_fused.coords)
         assert (out_train.width, out_train.height) == (7, 7)
