@@ -182,14 +182,16 @@ class NetworkWeights:
     layers: dict                 # conv op name -> RepConvLayer | FusedConvLayer
 
     def apply(self, op: Op, xs: list, threads: int = 1) -> SparseTensor2D:
-        """One op on real tensors (its ReLU is the executor's)."""
+        """One op on real tensors, its ReLU included: fused convs rectify
+        each output tile, training-form layers their branch sum."""
         if op.kind == "add":
             return sparse_add_projected(xs[0], xs[1], op.factor)
         layer = self.layers[op.name]
         if isinstance(layer, RepConvLayer):
-            return apply_training_form(layer, xs[0], op.mode, threads=threads)
+            y = apply_training_form(layer, xs[0], op.mode, threads=threads)
+            return relu(y) if op.relu else y
         conv = sparse_conv_stride2 if op.mode == "stride2" else submanifold_conv
-        return conv(xs[0], layer.kernel, layer.bias, threads=threads)
+        return conv(xs[0], layer.kernel, layer.bias, threads=threads, relu=op.relu)
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,8 @@ def dbpfn_encode(pillars: PillarSet, params: DbpfnParams) -> SparseTensor2D:
 
 
 def _run(weights, segment: str, inputs: tuple, threads: int, observer) -> tuple:
-    """Run one segment of weights.ops, for either path.
+    """Run one segment of weights.ops, for either path; weights.apply
+    runs an op and its ReLU.
 
     inputs fill the sites the segment reads from earlier segments, in
     reading order. Each site is dropped after its last reader in the
@@ -248,8 +251,6 @@ def _run(weights, segment: str, inputs: tuple, threads: int, observer) -> tuple:
     last_reader = {s: op.name for op in weights.ops for s in op.inputs}
     for op in ops:
         y = weights.apply(op, [sites[s] for s in op.inputs], threads)
-        if op.relu:
-            y = relu(y)
         for s in op.inputs:
             if last_reader[s] == op.name:
                 del sites[s]

@@ -184,7 +184,7 @@ def requantize(acc: int, r: Requantizer) -> int:
 
 
 def requantize_array(acc: np.ndarray, multipliers: np.ndarray, shifts: np.ndarray,
-                     zero_point: int) -> np.ndarray:
+                     zero_point: int, relu: bool = False) -> np.ndarray:
     """Vectorized requantize over per-channel multiplier/shift arrays.
 
     acc holds integers (int32 from a conv, int64, or float64 from the
@@ -193,8 +193,10 @@ def requantize_array(acc: np.ndarray, multipliers: np.ndarray, shifts: np.ndarra
     reader and quantize_network enforce it. multipliers/shifts broadcast
     to acc's shape (per channel along the last axis, or scalars).
     Matches requantize() exactly: shift amounts stay <= 63 because
-    from_factor bounds factors below by 2^-32. Works in place on one
-    int64 copy of acc; the caller's array is left unchanged.
+    from_factor bounds factors below by 2^-32. relu also clamps at the
+    zero point (real 0), the same as rectifying the int8 result. Works
+    in place on one int64 copy of acc; the caller's array is left
+    unchanged.
     """
     total = acc.astype(np.int64)
     total *= multipliers
@@ -202,4 +204,5 @@ def requantize_array(acc: np.ndarray, multipliers: np.ndarray, shifts: np.ndarra
     total += np.int64(1) << (sh - 1)
     total >>= sh
     total += zero_point
-    return np.clip(total, INT8_MIN, INT8_MAX, out=total).astype(np.int8)
+    lo = zero_point if relu else INT8_MIN
+    return np.clip(total, lo, INT8_MAX, out=total).astype(np.int8)

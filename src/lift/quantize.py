@@ -131,8 +131,9 @@ class Int8Network:
     act: dict                    # site -> QuantParams
 
     def apply(self, op: Op, xs: list, threads: int = 1) -> SparseTensor2D:
-        """One op on int8 tensors (its ReLU is the executor's); the
-        requantization plan is built from the stored scales per call."""
+        """One op on int8 tensors, its ReLU included (a conv clamps at the
+        output zero point as it requantizes); the requantization plan is
+        built from the stored scales per call."""
         act = self.act
         if op.kind == "add":
             add_quant = AddQuant.from_scales(act[op.inputs[0]], act[op.inputs[1]],
@@ -143,7 +144,7 @@ class Int8Network:
         oq = OutputQuant.from_scales(in_scale, conv.weight_scales, act[op.output])
         fn = sparse_conv_stride2 if op.mode == "stride2" else submanifold_conv
         return fn(xs[0], conv.q_weight, conv.integer_bias(in_scale), out_quant=oq,
-                  threads=threads)
+                  threads=threads, relu=op.relu)
 
 
 # requantization factors must stay below 1 to be representable as a Q31

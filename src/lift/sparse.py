@@ -6,21 +6,28 @@ A conv's rulebook is an output-major table: nbr[d, o] is the input row
 that kernel offset d feeds into output row o, or n_in where that tap is
 missing, and row n_in of the copied features is zeros. Output rows run
 in tiles of TILE_ROWS (the remainder joins the last tile, since BLAS may
-round a shorter GEMM differently); per tile, each offset gathers its
-rows, runs one GEMM and adds the product onto the tile's accumulators,
-which start at the bias. So every output row gets its bias and then one
-addition per offset, in offset order, whatever the tiling and the
-number of workers (which take disjoint tiles).
+round a shorter GEMM differently); workers take disjoint tiles. Per
+tile, each group of offsets gathers its rows side by side, runs one
+GEMM and adds the product onto the tile's accumulators, which start at
+the bias; a ReLU then rectifies the tile while it is in cache.
+
+The float path groups one offset per GEMM, so every output row gets its
+bias and then one addition per offset, in offset order, whatever the
+tiling and the number of workers.
 
 The int8 path sums into int32 accumulators that start at the integer
 bias. Its precondition is the int32 accumulator bound: |bias| + K * K *
 Cin * 255 * 128 < 2^31 (quant.integer_bias, checked by the int8 weight
-reader and by quantize_network), so no sum overflows. Each offset's
-GEMM runs on centered inputs (|q - zero_point| <= 255) and weights
-(|w| <= 128) in float32 when Cin * 255 * 128 < 2^24, i.e. Cin <= 514:
-every product and partial sum is then an integer float32 holds exactly,
-in any summation order. Wider inputs run that GEMM in float64 (exact
-below 2^53). The partial is cast to int32 before it is added.
+reader and by quantize_network), so no sum overflows. The GEMMs run on
+centered inputs (|q - zero_point| <= 255) and weights (|w| <= 128) in
+float32, over G = 514 // Cin offsets at a time: G * Cin * 255 * 128 <=
+16,776,960 < 2^24, so every product and partial sum is an integer
+float32 holds exactly, in any summation order. The live offsets split
+into near-equal groups of at most G (5 + 4 at Cin 64, 3 + 3 + 3 at
+Cin 128). Above Cin = 514 each offset runs its own GEMM in float64
+(exact below 2^53). Each partial is cast to int32 and added; the tile
+is then requantized (and, with a ReLU, clamped at the output zero
+point) by quant.requantize_array and written into the int8 output.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from .quant import (INT8_MAX, INT8_MIN, QuantParams, Requantizer, requantization
 
 MODES = ("submanifold", "stride2")
 TILE_ROWS = 1024
+# 514 * 255 * 128 < 2^24: int8 products over this many input channels sum
+# exactly in float32
+EXACT_F32_CHANNELS = 514
 
 
 @dataclass
@@ -186,12 +196,24 @@ class OutputQuant:
 
     @classmethod
     def from_scales(cls, in_scale: float, weight_scales, out_qp: QuantParams) -> "OutputQuant":
-        rs = [Requantizer.from_factor(requantization_factor(in_scale, s, out_qp.scale),
-                                      zero_point=out_qp.zero_point)
-              for s in np.atleast_1d(weight_scales).tolist()]
-        return cls(qparams=out_qp,
-                   multipliers=np.array([r.multiplier for r in rs], dtype=np.int64),
-                   shifts=np.array([r.shift for r in rs], dtype=np.int64))
+        """Requantizer.from_factor over all channels at once, with its
+        checks; a channel that fails raises from_factor's own error."""
+        # requantization_factor per channel; NaN stays NaN
+        factors = np.maximum(in_scale * np.atleast_1d(np.asarray(weight_scales, np.float64))
+                             / out_qp.scale, 2.0 ** -32)
+        ok = (factors >= 2.0 ** -32) & (factors <= 1.0)   # False for NaN
+        mantissa, exponent = np.frexp(np.where(ok, factors, 0.5))
+        multipliers = np.rint(mantissa * 2.0 ** 31).astype(np.int64)
+        carry = multipliers == 1 << 31
+        multipliers[carry] >>= 1
+        shifts = -(exponent.astype(np.int64) + carry)
+        one = factors == 1.0
+        multipliers[one], shifts[one] = (1 << 31) - 1, 0
+        encoded = np.ldexp(multipliers.astype(np.float64), -(31 + shifts))
+        ok &= (shifts >= 0) & (one | (np.abs(encoded - factors) <= factors * 2.0 ** -24))
+        if not ok.all():
+            Requantizer.from_factor(float(factors[~ok][0]), zero_point=out_qp.zero_point)
+        return cls(qparams=out_qp, multipliers=multipliers, shifts=shifts)
 
 
 def _tiles(n: int) -> list:
@@ -208,7 +230,8 @@ def _padded(features: np.ndarray, fill, dtype=None) -> np.ndarray:
 
 
 def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
-          out_quant: OutputQuant | None = None, threads: int = 1) -> SparseTensor2D:
+          out_quant: OutputQuant | None = None, threads: int = 1,
+          relu: bool = False) -> SparseTensor2D:
     w = np.asarray(w)
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"kernel must be KxKxCinxCout, got {w.shape}")
@@ -222,28 +245,44 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
         raise ShapeError("int8 convolution requires an OutputQuant")
     bias = np.zeros(cout) if bias is None else np.asarray(bias)
     if x.is_int8:
-        # exact per-offset GEMMs (see the module docstring); one fused
-        # K * K * Cin GEMM would not be exact in float32
-        gemm = np.float32 if cin * 255 * 128 < 2 ** 24 else np.float64
+        # offsets per exact float32 GEMM (see the module docstring); above
+        # Cin = 514 each offset runs its own float64 GEMM
+        gemm = np.float32 if cin <= EXACT_F32_CHANNELS else np.float64
+        per_gemm = max(EXACT_F32_CHANNELS // cin, 1)
         feats = _padded(x.features, x.qparams.zero_point, gemm)
         feats -= x.qparams.zero_point   # centered: the padding row reads 0
+        out = np.empty((n_out, cout), dtype=np.int8)
     else:
-        gemm = np.float64
+        per_gemm, gemm = 1, np.float64
         feats = _padded(x.features, 0.0)
-    acc = np.empty((n_out, cout), dtype=np.int32 if x.is_int8 else np.float64)
-    acc[:] = bias
+        out = np.empty((n_out, cout))
+    live = np.flatnonzero((rb.nbr < rb.n_in).any(axis=1))
+    groups = [g.tolist() for g in np.array_split(live, max(-(-live.size // per_gemm), 1))]
     w_g = w.astype(gemm).reshape(k * k, cin, cout)
-    live = np.flatnonzero((rb.nbr < rb.n_in).any(axis=1)).tolist()
+    w_groups = [w_g[g].reshape(-1, cout) for g in groups]
     # a submanifold conv's center offset maps every row onto itself
-    center = k * k // 2 if mode == "submanifold" else None
+    center = [k * k // 2] if mode == "submanifold" else None
 
     def tile(rows):
         lo, hi = rows
-        out = acc[lo:hi]
-        for d in live:
-            taps = feats[lo:hi] if d == center else feats.take(rb.nbr[d, lo:hi], axis=0)
-            prod = taps @ w_g[d]
-            out += prod.astype(np.int32) if x.is_int8 else prod
+        acc = np.empty((hi - lo, cout), np.int32) if x.is_int8 else out[lo:hi]
+        acc[:] = bias
+        for g, w_gemm in zip(groups, w_groups):
+            taps = feats[lo:hi] if g == center else \
+                feats.take(rb.nbr[g, lo:hi].T, axis=0).reshape(hi - lo, -1)
+            if x.is_int8:
+                # operands are integer-valued by construction: an invalid
+                # flag from OpenBLAS's sgemm here is spurious
+                with np.errstate(invalid="ignore"):
+                    prod = taps @ w_gemm
+                acc += prod.astype(np.int32)
+            else:
+                acc += taps @ w_gemm
+        if x.is_int8:
+            out[lo:hi] = requantize_array(acc, out_quant.multipliers, out_quant.shifts,
+                                          out_quant.qparams.zero_point, relu=relu)
+        elif relu:
+            np.maximum(acc, 0, out=acc)
 
     tiles = _tiles(n_out)
     if threads > 1 and len(tiles) > 1:
@@ -252,39 +291,37 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
     else:
         for rows in tiles:
             tile(rows)
-    if x.is_int8:
-        acc = requantize_array(acc, out_quant.multipliers, out_quant.shifts,
-                               out_quant.qparams.zero_point)
     return SparseTensor2D(width=rb.out_width, height=rb.out_height, coords=rb.out_coords,
-                          features=acc, qparams=out_quant.qparams if x.is_int8 else None)
+                          features=out, qparams=out_quant.qparams if x.is_int8 else None)
 
 
-def submanifold_conv(x: SparseTensor2D, w, bias=None,
-                     out_quant: OutputQuant | None = None, threads: int = 1) -> SparseTensor2D:
+def submanifold_conv(x: SparseTensor2D, w, bias=None, out_quant: OutputQuant | None = None,
+                     threads: int = 1, relu: bool = False) -> SparseTensor2D:
     """Convolution whose output active set equals the input active set.
 
     Out-of-range or inactive taps contribute zero (real) / the input
-    zero point (int8), matching zero-padded dense semantics. An int8
-    call requires the integer bias to keep the int32 accumulator bound,
-    |bias| + K * K * Cin * 255 * 128 < 2^31; this function does not
-    check it, the int8 weight reader and quantize_network do.
+    zero point (int8), matching zero-padded dense semantics. relu
+    rectifies the output as relu() would. An int8 call requires the
+    integer bias to keep the int32 accumulator bound, |bias| + K * K *
+    Cin * 255 * 128 < 2^31; this function does not check it, the int8
+    weight reader and quantize_network do.
     """
     if np.asarray(w).shape[0] not in (1, 3):
         raise ParameterError("submanifold kernel must be 1x1 or 3x3")
-    return _conv(x, w, bias, "submanifold", out_quant=out_quant, threads=threads)
+    return _conv(x, w, bias, "submanifold", out_quant=out_quant, threads=threads, relu=relu)
 
 
-def sparse_conv_stride2(x: SparseTensor2D, w, bias=None,
-                        out_quant: OutputQuant | None = None,
-                        threads: int = 1) -> SparseTensor2D:
+def sparse_conv_stride2(x: SparseTensor2D, w, bias=None, out_quant: OutputQuant | None = None,
+                        threads: int = 1, relu: bool = False) -> SparseTensor2D:
     """3x3 stride-2 downsampling convolution, padding 1.
 
     Output site o is active iff some input 2o + d - 1 (d in {0,1,2}^2)
-    is active; output dims are ceil(input / 2).
+    is active; output dims are ceil(input / 2). relu as for
+    submanifold_conv.
     """
     if np.asarray(w).shape[0] != 3:
         raise ParameterError("stride-2 convolution requires a 3x3 kernel")
-    return _conv(x, w, bias, "stride2", out_quant=out_quant, threads=threads)
+    return _conv(x, w, bias, "stride2", out_quant=out_quant, threads=threads, relu=relu)
 
 
 def sparse_max_pool(x: SparseTensor2D, k: int = 3) -> SparseTensor2D:
@@ -362,8 +399,10 @@ def _requantized(x: SparseTensor2D, r: Requantizer) -> np.ndarray:
 
 
 def relu(x: SparseTensor2D) -> SparseTensor2D:
-    """Rectify in place semantics: max(value, 0) for reals, clamp at the
-    zero point for int8 (both represent real 0)."""
+    """Rectify: max(value, 0) for reals, clamp at the zero point for int8
+    (both represent real 0). Convs rectify their own output tiles
+    (relu=True); this serves training-form layers, whose ReLU follows
+    the sum of their branches."""
     floor = x.qparams.zero_point if x.is_int8 else 0
     return SparseTensor2D(width=x.width, height=x.height, coords=x.coords,
                           features=np.maximum(x.features, floor),

@@ -4,8 +4,8 @@ from conftest import random_sparse
 from oracles import (dense_conv, dense_conv_int, dense_conv_int_fast, dense_max_pool, densify,
                      conv_loops, max_rel_dev, scatter_conv, stride2_active_set)
 
-from lift.errors import ShapeError
-from lift.quant import QuantParams, integer_bias
+from lift.errors import ParameterError, ShapeError
+from lift.quant import QuantParams, Requantizer, integer_bias
 from lift.sparse import (TILE_ROWS, AddQuant, OutputQuant, SparseTensor2D, _tiles,
                          build_rulebook, sparse_add_projected, sparse_conv_stride2,
                          sparse_max_pool, submanifold_conv)
@@ -218,10 +218,97 @@ class TestInt8Conv:
         assert ref[2 // stride, 2 // stride].tolist() == [5, -7]
         assert np.array_equal(y.features, masked_dense(y, ref).astype(np.int8))
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("zero_point", [-128, 127])
+    @pytest.mark.parametrize("mode", ["submanifold", "stride2"])
+    @pytest.mark.parametrize("cin", [257, 258])
+    def test_bitwise_at_the_offset_group_edge(self, cin, mode, zero_point, threads):
+        # 514 // Cin offsets share one float32 GEMM: 2 at Cin = 257, 1 at
+        # 258. Every input is centered to v = +255 or -255 and output
+        # channel 0 weighs every input by -128, but by -127 at offset 0,
+        # input channel 0. The GEMM over offsets 0 and 1 then sums to the
+        # odd v/255 * 255 * (256 * Cin - 1): 16,776,705 < 2^24 in magnitude
+        # at 257; at 258 it would be 16,841,985 > 2^24, which float32
+        # cannot hold, and a third offset at 257 would pass 2^24 as well.
+        # Channel 1 weighs all by 127. The bias cancels the 9 offsets of a
+        # site with every tap active and the factor is 1, so an error of 1
+        # shows.
+        v = 255 if zero_point < 0 else -255
+        feats = np.full((25, cin), 127 if v > 0 else -128, dtype=np.int8)
+        x = SparseTensor2D.build(5, 5, [(i, j) for j in range(5) for i in range(5)],
+                                 feats, qparams=QuantParams(1.0, zero_point))
+        kernel = np.empty((3, 3, cin, 2), dtype=np.int8)
+        kernel[..., 0], kernel[..., 1] = -128, 127
+        kernel[0, 0, 0, 0] = -127
+        full = v * np.array([1 - 9 * 128 * cin, 9 * 127 * cin])
+        bias = integer_bias(np.array([5.0, -7.0]) - full, 1.0, np.ones(2), 9 * cin)
+        oq = OutputQuant.from_scales(1.0, np.ones(2), QuantParams(1.0))
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        y = conv(x, kernel, bias, out_quant=oq, threads=threads)
+        stride = 1 if mode == "submanifold" else 2
+        ref = dense_conv_int(densify(x), zero_point, kernel, bias.astype(np.int64), oq,
+                             stride=stride)
+        assert ref[2 // stride, 2 // stride].tolist() == [5, -7]
+        assert np.array_equal(y.features, masked_dense(y, ref).astype(np.int8))
+
+    @pytest.mark.parametrize("out_zero_point", [-128, 0, 127])
+    @pytest.mark.parametrize("mode", ["submanifold", "stride2"])
+    def test_relu_clamps_at_the_output_zero_point(self, rng, mode, out_zero_point):
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        stride = 1 if mode == "submanifold" else 2
+        for _ in range(5):
+            x, kernel, bias, oq = self._quantized_case(rng, mode)
+            oq = OutputQuant.from_scales(x.qparams.scale, rng.uniform(1e-3, 2e-2, size=6),
+                                         QuantParams(0.07, out_zero_point))
+            y = conv(x, kernel, bias, out_quant=oq, relu=True)
+            ref = dense_conv_int(densify(x), x.qparams.zero_point, kernel, bias, oq,
+                                 stride=stride, relu_floor=True)
+            assert np.array_equal(y.features, masked_dense(y, ref).astype(np.int8))
+
     def test_int8_requires_plan(self, rng):
         x = random_sparse(rng, 8, 8, 2, int8=True)
         with pytest.raises(ShapeError):
             submanifold_conv(x, np.zeros((3, 3, 2, 2), dtype=np.int8))
+
+
+class TestOutputQuant:
+    # requantization factors s_in * s_w / s_out with s_in = s_out = 1
+    EDGES = [1.0, 2.0 ** -32, 0.5 * (1 - 2.0 ** -40), 0.75 * (1 - 2.0 ** -40),
+             2.0 ** -32 * (1 - 2.0 ** -40)]
+
+    @staticmethod
+    def _per_channel(factors, zero_point):
+        return [Requantizer.from_factor(max(f, 2.0 ** -32), zero_point=zero_point)
+                for f in factors]
+
+    def test_matches_per_channel_from_factor(self, rng):
+        factors = np.concatenate([rng.uniform(0.0, 1.0, 2000),
+                                  2.0 ** rng.uniform(-40.0, 0.0, 2000), self.EDGES])
+        oq = OutputQuant.from_scales(1.0, factors, QuantParams(1.0, -3))
+        rs = self._per_channel(factors.tolist(), -3)
+        assert oq.multipliers.dtype == oq.shifts.dtype == np.int64
+        assert oq.multipliers.tolist() == [r.multiplier for r in rs]
+        assert oq.shifts.tolist() == [r.shift for r in rs]
+        assert oq.qparams == QuantParams(1.0, -3)
+
+    def test_carry_at_2_31_moves_into_the_shift(self):
+        oq = OutputQuant.from_scales(1.0, [0.5 * (1 - 2.0 ** -40), 1.0], QuantParams(1.0))
+        assert oq.multipliers.tolist() == [1 << 30, (1 << 31) - 1]
+        assert oq.shifts.tolist() == [0, 0]
+
+    def test_factor_is_in_scale_times_weight_scale_over_out_scale(self):
+        oq = OutputQuant.from_scales(0.02, np.float32(0.3), QuantParams(0.5))
+        (r,) = self._per_channel([0.02 * float(np.float32(0.3)) / 0.5], 0)
+        assert (oq.multipliers.tolist(), oq.shifts.tolist()) == ([r.multiplier], [r.shift])
+
+    @pytest.mark.parametrize("bad", [1.0 + 2.0 ** -52, 1.5, float("nan"), float("inf"),
+                                     1 - 2.0 ** -40])
+    def test_first_bad_channel_raises_from_factors_error(self, bad):
+        with pytest.raises(ParameterError) as scalar:
+            Requantizer.from_factor(bad)
+        with pytest.raises(ParameterError) as vector:
+            OutputQuant.from_scales(1.0, [0.25, bad, 2.0], QuantParams(1.0))
+        assert str(vector.value) == str(scalar.value)
 
 
 def tiled_case(rng, n_out, mode, cin, int8=False):
@@ -285,6 +372,17 @@ class TestTiling:
         for threads in (1, 2, 4):
             y = conv(x, kernel, bias, threads=threads)
             assert len(y) == n_out
+            assert y.features.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k, cin, cout, mode", TILED_SHAPES)
+    def test_float_relu_matches_rectified_conv_bytes(self, rng, k, cin, cout, mode):
+        x = tiled_case(rng, 3 * TILE_ROWS + 618, mode, cin)
+        kernel = rng.normal(size=(k, k, cin, cout))
+        bias = rng.normal(size=cout)
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        ref = np.maximum(conv(x, kernel, bias).features, 0)
+        for threads in (1, 2, 4):
+            y = conv(x, kernel, bias, threads=threads, relu=True)
             assert y.features.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n_out", TILED_ROWS)
