@@ -3,9 +3,14 @@
 Subcommands: infer, fuse, gen-weights, macs, ocm, calibrate.
 Exit codes: 0 success, 1 over MAC budget (macs only), 2 any error.
 --threads (or the LIFT_THREADS environment variable) sets how many
-workers split a convolution's output tiles; results are identical
-regardless. It defaults to 1: BLAS already threads each GEMM, and engine
-workers on top of it oversubscribe the cores.
+threads split a convolution's output tiles: the calling thread and
+threads - 1 workers. Results are identical regardless. It must be a
+positive integer, and defaults to the number of usable cores when the
+engine can set the thread count of numpy's bundled OpenBLAS: BLAS then
+runs one thread inside each multi-tile convolution, so the gathers, adds
+and epilogues around its GEMMs run on every core too. Without that
+switch it defaults to 1, since engine workers on top of BLAS's own
+threads oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -17,21 +22,35 @@ import sys
 import time
 from pathlib import Path
 
-from . import analysis, network, pcd_io, quantize, weights_io
+from . import analysis, network, pcd_io, quantize, sparse, weights_io
 from .config import load_config
-from .errors import LiftError, StructuralError
+from .errors import LiftError, ParameterError, StructuralError
 from .pillarizer import pillarize
 
 CLOUD_EXTENSIONS = (".bin", ".txt", ".csv", ".xyz")
 
 
 def _threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("LIFT_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+    """--threads, else LIFT_THREADS, else the usable cores when BLAS can
+    be held at one thread inside the engine's workers, else 1."""
+    source = "--threads"
+    if value is None:
+        value, source = os.environ.get("LIFT_THREADS"), "LIFT_THREADS"
+        if not value:
+            return 1 if sparse.blas_thread_handle() is None else _usable_cores()
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ParameterError(f"{source} must be a positive integer, got {value!r}")
+    return count
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _read_cloud(path, stride):
@@ -42,6 +61,7 @@ def _read_cloud(path, stride):
 
 
 def cmd_infer(args) -> int:
+    threads = _threads(args.threads)
     cfg = load_config(args.config)
     records = weights_io.read_weight_file(args.weights)
     kind = weights_io.file_kind(records)
@@ -66,7 +86,6 @@ def cmd_infer(args) -> int:
         weights_io.validate_float_against_config(net, cfg)
         run = network.run_network
 
-    threads = _threads(args.threads)
     cloud = _read_cloud(args.cloud, args.stride)
     start = time.perf_counter()
     pillars = pillarize(cloud, cfg.grid,
@@ -150,6 +169,7 @@ def cmd_ocm(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    threads = _threads(args.threads)
     cfg = load_config(args.config)
     paths = _cloud_paths(args.clouds)
     if not Path(args.clouds).is_dir() or not paths:
@@ -163,7 +183,6 @@ def cmd_calibrate(args) -> int:
         weights = network.fuse_network(weights)
     weights_io.validate_float_against_config(weights, cfg)
 
-    threads = _threads(args.threads)
     collector = quantize.CalibrationCollector(mode=cfg.calibration_mode,
                                               percentile=cfg.calibration_percentile)
     for path in paths:

@@ -6,10 +6,20 @@ A conv's rulebook is an output-major table: nbr[d, o] is the input row
 that kernel offset d feeds into output row o, or n_in where that tap is
 missing, and row n_in of the copied features is zeros. Output rows run
 in tiles of TILE_ROWS (the remainder joins the last tile, since BLAS may
-round a shorter GEMM differently); workers take disjoint tiles. Per
-tile, each group of offsets gathers its rows side by side, runs one
-GEMM and adds the product onto the tile's accumulators, which start at
-the bias; a ReLU then rectifies the tile while it is in cache.
+round a shorter GEMM differently). Per tile, each group of offsets
+gathers its rows side by side, runs one GEMM and adds the product onto
+the tile's accumulators, which start at the bias; a ReLU then rectifies
+the tile while it is in cache.
+
+Threads: with threads > 1 and at least two tiles, the calling thread
+and threads - 1 pool workers take disjoint tiles from one shared queue,
+and BLAS runs one thread inside them, so the gathers, adds and
+epilogues around the GEMMs run on every core, not only the GEMMs. The
+thread count of numpy's bundled OpenBLAS is set to 1 for the duration
+of such a conv and the count found is restored afterwards, also when a
+tile raises; without that library's thread setter, tiles are split the
+same way and BLAS is left alone. A single-tile conv, and every conv at
+threads = 1, runs in the calling thread and never touches BLAS.
 
 The float path groups one offset per GEMM, so every output row gets its
 bias and then one addition per offset, in offset order, whatever the
@@ -32,8 +42,13 @@ point) by quant.requantize_array and written into the int8 output.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -222,6 +237,88 @@ def _tiles(n: int) -> list:
     return list(zip(starts, starts[1:] + [n])) if n else []
 
 
+# (getter, setter) symbol pairs of the OpenBLAS builds numpy wheels bundle
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def blas_thread_handle():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy
+    (under numpy.libs), or None where there is none. Looked up on first
+    use, never at import or weight load."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(dll, get_name, None), getattr(dll, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+# BLAS's thread count is one per process, and so is the switch over it
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_found = 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """BLAS at one thread for the block. Concurrent or nested blocks share
+    one switch: the first in records the count, the last out restores it."""
+    global _blas_users, _blas_found
+    handle = blas_thread_handle()
+    if handle is None:
+        yield
+        return
+    get, set_ = handle
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_found = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_found)
+
+
+def _run_tiles(tile, tiles: list, threads: int) -> None:
+    """tile(rows) for every range: in the calling thread alone, or, with
+    threads > 1 and several tiles, by the caller and threads - 1 workers
+    taking tiles from one queue while BLAS runs one thread."""
+    workers = min(threads, len(tiles)) - 1
+    if workers < 1:
+        for rows in tiles:
+            tile(rows)
+        return
+    todo, lock = iter(tiles), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                rows = next(todo, None)
+            if rows is None:
+                return
+            tile(rows)
+
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers)]
+        drain()
+        for helper in helpers:
+            helper.result()
+
+
 def _padded(features: np.ndarray, fill, dtype=None) -> np.ndarray:
     """features plus one row of fill, the row a missing neighbour reads."""
     out = np.empty((features.shape[0] + 1, features.shape[1]), dtype=dtype or features.dtype)
@@ -284,13 +381,7 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
         elif relu:
             np.maximum(acc, 0, out=acc)
 
-    tiles = _tiles(n_out)
-    if threads > 1 and len(tiles) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(tiles))) as pool:
-            list(pool.map(tile, tiles))
-    else:
-        for rows in tiles:
-            tile(rows)
+    _run_tiles(tile, _tiles(n_out), threads)
     return SparseTensor2D(width=rb.out_width, height=rb.out_height, coords=rb.out_coords,
                           features=out, qparams=out_quant.qparams if x.is_int8 else None)
 

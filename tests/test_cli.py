@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lift import sparse
 from lift.cli import main
 
 CONFIG_DOC = {
@@ -99,6 +101,43 @@ class TestInfer:
                          "--threads", threads]) == 0
             outputs.append(out.read_bytes())
         assert all(o == outputs[0] for o in outputs)
+
+    def test_multi_tile_convs_byte_identical_across_threads(self, tmp_path, monkeypatch):
+        """Stage 1 runs ~4k rows here (several tiles), so threads > 1
+        takes the path where workers split the tiles and BLAS runs one
+        thread; float and int8 must give the same bytes at every count."""
+        from test_acceptance import ACCEPT_CONFIG
+        run_tiles, split = sparse._run_tiles, []
+
+        def spy(tile, tiles, threads):
+            split.append(threads > 1 and len(tiles) > 1)
+            return run_tiles(tile, tiles, threads)
+
+        monkeypatch.setattr(sparse, "_run_tiles", spy)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(ACCEPT_CONFIG))
+        (tmp_path / "cal").mkdir()
+        cloud = tmp_path / "cal" / "cloud.bin"
+        rng = np.random.default_rng(9)
+        n = 8000
+        np.column_stack([rng.uniform(-9.6, 9.6, n), rng.uniform(-9.6, 9.6, n),
+                         rng.uniform(-5, 3, n), rng.uniform(0, 255, n),
+                         rng.uniform(0, 31, n)]).astype("<f4").tofile(cloud)
+        weights = gen(tmp_path, str(cfg_path), "fused")
+        int8 = tmp_path / "int8.w"
+        assert main(["calibrate", "--weights", weights, "--clouds", str(tmp_path / "cal"),
+                     "--config", str(cfg_path), "--out", str(int8)]) == 0
+        for path in (weights, str(int8)):
+            outputs = []
+            for threads in ("1", "2", "4", None):
+                out = tmp_path / "det.jsonl"
+                argv = ["infer", "--weights", path, "--cloud", str(cloud),
+                        "--config", str(cfg_path), "--out", str(out)]
+                assert main(argv + (["--threads", threads] if threads else [])) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] and all(o == outputs[0] for o in outputs)
+        # at least two multi-tile stage-1 convs at --threads 2 and 4, float and int8
+        assert sum(split) >= 2 * 2 * 2
 
     def test_shape_mismatch_exit2_names_tensor(self, workspace, capsys):
         tmp_path, cfg_path, cloud = workspace
@@ -345,13 +384,49 @@ def test_env_var_thread_fallback(workspace, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_threads_default_to_one(workspace, monkeypatch, capsys):
+def test_threads_default_to_usable_cores_with_the_blas_switch(workspace, monkeypatch, capsys):
     tmp_path, cfg_path, cloud = workspace
     monkeypatch.delenv("LIFT_THREADS", raising=False)
     weights = gen(tmp_path, cfg_path, "fused")
-    assert main(["infer", "--weights", weights, "--cloud", cloud,
-                 "--config", cfg_path, "--out", str(tmp_path / "d.jsonl")]) == 0
+    argv = ["infer", "--weights", weights, "--cloud", cloud, "--config", cfg_path,
+            "--out", str(tmp_path / "d.jsonl")]
+    cores = len(os.sched_getaffinity(0)) if sparse.blas_thread_handle() else 1
+    assert main(argv) == 0
+    assert f"(float, {cores} thread(s))" in capsys.readouterr().err
+    monkeypatch.setattr(sparse, "blas_thread_handle", lambda: None)
+    assert main(argv) == 0
     assert "(float, 1 thread(s))" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, env, source", [
+    ("0", None, "--threads"), ("-3", None, "--threads"),
+    (None, "0", "LIFT_THREADS"), (None, "abc", "LIFT_THREADS"), (None, "-2", "LIFT_THREADS")])
+@pytest.mark.parametrize("command", ["infer", "calibrate"])
+def test_invalid_thread_count_exit2_names_its_source(workspace, monkeypatch, capsys,
+                                                     flag, env, source, command):
+    tmp_path, cfg_path, cloud = workspace
+    weights = gen(tmp_path, cfg_path, "fused")
+    monkeypatch.delenv("LIFT_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("LIFT_THREADS", env)
+    argv = ["--weights", weights, "--config", cfg_path, "--out", str(tmp_path / "o")]
+    argv = [command] + argv + (["--cloud", cloud] if command == "infer"
+                               else ["--clouds", str(tmp_path)])
+    if flag is not None:
+        argv += ["--threads", flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{source} must be a positive integer" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_integer_threads_flag_exit2_names_it(workspace, capsys):
+    tmp_path, cfg_path, cloud = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--weights", "w", "--cloud", cloud, "--config", cfg_path,
+              "--out", str(tmp_path / "o"), "--threads", "abc"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 class TestInt8Contract:

@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from conftest import random_sparse
 from oracles import (dense_conv, dense_conv_int, dense_conv_int_fast, dense_max_pool, densify,
                      conv_loops, max_rel_dev, scatter_conv, stride2_active_set)
 
+from lift import cli, sparse
 from lift.errors import ParameterError, ShapeError
 from lift.quant import QuantParams, Requantizer, integer_bias
 from lift.sparse import (TILE_ROWS, AddQuant, OutputQuant, SparseTensor2D, _tiles,
@@ -401,6 +405,145 @@ class TestTiling:
             y = conv(x, kernel, bias, out_quant=oq, threads=threads)
             assert len(y) == n_out
             assert np.array_equal(y.features, masked_dense(y, ref).astype(np.int8))
+
+
+def int8_case(rng, n_out, cin=64, cout=64):
+    x = tiled_case(rng, n_out, "submanifold", cin, int8=True)
+    kernel = rng.integers(-128, 128, size=(3, 3, cin, cout)).astype(np.int8)
+    bias = rng.integers(-10 ** 6, 10 ** 6, size=cout).astype(np.float64)
+    oq = OutputQuant.from_scales(x.qparams.scale, rng.uniform(5e-4, 2e-3, size=cout),
+                                 QuantParams(0.5, 3))
+    return x, kernel, bias, oq
+
+
+@pytest.fixture
+def blas():
+    """The real BLAS thread handle; its count is put back after the test."""
+    handle = sparse.blas_thread_handle()
+    if handle is None:
+        pytest.skip("numpy's bundled OpenBLAS has no thread setter here")
+    found = handle[0]()
+    yield handle
+    handle[1](found)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """A fake handle reporting 7 threads that records every set call."""
+    calls = []
+    monkeypatch.setattr(sparse, "blas_thread_handle", lambda: (lambda: 7, calls.append))
+    return calls
+
+
+class TestBlasSwitch:
+    """Multi-tile convs at threads > 1 hold BLAS at one thread and restore
+    the count they found; nothing else touches BLAS."""
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_count_restored_after_multi_tile_convs(self, rng, blas, monkeypatch, threads):
+        get, set_ = blas
+        set_(2)
+        before = get()
+        inside = []
+        requantize = sparse.requantize_array
+
+        def spy(*args, **kwargs):
+            inside.append(get())
+            return requantize(*args, **kwargs)
+
+        x = tiled_case(rng, 3 * TILE_ROWS + 618, "submanifold", 64)
+        kernel, bias = rng.normal(size=(3, 3, 64, 64)), rng.normal(size=64)
+        ref = submanifold_conv(x, kernel, bias)
+        assert submanifold_conv(x, kernel, bias, threads=threads).features.tobytes() \
+            == ref.features.tobytes()
+        assert get() == before
+        xq, kq, bq, oq = int8_case(rng, 3 * TILE_ROWS + 618)
+        ref = submanifold_conv(xq, kq, bq, out_quant=oq)
+        monkeypatch.setattr(sparse, "requantize_array", spy)
+        y = submanifold_conv(xq, kq, bq, out_quant=oq, threads=threads)
+        assert np.array_equal(y.features, ref.features)
+        assert inside == [1] * 3 and get() == before
+
+    def test_count_restored_after_a_tile_raises(self, rng, blas, monkeypatch):
+        get, set_ = blas
+        set_(2)
+        before = get()
+        requantize, calls = sparse.requantize_array, []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("tile failed")
+            return requantize(*args, **kwargs)
+
+        monkeypatch.setattr(sparse, "requantize_array", fail_second)
+        x, kernel, bias, oq = int8_case(rng, 3 * TILE_ROWS + 618)
+        with pytest.raises(RuntimeError, match="tile failed"):
+            submanifold_conv(x, kernel, bias, out_quant=oq, threads=2)
+        assert get() == before and sparse._blas_users == 0
+
+    def test_single_tile_and_one_thread_never_set_blas(self, rng, recorded):
+        x = tiled_case(rng, 2 * TILE_ROWS - 1, "submanifold", 8)
+        kernel, bias = rng.normal(size=(3, 3, 8, 8)), rng.normal(size=8)
+        submanifold_conv(x, kernel, bias, threads=4)
+        x = tiled_case(rng, 3 * TILE_ROWS + 618, "submanifold", 8)
+        submanifold_conv(x, kernel, bias, threads=1)
+        xq, kq, bq, oq = int8_case(rng, 3 * TILE_ROWS + 618, cin=8, cout=8)
+        submanifold_conv(xq, kq, bq, out_quant=oq, threads=1)
+        assert recorded == []
+        submanifold_conv(x, kernel, bias, threads=2)
+        assert recorded == [1, 7]
+
+    def test_nested_switches_restore_the_outermost_count(self, recorded):
+        with sparse._one_blas_thread():
+            with sparse._one_blas_thread():
+                assert recorded == [1]
+            assert recorded == [1]
+        assert recorded == [1, 7]
+
+    def test_concurrent_convs_share_one_switch_under_stress(self, monkeypatch):
+        """More callers than cores, each running multi-tile work at a short
+        switch interval: every tile runs once, BLAS reads 1 inside every
+        tile, and the count found comes back once the last caller leaves."""
+        state = {"threads": 7}
+        monkeypatch.setattr(sparse, "blas_thread_handle",
+                            lambda: (lambda: state["threads"],
+                                     lambda n: state.__setitem__("threads", n)))
+        done, seen = [], []
+
+        def tile(rows):
+            seen.append(state["threads"])
+            done.append(rows)
+
+        tiles = [(k, k + 1) for k in range(50)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=sparse._run_tiles, args=(tile, tiles, 3))
+                       for _ in range(8)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert sorted(done) == sorted(tiles * 8) and set(seen) == {1}
+        assert state["threads"] == 7 and sparse._blas_users == 0
+
+    def test_without_the_setter_default_is_one_and_bytes_hold(self, rng, monkeypatch):
+        handle = sparse.blas_thread_handle()
+        found = handle[0]() if handle else None
+        monkeypatch.setattr(sparse, "blas_thread_handle", lambda: None)
+        monkeypatch.delenv("LIFT_THREADS", raising=False)
+        assert cli._threads(None) == 1
+        x = tiled_case(rng, 3 * TILE_ROWS + 618, "stride2", 64)
+        kernel, bias = rng.normal(size=(3, 3, 64, 64)), rng.normal(size=64)
+        ref = sparse_conv_stride2(x, kernel, bias, threads=1)
+        y = sparse_conv_stride2(x, kernel, bias, threads=2)
+        assert y.features.tobytes() == ref.features.tobytes()
+        if handle:
+            assert handle[0]() == found
 
 
 class TestMaxPool:
