@@ -228,11 +228,45 @@ def dbpfn_encode(pillars: PillarSet, params: DbpfnParams) -> SparseTensor2D:
     mapped = pillars.features @ params.weight.astype(np.float64) + params.bias
     if params.bn is not None:
         mapped = params.bn.apply(mapped)
-    starts = pillars.offsets[:-1]
-    maxs = np.maximum.reduceat(mapped, starts, axis=0)
-    mins = np.minimum.reduceat(mapped, starts, axis=0)
     return SparseTensor2D.build(pillars.width, pillars.height, pillars.coords,
-                                np.concatenate([maxs, mins], axis=1))
+                                dual_bound_pool(mapped, pillars.offsets))
+
+
+def dual_bound_pool(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """concat(max, min) of values over each pillar's rows
+    offsets[m]:offsets[m + 1] (all non-empty), as one (P, 2H) array of
+    values' dtype.
+
+    Equal, bit for bit, to np.maximum.reduceat and np.minimum.reduceat:
+    each pillar's bounds start at its first row and take np.maximum /
+    np.minimum with its later rows in order, so even ties between signed
+    zeros resolve the same. The pillars of two or more points are
+    visited in descending point count, so those still holding a point at
+    rank p are a prefix of that order, and each rank updates one
+    contiguous block of bounds in place.
+    """
+    hidden = values.shape[1]
+    starts = offsets[:-1]
+    counts = np.diff(offsets)
+    out = np.empty((starts.size, 2 * hidden), dtype=values.dtype)
+    out[:, :hidden] = np.take(values, starts, axis=0)
+    out[:, hidden:] = out[:, :hidden]
+    # alive[p]: pillars holding more than p points
+    alive = starts.size - np.cumsum(np.bincount(counts))
+    multi = np.argsort(-counts)[:alive[1]]
+    first = starts[multi]
+    hi = np.take(values, first, axis=0)
+    lo = hi.copy()
+    rows = np.empty_like(hi)
+    for p in range(1, alive.size - 1):
+        m = alive[p]
+        # indices are in range: "clip" only lets take fill rows unbuffered
+        np.take(values, first[:m] + p, axis=0, out=rows[:m], mode="clip")
+        np.maximum(hi[:m], rows[:m], out=hi[:m])
+        np.minimum(lo[:m], rows[:m], out=lo[:m])
+    out[multi, :hidden] = hi
+    out[multi, hidden:] = lo
+    return out
 
 
 def _run(weights, segment: str, inputs: tuple, threads: int, observer) -> tuple:
@@ -291,6 +325,17 @@ def _sigmoid(x):
     return out
 
 
+def _centers(cells, offsets, v_min, v_max, cell):
+    """(cells + 0.5 + offsets) * cell + v_min, clamped to [v_min - cell,
+    v_max + cell]: the downsampled grid can overhang the range when the
+    pillar count is not a multiple of the stride. The wheres pick as
+    min(max(v, lo), hi) does, signed zeros and NaN included."""
+    v = (cells + 0.5 + offsets) * cell + v_min
+    lo, hi = v_min - cell, v_max + cell
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
+
+
 def decode(heatmap: SparseTensor2D, regression: SparseTensor2D, grid: GridConfig,
            cfg: NetworkConfig, score_threshold: float, top_k: int,
            stride: int = 4) -> list:
@@ -322,33 +367,24 @@ def decode(heatmap: SparseTensor2D, regression: SparseTensor2D, grid: GridConfig
     ii = heatmap.coords[rows, 0]
     jj = heatmap.coords[rows, 1]
     order = np.lexsort((ii, jj, cls, -cand_scores))[:top_k]
+    ii, jj, cls, cand_scores = ii[order], jj[order], cls[order], cand_scores[order]
+    reg = regression.features[rows[order]]
 
     cell_x = grid.pillar_size_x * stride
     cell_y = grid.pillar_size_y * stride
+    off = np.clip(reg[:, :2], -OFFSET_CLAMP, OFFSET_CLAMP)
+    xs = _centers(ii, off[:, 0], grid.x_min, grid.x_max, cell_x).tolist()
+    ys = _centers(jj, off[:, 1], grid.y_min, grid.y_max, cell_y).tolist()
+    sizes = np.exp(np.clip(reg[:, 3:6], -LOG_SIZE_CLAMP, LOG_SIZE_CLAMP)).tolist()
     boxes = []
-    for idx in order:
-        r, c = rows[idx], cls[idx]
-        reg = regression.features[r]
-        off_x = float(np.clip(reg[0], -OFFSET_CLAMP, OFFSET_CLAMP))
-        off_y = float(np.clip(reg[1], -OFFSET_CLAMP, OFFSET_CLAMP))
-        # the downsampled grid can overhang the range when the pillar count
-        # is not a multiple of the stride; clamp centers to range + one cell
-        x = (float(ii[idx]) + 0.5 + off_x) * cell_x + grid.x_min
-        y = (float(jj[idx]) + 0.5 + off_y) * cell_y + grid.y_min
-        x = min(max(x, grid.x_min - cell_x), grid.x_max + cell_x)
-        y = min(max(y, grid.y_min - cell_y), grid.y_max + cell_y)
-        sizes = np.exp(np.clip(reg[3:6], -LOG_SIZE_CLAMP, LOG_SIZE_CLAMP))
-        yaw = math.atan2(reg[6], reg[7])
+    for c, score, x, y, (l, w, h), (z, sin_yaw, cos_yaw) in zip(
+            cls.tolist(), cand_scores.tolist(), xs, ys, sizes, reg[:, [2, 6, 7]].tolist()):
+        # math.atan2, not np.arctan2: the two differ in the last bit
+        yaw = math.atan2(sin_yaw, cos_yaw)
         if yaw <= -math.pi:
             yaw += 2.0 * math.pi
-        boxes.append(DetectionBox(
-            class_id=int(c),
-            class_name=cfg.class_names[c],
-            score=float(cand_scores[idx]),
-            x=x, y=y, z=float(reg[2]),
-            l=float(sizes[0]), w=float(sizes[1]), h=float(sizes[2]),
-            yaw=yaw,
-        ))
+        boxes.append(DetectionBox(class_id=c, class_name=cfg.class_names[c], score=score,
+                                  x=x, y=y, z=z, l=l, w=w, h=h, yaw=yaw))
     return boxes
 
 

@@ -33,10 +33,16 @@ class PointCloud:
         return self.data.shape[0]
 
 
-def _keep_finite(rows: np.ndarray, stride: int) -> PointCloud:
-    finite = np.isfinite(rows).all(axis=1)
-    kept = np.ascontiguousarray(rows[finite])
-    return PointCloud(data=kept, source_stride=stride, dropped=int((~finite).sum()))
+def _keep_finite(records: np.ndarray, stride: int) -> PointCloud:
+    """The rows of C-contiguous (N, stride) float32 records whose first
+    four fields are finite, as a new (N', 4) array; one isfinite pass
+    over the whole buffer, and no row mask unless some field fails it."""
+    finite = np.isfinite(records)
+    if finite.all():
+        return PointCloud(data=records[:, :4].copy(), source_stride=stride)
+    kept = finite[:, :4].all(axis=1)
+    return PointCloud(data=records[kept, :4], source_stride=stride,
+                      dropped=int(kept.size - np.count_nonzero(kept)))
 
 
 def read_binary_cloud(path, stride: int = 5) -> PointCloud:
@@ -56,8 +62,7 @@ def read_binary_cloud(path, stride: int = 5) -> PointCloud:
             f"{path}: file length {len(raw)} is not a multiple of {record_bytes} "
             f"(stride {stride} x 4 bytes)"
         )
-    rows = np.frombuffer(raw, dtype="<f4").reshape(-1, stride)[:, :4]
-    return _keep_finite(rows, stride)
+    return _keep_finite(np.frombuffer(raw, dtype="<f4").reshape(-1, stride), stride)
 
 
 def read_text_cloud(path) -> PointCloud:

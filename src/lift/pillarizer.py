@@ -187,26 +187,23 @@ def pillarize(cloud: PointCloud, cfg: GridConfig, *, include_offsets: bool = Tru
     out_of_range = int((~in_range).sum())
     keep = np.nonzero(in_range)[0]
 
-    # canonical pillar order is ascending key = j * width + i; a stable
-    # sort keeps cloud order inside each pillar
+    # canonical pillar order is ascending key = j * width + i, and cloud
+    # order inside each pillar: one sort of (key << b) | rank, where b
+    # bits hold every rank, keeps both. Keys are below MAX_GRID_CELLS =
+    # 2^24, so the packed values fit int64, and they are all distinct, so
+    # any sort gives this one order.
     key = j[keep] * width + i[keep]
-    order = np.argsort(key, kind="stable")
-    keep = keep[order]
-    key = key[order]
+    bits = int(keep.size).bit_length()
+    packed = np.sort((key << bits) | np.arange(keep.size))
+    keep = keep[packed & ((1 << bits) - 1)]
+    key = packed >> bits
 
-    # positions within each run of equal keys, for tail truncation
-    if keep.size:
-        starts = np.r_[0, np.nonzero(np.diff(key))[0] + 1]
-        run_id = np.zeros(key.size, dtype=np.int64)
-        run_id[starts[1:]] = 1
-        run_id = np.cumsum(run_id)
-        pos = np.arange(key.size) - starts[run_id]
-        within_cap = pos < cfg.max_points_per_pillar
-    else:
-        within_cap = np.zeros(0, dtype=bool)
-    truncated = int((~within_cap).sum())
+    # pillar runs of equal keys; entries past the cap are cut from each tail
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    counts = np.diff(starts, append=key.size)
+    within_cap = np.arange(key.size) - np.repeat(starts, counts) < cfg.max_points_per_pillar
+    truncated = int(key.size - within_cap.sum())
     keep = keep[within_cap]
-    key = key[within_cap]
 
     xk, yk, zk = x[keep], y[keep], z[keep]
     ik, jk = i[keep], j[keep]
@@ -221,14 +218,9 @@ def pillarize(cloud: PointCloud, cfg: GridConfig, *, include_offsets: bool = Tru
         columns += [xk - cx, yk - cy]
     features = np.column_stack(columns) if keep.size else np.empty((0, n_features))
 
-    if keep.size:
-        starts = np.r_[0, np.nonzero(np.diff(key))[0] + 1]
-        pillar_keys = key[starts]
-        offsets = np.r_[starts, key.size].astype(np.int64)
-        coords = np.column_stack([pillar_keys % width, pillar_keys // width])
-    else:
-        coords = np.empty((0, 2), dtype=np.int64)
-        offsets = np.zeros(1, dtype=np.int64)
+    offsets = np.r_[0, np.cumsum(np.minimum(counts, cfg.max_points_per_pillar))]
+    pillar_keys = key[starts]
+    coords = np.column_stack([pillar_keys % width, pillar_keys // width])
 
     return PillarSet(width=width, height=height, coords=coords, features=features,
                      offsets=offsets, out_of_range=out_of_range, truncated=truncated)

@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import CalibrationError, RangeError, ShapeError
 from .network import (ENCODER_SITE, InferenceResult, NetworkConfig, NetworkWeights, Op,
-                      network_ops, run_encoded)
+                      dual_bound_pool, network_ops, run_encoded)
 from .pillarizer import GridConfig, PillarSet
-from .quant import QuantParams, calibrate, integer_bias, quantize, requantize_array
-from .sparse import (AddQuant, OutputQuant, SparseTensor2D, sparse_add_projected,
-                     sparse_conv_stride2, submanifold_conv)
+from .quant import (INT8_MAX, INT8_MIN, QuantParams, calibrate, integer_bias,
+                    requantize_array)
+from .sparse import (EXACT_F32_CHANNELS, AddQuant, OutputQuant, SparseTensor2D,
+                     sparse_add_projected, sparse_conv_stride2, submanifold_conv)
 
 INPUT_FEATURES_SITE = "input_features"
 
@@ -202,28 +203,42 @@ def quantize_network(weights: NetworkWeights, feature_qps: list,
 
 
 def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
-    """Integer dual-bound encoding: int32 accumulate, pool, requantize."""
+    """Integer dual-bound encoding: one GEMM on centered int8 features,
+    pool, add the integer bias in int32, requantize once.
+
+    The GEMM runs in float32 when F * 255 * 128 < 2^24 (F <=
+    EXACT_F32_CHANNELS features), so every product and partial sum is an
+    integer held exactly, and in float64 above. Pooling comes before the
+    bias: max(x + b) = max(x) + b holds exactly for integers, and the
+    int32 accumulator bound (quant.integer_bias) keeps every pooled sum
+    plus bias inside int32.
+    """
     enc_qp = net.act[ENCODER_SITE]
-    hidden = net.encoder.q_weight.shape[1]
+    q_weight = net.encoder.q_weight
+    n_features, hidden = q_weight.shape
     if len(pillars) == 0:
         return SparseTensor2D.empty(pillars.width, pillars.height, 2 * hidden,
                                     qparams=enc_qp, int8=True)
-    if pillars.feature_length != net.encoder.q_weight.shape[0]:
+    if pillars.feature_length != n_features:
         raise ShapeError("pillar feature length does not match encoder weights")
-    centered = np.column_stack([
-        np.subtract(quantize(pillars.features[:, f], qp), qp.zero_point, dtype=np.float64)
-        for f, qp in enumerate(net.feature_qps)])
-    # exact in float64: with the accumulator bound held, every integer
-    # operand and sum stays below 2^31, far inside float64's 2^53
-    acc = centered @ net.encoder.q_weight.astype(np.float64) + net.encoder.integer_bias(1.0)
-    starts = pillars.offsets[:-1]
+    gemm = np.float32 if n_features <= EXACT_F32_CHANNELS else np.float64
+    scales = np.array([qp.scale for qp in net.feature_qps], dtype=np.float64)
+    zero_points = np.array([qp.zero_point for qp in net.feature_qps], dtype=np.float64)
+    # quantize (as quant.quantize) and center, every feature at once
+    centered = np.rint(pillars.features / scales)
+    centered += zero_points
+    np.clip(centered, INT8_MIN, INT8_MAX, out=centered)
+    centered -= zero_points
+    products = centered.astype(gemm) @ q_weight.astype(gemm)
+    del centered
+    acc = dual_bound_pool(products, pillars.offsets).astype(np.int32)
+    del products
+    acc += np.tile(net.encoder.integer_bias(1.0).astype(np.int32), 2)
     oq = OutputQuant.from_scales(1.0, net.encoder.weight_scales, enc_qp)
-    q_max = requantize_array(np.maximum.reduceat(acc, starts, axis=0),
-                             oq.multipliers, oq.shifts, enc_qp.zero_point)
-    q_min = requantize_array(np.minimum.reduceat(acc, starts, axis=0),
-                             oq.multipliers, oq.shifts, enc_qp.zero_point)
-    return SparseTensor2D.build(pillars.width, pillars.height, pillars.coords,
-                                np.concatenate([q_max, q_min], axis=1), qparams=enc_qp)
+    q = requantize_array(acc, np.tile(oq.multipliers, 2), np.tile(oq.shifts, 2),
+                         enc_qp.zero_point)
+    return SparseTensor2D.build(pillars.width, pillars.height, pillars.coords, q,
+                                qparams=enc_qp)
 
 
 def run_int8_network(pillars: PillarSet, net: Int8Network, grid: GridConfig,

@@ -81,11 +81,18 @@ class SparseTensor2D:
 
     @classmethod
     def build(cls, width, height, coords, features, qparams=None) -> "SparseTensor2D":
-        """Canonicalize arbitrary coordinate/feature order and validate."""
+        """Canonicalize arbitrary coordinate/feature order and validate.
+
+        coords become int64 and features float64 unless they are int8.
+        When the keys already strictly increase, the tensor keeps the
+        caller's arrays (after those conversions) without copying them,
+        so the caller must not change them afterwards; otherwise it holds
+        sorted copies.
+        """
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
         features = np.asarray(features)
         if features.dtype != np.int8:
-            features = features.astype(np.float64)
+            features = features.astype(np.float64, copy=False)
         features = features.reshape(coords.shape[0], -1)
         if coords.shape[0] != features.shape[0]:
             raise ShapeError("coords and features row counts differ")
@@ -94,14 +101,16 @@ class SparseTensor2D:
                     or coords[:, 1].min() < 0 or coords[:, 1].max() >= height:
                 raise ShapeError("coordinate outside grid")
         keys = coords[:, 1] * width + coords[:, 0]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if keys.size and np.any(np.diff(keys) == 0):
-            raise ShapeError("duplicate active coordinate")
+        if not np.all(keys[1:] > keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            if np.any(keys[1:] == keys[:-1]):
+                raise ShapeError("duplicate active coordinate")
+            coords, features = coords[order], features[order]
         if features.dtype == np.int8 and qparams is None:
             raise ShapeError("int8 tensor requires QuantParams")
-        return cls(width=width, height=height, coords=coords[order],
-                   features=features[order], qparams=qparams, _keys=keys)
+        return cls(width=width, height=height, coords=coords, features=features,
+                   qparams=qparams, _keys=keys)
 
     @classmethod
     def empty(cls, width, height, channels, qparams=None, int8=False) -> "SparseTensor2D":

@@ -1,15 +1,21 @@
 """Independent reference implementations the engine is checked against.
 
-Everything here computes over dense zero-padded arrays with explicit
-offset arithmetic -- no rulebooks, no gather/scatter -- so agreement
-with the sparse engine is meaningful.
+The conv, pool and tap oracles compute over dense zero-padded arrays
+with explicit offset arithmetic -- no rulebooks, no gather/scatter -- so
+agreement with the sparse engine is meaningful. The front-end and decode
+oracles at the end restate those stages in their plainest form
+(reduceat pooling, a stable argsort, a float64 encoder GEMM, one box at
+a time), which the engine's array versions must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from lift.quant import requantize
+from lift.network import ENCODER_SITE, LOG_SIZE_CLAMP, OFFSET_CLAMP, DetectionBox
+from lift.pillarizer import FEATURE_NAMES, PillarSet, coarse_detail_split
+from lift.quant import dequantize, quantize, requantize
+from lift.sparse import OutputQuant, SparseTensor2D, sparse_max_pool
 
 
 def densify(tensor):
@@ -245,3 +251,118 @@ def max_rel_dev(a, b):
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+# ---------------------------------------------------------------------------
+# front end and decode
+
+
+def reduceat_dual_bound(values, offsets):
+    """concat(max, min) per pillar through np.maximum/minimum.reduceat."""
+    starts = offsets[:-1]
+    return np.concatenate([np.maximum.reduceat(values, starts, axis=0),
+                           np.minimum.reduceat(values, starts, axis=0)], axis=1)
+
+
+def pillarize_stable_argsort(cloud, cfg, include_offsets=True, normalize_intensity=False):
+    """Pillar binning with a stable argsort of the keys and run positions
+    from a cumulative run id."""
+    width, height = cfg.width, cfg.height
+    n_features = len(FEATURE_NAMES) if include_offsets else len(FEATURE_NAMES) - 2
+    if len(cloud) == 0:
+        return PillarSet(width=width, height=height, features=np.empty((0, n_features)))
+    pts = cloud.data.astype(np.float64)
+    x, y, z, intensity = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
+    i = np.floor(np.clip((x - cfg.x_min) / cfg.pillar_size_x, -1, width)).astype(np.int64)
+    j = np.floor(np.clip((y - cfg.y_min) / cfg.pillar_size_y, -1, height)).astype(np.int64)
+    in_range = ((x >= cfg.x_min) & (x < cfg.x_max) & (y >= cfg.y_min) & (y < cfg.y_max)
+                & (z >= cfg.z_min) & (z < cfg.z_max)
+                & (i >= 0) & (i < width) & (j >= 0) & (j < height))
+    out_of_range = int((~in_range).sum())
+    keep = np.nonzero(in_range)[0]
+    key = j[keep] * width + i[keep]
+    order = np.argsort(key, kind="stable")
+    keep, key = keep[order], key[order]
+    if keep.size:
+        starts = np.r_[0, np.nonzero(np.diff(key))[0] + 1]
+        run_id = np.zeros(key.size, dtype=np.int64)
+        run_id[starts[1:]] = 1
+        run_id = np.cumsum(run_id)
+        within_cap = np.arange(key.size) - starts[run_id] < cfg.max_points_per_pillar
+    else:
+        within_cap = np.zeros(0, dtype=bool)
+    truncated = int((~within_cap).sum())
+    keep, key = keep[within_cap], key[within_cap]
+    xk, yk, zk = x[keep], y[keep], z[keep]
+    x_coarse, x_detail = coarse_detail_split(xk, cfg.x_min, cfg.x_max)
+    y_coarse, y_detail = coarse_detail_split(yk, cfg.y_min, cfg.y_max)
+    z_coarse, z_detail = coarse_detail_split(zk, cfg.z_min, cfg.z_max)
+    inten = intensity[keep] / 255.0 if normalize_intensity else intensity[keep]
+    columns = [x_coarse, x_detail, y_coarse, y_detail, z_coarse, z_detail, inten]
+    if include_offsets:
+        columns += [xk - (cfg.x_min + (i[keep] + 0.5) * cfg.pillar_size_x),
+                    yk - (cfg.y_min + (j[keep] + 0.5) * cfg.pillar_size_y)]
+    features = np.column_stack(columns) if keep.size else np.empty((0, n_features))
+    if keep.size:
+        starts = np.r_[0, np.nonzero(np.diff(key))[0] + 1]
+        pillar_keys = key[starts]
+        offsets = np.r_[starts, key.size].astype(np.int64)
+        coords = np.column_stack([pillar_keys % width, pillar_keys // width])
+    else:
+        coords = np.empty((0, 2), dtype=np.int64)
+        offsets = np.zeros(1, dtype=np.int64)
+    return PillarSet(width=width, height=height, coords=coords, features=features,
+                     offsets=offsets, out_of_range=out_of_range, truncated=truncated)
+
+
+def encode_int8_reference(pillars, net):
+    """Int8 encoder features: per-feature quantize and center, float64
+    GEMM plus integer bias, reduceat pooling, requantization of each half."""
+    centered = np.column_stack([
+        np.subtract(quantize(pillars.features[:, f], qp), qp.zero_point, dtype=np.float64)
+        for f, qp in enumerate(net.feature_qps)])
+    acc = centered @ net.encoder.q_weight.astype(np.float64) + net.encoder.integer_bias(1.0)
+    enc_qp = net.act[ENCODER_SITE]
+    oq = OutputQuant.from_scales(1.0, net.encoder.weight_scales, enc_qp)
+    starts = pillars.offsets[:-1]
+    return np.concatenate([
+        requant_ref(pool.reduceat(acc, starts, axis=0), oq.multipliers, oq.shifts,
+                    enc_qp.zero_point) for pool in (np.maximum, np.minimum)],
+        axis=1).astype(np.int8)
+
+
+def decode_reference(heatmap, regression, grid, cfg, score_threshold, top_k, stride=4):
+    """Boxes from head maps, one box at a time in Python floats."""
+    heatmap, regression = (
+        SparseTensor2D(m.width, m.height, m.coords, dequantize(m.features, m.qparams))
+        if m.is_int8 else m for m in (heatmap, regression))
+    logits = heatmap.features
+    pooled = sparse_max_pool(heatmap, 3).features
+    scores = np.empty_like(logits)
+    pos = logits >= 0
+    scores[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
+    ex = np.exp(logits[~pos])
+    scores[~pos] = ex / (1.0 + ex)
+    rows, cls = np.nonzero((logits == pooled) & (scores >= score_threshold))
+    cand = scores[rows, cls]
+    ii, jj = heatmap.coords[rows, 0], heatmap.coords[rows, 1]
+    cell_x, cell_y = grid.pillar_size_x * stride, grid.pillar_size_y * stride
+    boxes = []
+    for idx in np.lexsort((ii, jj, cls, -cand))[:top_k]:
+        reg = regression.features[rows[idx]]
+        off_x = float(np.clip(reg[0], -OFFSET_CLAMP, OFFSET_CLAMP))
+        off_y = float(np.clip(reg[1], -OFFSET_CLAMP, OFFSET_CLAMP))
+        x = (float(ii[idx]) + 0.5 + off_x) * cell_x + grid.x_min
+        y = (float(jj[idx]) + 0.5 + off_y) * cell_y + grid.y_min
+        x = min(max(x, grid.x_min - cell_x), grid.x_max + cell_x)
+        y = min(max(y, grid.y_min - cell_y), grid.y_max + cell_y)
+        sizes = np.exp(np.clip(reg[3:6], -LOG_SIZE_CLAMP, LOG_SIZE_CLAMP))
+        yaw = math.atan2(reg[6], reg[7])
+        if yaw <= -math.pi:
+            yaw += 2.0 * math.pi
+        c = int(cls[idx])
+        boxes.append(DetectionBox(class_id=c, class_name=cfg.class_names[c],
+                                  score=float(cand[idx]), x=x, y=y, z=float(reg[2]),
+                                  l=float(sizes[0]), w=float(sizes[1]), h=float(sizes[2]),
+                                  yaw=yaw))
+    return boxes

@@ -52,6 +52,34 @@ def test_nonfinite_records_dropped_and_counted(tmp_path):
     assert len(cloud) + cloud.dropped == len(rows)
 
 
+@pytest.mark.parametrize("stride", [4, 5])
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_any_nonfinite_field_drops_its_row(tmp_path, stride, column, bad):
+    rng = np.random.default_rng(column)
+    rows = rng.uniform(-50.0, 50.0, size=(9, stride)).astype(np.float32)
+    rows[[2, 7], column] = bad
+    path = tmp_path / "nf.bin"
+    path.write_bytes(rows.astype("<f4").tobytes())
+    cloud = read_binary_cloud(path, stride=stride)
+    assert cloud.dropped == 2
+    kept = np.delete(rows, [2, 7], axis=0)[:, :4]
+    assert cloud.data.dtype == np.float32 and cloud.data.flags.c_contiguous
+    assert cloud.data.tobytes() == kept.tobytes()
+
+
+def test_nonfinite_ring_drops_nothing(tmp_path):
+    rows = np.arange(30, dtype=np.float32).reshape(6, 5)
+    rows[1, 4] = np.nan
+    rows[4, 4] = np.inf
+    path = tmp_path / "ring.bin"
+    path.write_bytes(rows.astype("<f4").tobytes())
+    cloud = read_binary_cloud(path, stride=5)
+    assert cloud.dropped == 0
+    assert cloud.data.flags.c_contiguous and cloud.data.flags.writeable
+    assert cloud.data.tobytes() == rows[:, :4].tobytes()
+
+
 @given(st.lists(st.tuples(*[st.floats(-1e6, 1e6, width=32)] * 4),
                 min_size=0, max_size=50))
 def test_binary_round_trip_bit_exact(rows):
