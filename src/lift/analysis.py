@@ -19,7 +19,7 @@ from .errors import ParameterError
 from .network import ENCODER_SITE, NetworkConfig, network_ops
 from .pcd_io import PointCloud
 from .pillarizer import GridConfig, pillarize
-from .sparse import Rulebook, SparseTensor2D, build_rulebook
+from .sparse import SparseTensor2D, build_rulebook
 
 GMAC = 10 ** 9
 DEFAULT_BUDGET_GMAC = 30.0
@@ -72,11 +72,6 @@ class MacReport:
                      f"(budget {self.budget_gmacs:.2f} GMAC: "
                      f"{'PASS' if self.within_budget else 'FAIL'})")
         return "\n".join(lines)
-
-
-def count_macs_layer(cin: int, cout: int, rulebook: Rulebook) -> int:
-    """MACs of one sparse convolution: rulebook pairs x Cin x Cout."""
-    return rulebook.pair_count() * cin * cout
 
 
 def count_macs_network(cloud: PointCloud, grid: GridConfig, cfg: NetworkConfig,

@@ -142,21 +142,6 @@ class PillarSet:
     def feature_length(self) -> int:
         return self.features.shape[1]
 
-    def pillar_features(self, i: int, j: int) -> np.ndarray:
-        """Per-point feature rows of pillar (i, j); raises KeyError if empty."""
-        m = self._index().get((i, j))
-        if m is None:
-            raise KeyError((i, j))
-        return self.features[self.offsets[m]:self.offsets[m + 1]]
-
-    def _index(self):
-        if not hasattr(self, "_coord_index"):
-            self._coord_index = {(int(i), int(j)): m for m, (i, j) in enumerate(self.coords)}
-        return self._coord_index
-
-    def __contains__(self, ij) -> bool:
-        return tuple(ij) in self._index()
-
 
 def pillarize(cloud: PointCloud, cfg: GridConfig, *, include_offsets: bool = True,
               normalize_intensity: bool = False) -> PillarSet:

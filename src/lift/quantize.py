@@ -224,7 +224,8 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
     gemm = np.float32 if n_features <= EXACT_F32_CHANNELS else np.float64
     scales = np.array([qp.scale for qp in net.feature_qps], dtype=np.float64)
     zero_points = np.array([qp.zero_point for qp in net.feature_qps], dtype=np.float64)
-    # quantize (as quant.quantize) and center, every feature at once
+    # quantize to int8 (rint(x / scale) + zero point, saturated) and center,
+    # every feature at once
     centered = np.rint(pillars.features / scales)
     centered += zero_points
     np.clip(centered, INT8_MIN, INT8_MAX, out=centered)

@@ -53,8 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .quant import (INT8_MAX, INT8_MIN, QuantParams, Requantizer, requantization_factor,
-                    requantize_array)
+from .quant import INT8_MAX, INT8_MIN, QuantParams, encode_factors, requantize_array
 
 MODES = ("submanifold", "stride2")
 TILE_ROWS = 1024
@@ -211,7 +210,8 @@ class OutputQuant:
     """Requantization plan for an int8 convolution output.
 
     One multiplier/shift per output channel (factor = s_in * s_w[c] /
-    s_out) plus the output tensor's QuantParams.
+    s_out, Q31-encoded by quant.encode_factors) plus the output tensor's
+    QuantParams.
     """
 
     qparams: QuantParams
@@ -220,23 +220,8 @@ class OutputQuant:
 
     @classmethod
     def from_scales(cls, in_scale: float, weight_scales, out_qp: QuantParams) -> "OutputQuant":
-        """Requantizer.from_factor over all channels at once, with its
-        checks; a channel that fails raises from_factor's own error."""
-        # requantization_factor per channel; NaN stays NaN
-        factors = np.maximum(in_scale * np.atleast_1d(np.asarray(weight_scales, np.float64))
-                             / out_qp.scale, 2.0 ** -32)
-        ok = (factors >= 2.0 ** -32) & (factors <= 1.0)   # False for NaN
-        mantissa, exponent = np.frexp(np.where(ok, factors, 0.5))
-        multipliers = np.rint(mantissa * 2.0 ** 31).astype(np.int64)
-        carry = multipliers == 1 << 31
-        multipliers[carry] >>= 1
-        shifts = -(exponent.astype(np.int64) + carry)
-        one = factors == 1.0
-        multipliers[one], shifts[one] = (1 << 31) - 1, 0
-        encoded = np.ldexp(multipliers.astype(np.float64), -(31 + shifts))
-        ok &= (shifts >= 0) & (one | (np.abs(encoded - factors) <= factors * 2.0 ** -24))
-        if not ok.all():
-            Requantizer.from_factor(float(factors[~ok][0]), zero_point=out_qp.zero_point)
+        multipliers, shifts = encode_factors(
+            in_scale * np.asarray(weight_scales, dtype=np.float64) / out_qp.scale)
         return cls(qparams=out_qp, multipliers=multipliers, shifts=shifts)
 
 
@@ -444,19 +429,20 @@ def sparse_max_pool(x: SparseTensor2D, k: int = 3) -> SparseTensor2D:
 @dataclass(frozen=True)
 class AddQuant:
     """Requantization plan for an int8 projected addition: both
-    operands are rescaled to the shared output scale through the
-    fixed-point primitive (saturating), then summed."""
+    operands are rescaled to the shared output scale (factor s_in /
+    s_out, Q31-encoded like a conv's) and saturated, then summed.
+    multipliers and shifts hold (base, other)."""
 
     qparams: QuantParams
-    base: Requantizer
-    other: Requantizer
+    multipliers: np.ndarray
+    shifts: np.ndarray
 
     @classmethod
     def from_scales(cls, base_qp: QuantParams, other_qp: QuantParams,
                     out_qp: QuantParams) -> "AddQuant":
-        base, other = (Requantizer.from_factor(
-            requantization_factor(qp.scale, 1.0, out_qp.scale)) for qp in (base_qp, other_qp))
-        return cls(qparams=out_qp, base=base, other=other)
+        multipliers, shifts = encode_factors(
+            np.array([base_qp.scale, other_qp.scale]) / out_qp.scale)
+        return cls(qparams=out_qp, multipliers=multipliers, shifts=shifts)
 
 
 def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: int,
@@ -477,8 +463,14 @@ def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: in
             raise ShapeError("int8 projected add requires int8 operands and an AddQuant")
         # a site without other reads other's zero point, which requantizes to 0
         o = _padded(other.features, other.qparams.zero_point)[rows]
-        out = _requantized(base, add_quant.base).take(base.features.view(np.uint8))
-        out += _requantized(other, add_quant.other).take(o.view(np.uint8))
+        # each operand's requantized value of every centered int8 byte, as
+        # int16 tables indexed by the byte read as uint8
+        q = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.int64)
+        centered = q[:, None] - [base.qparams.zero_point, other.qparams.zero_point]
+        tables = requantize_array(centered, add_quant.multipliers, add_quant.shifts,
+                                  0).astype(np.int16)
+        out = tables[:, 0].take(base.features.view(np.uint8))
+        out += tables[:, 1].take(o.view(np.uint8))
         out += add_quant.qparams.zero_point
         out = np.clip(out, INT8_MIN, INT8_MAX, out=out).astype(np.int8)
         return SparseTensor2D(width=base.width, height=base.height, coords=base.coords,
@@ -488,14 +480,6 @@ def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: in
     return SparseTensor2D(width=base.width, height=base.height, coords=base.coords,
                           features=base.features + _padded(other.features, -0.0)[rows],
                           qparams=None, _keys=base.keys())
-
-
-def _requantized(x: SparseTensor2D, r: Requantizer) -> np.ndarray:
-    """r applied to x's centered value of each int8 byte, as an int16
-    table indexed by the byte read as uint8."""
-    q = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.int64)
-    return requantize_array(q - x.qparams.zero_point, np.int64(r.multiplier),
-                            np.int64(r.shift), 0).astype(np.int16)
 
 
 def relu(x: SparseTensor2D) -> SparseTensor2D:

@@ -40,7 +40,7 @@ from .config import EngineConfig
 from .errors import FormatError, RangeError, StructuralError
 from .network import (ENCODER_SITE, BnParams, DbpfnParams, FusedConvLayer, NetworkWeights,
                       Op, RepConvLayer, network_ops, present_stage_depths)
-from .quant import INT8_MAX, INT8_MIN, QuantParams, requantization_factor
+from .quant import INT8_MAX, INT8_MIN, QuantParams
 from .quantize import INPUT_FEATURES_SITE, Int8Network, Int8Weights
 
 MAGIC = b"LIFW"
@@ -441,7 +441,7 @@ def _check_factor(act: dict, op_name: str, out_site: str, in_scale: float,
                   weight_scale: float) -> None:
     """An op's largest requantization factor (that of its largest weight
     scale) must not exceed 1; the output scale is the tensor named."""
-    factor = requantization_factor(in_scale, weight_scale, act[out_site].scale)
+    factor = in_scale * weight_scale / act[out_site].scale
     if factor > 1.0:
         raise FormatError(f"tensor 'act.{out_site}.scale': op {op_name!r} would "
                           f"requantize by {factor:.6g}, above 1")

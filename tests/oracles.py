@@ -5,17 +5,83 @@ with explicit offset arithmetic -- no rulebooks, no gather/scatter -- so
 agreement with the sparse engine is meaningful. The front-end and decode
 oracles at the end restate those stages in their plainest form
 (reduceat pooling, a stable argsort, a float64 encoder GEMM, one box at
-a time), which the engine's array versions must match bit for bit.
+a time), which the engine's array versions must match bit for bit. The
+scalar quantize, Requantizer and requantize at the top are the
+Python-int reference for the engine's Q31 encoding (quant.encode_factors)
+and requantization (quant.requantize_array).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from lift.errors import ParameterError
 from lift.network import ENCODER_SITE, LOG_SIZE_CLAMP, OFFSET_CLAMP, DetectionBox
 from lift.pillarizer import FEATURE_NAMES, PillarSet, coarse_detail_split
-from lift.quant import dequantize, quantize, requantize
+from lift.quant import INT8_MAX, INT8_MIN, QuantParams, dequantize
 from lift.sparse import OutputQuant, SparseTensor2D, sparse_max_pool
+
+
+def quantize(x, qp: QuantParams):
+    """Map real values to int8: rint(x / scale) + zero_point (half to
+    even), saturating. Accepts scalars or arrays; returns np.int8 of
+    matching shape."""
+    q = np.rint(np.asarray(x, dtype=np.float64) / qp.scale) + qp.zero_point
+    q = np.clip(q, INT8_MIN, INT8_MAX).astype(np.int8)
+    return q if q.ndim else np.int8(q)
+
+
+@dataclass(frozen=True)
+class Requantizer:
+    """Scalar fixed-point rescaling of an int32 accumulator down to int8,
+    in Python ints: a real factor as multiplier * 2**-(31 + shift) with
+    multiplier in [2^30, 2^31), i.e. a Q31 mantissa plus a right shift."""
+
+    multiplier: int
+    shift: int
+    zero_point: int = 0
+
+    def __post_init__(self):
+        if not (1 << 30) <= self.multiplier < (1 << 31):
+            raise ParameterError(f"multiplier {self.multiplier} outside [2^30, 2^31)")
+        if not 0 <= self.shift <= 62:
+            raise ParameterError(f"shift {self.shift} outside [0, 62]")
+        if not INT8_MIN <= self.zero_point <= INT8_MAX:
+            raise ParameterError(f"zero_point {self.zero_point} outside int8 range")
+
+    @classmethod
+    def from_factor(cls, factor: float, zero_point: int = 0) -> "Requantizer":
+        """One factor in [2^-32, 1], encoded with math.frexp. Factor 1.0
+        gets the saturated mantissa 2^31 - 1 (off by 2^-31)."""
+        if not (math.isfinite(factor) and 2.0 ** -32 <= factor <= 1.0):
+            raise ParameterError(f"requantization factor {factor} outside [2^-32, 1]")
+        if factor == 1.0:
+            return cls(multiplier=(1 << 31) - 1, shift=0, zero_point=zero_point)
+        mantissa, exponent = math.frexp(factor)  # factor = mantissa * 2^exponent
+        multiplier = round(mantissa * (1 << 31))   # Python's round is half to even
+        if multiplier == (1 << 31):
+            multiplier >>= 1
+            exponent += 1
+        r = cls(multiplier=multiplier, shift=-exponent, zero_point=zero_point)
+        if abs(r.factor - factor) > factor * 2.0 ** -24:
+            raise ParameterError(f"factor {factor} not representable to 2^-24")
+        return r
+
+    @property
+    def factor(self) -> float:
+        return self.multiplier * 2.0 ** -(31 + self.shift)
+
+
+def requantize(acc: int, r: Requantizer) -> int:
+    """Rescale an int32 accumulator to int8 through r, saturating, in
+    exact Python ints: multiply by the Q31 mantissa, shift right
+    rounding to floor(x + 1/2) (ties toward +inf), add the output zero
+    point, clamp."""
+    total = int(acc) * r.multiplier
+    sh = 31 + r.shift
+    rounded = (total + (1 << (sh - 1))) >> sh
+    return max(INT8_MIN, min(INT8_MAX, rounded + r.zero_point))
 
 
 def densify(tensor):
@@ -78,7 +144,6 @@ def dense_conv_int(dense_q, zp_in, kernel_q, bias_i, out_quant, stride=1,
                 acc += pad[dy:dy + 2 * ho:2, dx:dx + 2 * wo:2] @ kq[dy, dx]
     acc += bias_i.astype(np.int64)
     out = np.zeros(acc.shape, dtype=np.int64)
-    from lift.quant import Requantizer
     for ch in range(cout):
         r = Requantizer(multiplier=int(out_quant.multipliers[ch]),
                         shift=int(out_quant.shifts[ch]),

@@ -3,8 +3,7 @@ import pytest
 from conftest import random_cloud, random_sparse
 from oracles import (brute_force_taps, dense_stride2_taps, dense_submanifold_taps)
 
-from lift.analysis import (count_macs_layer, count_macs_network, dpu_budget,
-                           im2col_buffer_cells)
+from lift.analysis import count_macs_network, dpu_budget, im2col_buffer_cells
 from lift.config import config_from_dict
 from lift.errors import ParameterError
 from lift.pcd_io import PointCloud
@@ -59,12 +58,12 @@ class TestMacCounting:
     def test_empty_rulebook(self):
         x = SparseTensor2D.empty(8, 8, 0)
         rb = build_rulebook(x, 3, "submanifold")
-        assert count_macs_layer(4, 4, rb) == 0
+        assert rb.pair_count() == 0
 
     def test_single_site_center_tap_only(self):
         x = active_only([(4, 4)], 9, 9)
         rb = build_rulebook(x, 3, "submanifold")
-        assert count_macs_layer(5, 7, rb) == 5 * 7
+        assert rb.pair_count() == 1
 
     def test_matches_brute_force_submanifold(self, rng):
         for _ in range(25):

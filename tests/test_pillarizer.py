@@ -74,9 +74,8 @@ def test_pillarize_empty_cloud():
 def test_pillarize_single_point_index():
     cloud = PointCloud(data=np.array([[-53.95, -53.95, 0.0, 0.5]], dtype=np.float32))
     pillars = pillarize(cloud, GridConfig())
-    assert len(pillars) == 1
-    assert (0, 0) in pillars
-    assert pillars.pillar_features(0, 0).shape[0] == 1
+    assert pillars.coords.tolist() == [[0, 0]]
+    assert pillars.offsets.tolist() == [0, 1]
 
 
 def test_pillarize_truncates_tail():
@@ -84,7 +83,8 @@ def test_pillarize_truncates_tail():
     rows = np.tile(np.array([[1.0, 1.0, 0.0, 0.0]], dtype=np.float32), (25, 1))
     rows[:, 3] = np.arange(25)  # intensity marks cloud order
     pillars = pillarize(PointCloud(data=rows), cfg)
-    feats = pillars.pillar_features(366, 366)
+    assert pillars.coords.tolist() == [[366, 366]]
+    feats = pillars.features[pillars.offsets[0]:pillars.offsets[1]]
     assert feats.shape[0] == 20
     assert list(feats[:, 6]) == list(range(20))  # first 20 kept, in order
     assert pillars.truncated == 5

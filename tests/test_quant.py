@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Requantizer, quantize, requantize
+
 from lift.errors import CalibrationError, ParameterError, RangeError
-from lift.quant import (QuantParams, Requantizer, calibrate, dequantize, integer_bias,
-                        quantize, requantize, requantize_array)
+from lift.quant import (QuantParams, calibrate, dequantize, encode_factors, integer_bias,
+                        requantize_array)
 
 
 def test_quantize_zero_maps_to_zero_point():
@@ -83,36 +85,64 @@ def test_calibrate_empty_raises():
         calibrate([])
 
 
+def requantized(accs, factor, zero_point=0):
+    """accs through encode_factors(factor) and requantize_array, as ints."""
+    multipliers, shifts = encode_factors(factor)
+    return requantize_array(np.asarray(accs), multipliers, shifts, zero_point).tolist()
+
+
 def test_requantizer_identityish_factor():
-    r = Requantizer.from_factor(0.5, zero_point=0)
-    assert requantize(10, r) == 5
+    assert requantized([10], 0.5) == [5]
+
+
+def test_requantize_rounds_ties_toward_plus_inf():
+    # floor(x + 1/2): -1.5 -> -1, -0.5 -> 0, 0.5 -> 1, 1.5 -> 2
+    accs = [-3, -1, 1, 3]
+    assert requantized(accs, 0.5) == [-1, 0, 1, 2]
+    r = Requantizer.from_factor(0.5)
+    assert [requantize(a, r) for a in accs] == [-1, 0, 1, 2]
 
 
 def test_requantizer_identity_factor():
     # exact 1.0 uses the saturated mantissa: still identity on int8-range accs
-    r = Requantizer.from_factor(1.0, zero_point=0)
-    assert r.multiplier == (1 << 31) - 1 and r.shift == 0
-    assert requantize(5, r) == 5
-    assert all(requantize(a, r) == a for a in range(-128, 128))
+    assert [m.tolist() for m in encode_factors(1.0)] == [[(1 << 31) - 1], [0]]
+    assert requantized(np.arange(-128, 128), 1.0) == list(range(-128, 128))
 
 
 def test_requantize_zero_acc_returns_zero_point():
-    r = Requantizer.from_factor(0.123, zero_point=-7)
-    assert requantize(0, r) == -7
+    assert requantized([0], 0.123, zero_point=-7) == [-7]
 
 
 def test_requantizer_rejects_out_of_range_factors():
-    with pytest.raises(ParameterError):
-        Requantizer.from_factor(1.5)
-    with pytest.raises(ParameterError):
-        Requantizer.from_factor(2.0 ** -40)
+    with pytest.raises(ParameterError, match="1.5"):
+        encode_factors([0.5, 1.5])
+    # below 2^-32 is raised to it: every acc maps to the zero point either way
+    assert [m.tolist() for m in encode_factors([2.0 ** -40, 2.0 ** -32])] == \
+        [[1 << 30, 1 << 30], [31, 31]]
 
 
-def test_requantizer_field_invariants():
-    r = Requantizer.from_factor(0.37, zero_point=3)
-    assert (1 << 30) <= r.multiplier < (1 << 31)
-    assert 0 <= r.shift <= 62
-    assert abs(r.factor - 0.37) <= 0.37 * 2 ** -24
+def test_requantizer_field_invariants(rng):
+    factors = np.concatenate([rng.uniform(0.0, 1.0, 1000), 2.0 ** rng.uniform(-32.0, 0.0, 1000),
+                              [2.0 ** -32, 0.37, 1.0]])
+    multipliers, shifts = encode_factors(factors)
+    assert multipliers.dtype == shifts.dtype == np.int64
+    assert np.all((multipliers >= 1 << 30) & (multipliers < 1 << 31))
+    assert np.all((shifts >= 0) & (shifts <= 31))
+    encoded = np.ldexp(multipliers.astype(np.float64), -(31 + shifts))
+    factors = np.maximum(factors, 2.0 ** -32)
+    assert np.all(np.abs(encoded - factors) <= factors * 2.0 ** -31)
+
+
+def test_encode_factors_matches_the_scalar_oracle(rng):
+    # the factors TestOutputQuant checks: uniform, log-uniform down past
+    # 2^-32, and the floor, carry and saturation edges
+    factors = np.concatenate([rng.uniform(0.0, 1.0, 2000), 2.0 ** rng.uniform(-40.0, 0.0, 2000),
+                              [1.0, 2.0 ** -32, 0.5 * (1 - 2.0 ** -40), 0.75 * (1 - 2.0 ** -40),
+                               2.0 ** -32 * (1 - 2.0 ** -40)]])
+    rs = [Requantizer.from_factor(max(f, 2.0 ** -32)) for f in factors.tolist()]
+    multipliers, shifts = encode_factors(factors)
+    assert multipliers.tolist() == [r.multiplier for r in rs]
+    assert shifts.tolist() == [r.shift for r in rs]
 
 
 @settings(max_examples=300)
@@ -120,8 +150,7 @@ def test_requantizer_field_invariants():
        st.floats(2 ** -20, 0.999), st.integers(-100, 100))
 def test_requantize_matches_float_oracle(acc, factor, zp):
     zp = max(-128, min(127, zp))
-    r = Requantizer.from_factor(factor, zero_point=zp)
-    got = requantize(acc, r)
+    (got,) = requantized([acc], factor, zero_point=zp)
     want = max(-128, min(127, round(acc * factor) + zp))
     assert abs(got - want) <= 1
 
@@ -131,8 +160,7 @@ def test_requantize_array_matches_scalar(rng):
     factors = rng.uniform(1e-5, 0.9, size=8)
     zp = 5
     rs = [Requantizer.from_factor(f, zero_point=zp) for f in factors]
-    mult = np.array([r.multiplier for r in rs], dtype=np.int64)
-    shift = np.array([r.shift for r in rs], dtype=np.int64)
+    mult, shift = encode_factors(factors)
     acc = rng.integers(-2 ** 31, 2 ** 31, size=(125, 8))
     got = requantize_array(acc, mult, shift, zp)
     for row in range(125):
@@ -146,7 +174,7 @@ EDGE_ACCS = [2 ** 31 - 1, -(2 ** 31 - 1), -2 ** 31, 0, 1, -1]
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
 @pytest.mark.parametrize("per_channel", [True, False])
 def test_requantize_array_matches_scalar_at_the_edges(rng, dtype, per_channel):
-    # factors down to 2^-32 (from_factor's smallest: multiplier 2^30, shift
+    # factors down to 2^-32 (the smallest encodable: multiplier 2^30, shift
     # 31) and a directly built shift of 32, the largest whose rounding term
     # keeps int64 exact for int32 accumulators
     rs = [Requantizer.from_factor(f, zero_point=-3) for f in (2.0 ** -32, 0.37, 1.0)]

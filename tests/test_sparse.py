@@ -1,15 +1,17 @@
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
 from conftest import random_sparse
-from oracles import (dense_conv, dense_conv_int, dense_conv_int_fast, dense_max_pool, densify,
-                     conv_loops, max_rel_dev, scatter_conv, stride2_active_set)
+from oracles import (Requantizer, dense_conv, dense_conv_int, dense_conv_int_fast,
+                     dense_max_pool, densify, conv_loops, max_rel_dev, requantize, scatter_conv,
+                     stride2_active_set)
 
 from lift import cli, sparse
 from lift.errors import ParameterError, ShapeError
-from lift.quant import QuantParams, Requantizer, integer_bias
+from lift.quant import QuantParams, integer_bias
 from lift.sparse import (TILE_ROWS, AddQuant, OutputQuant, SparseTensor2D, _tiles,
                          build_rulebook, sparse_add_projected, sparse_conv_stride2,
                          sparse_max_pool, submanifold_conv)
@@ -308,11 +310,8 @@ class TestOutputQuant:
     @pytest.mark.parametrize("bad", [1.0 + 2.0 ** -52, 1.5, float("nan"), float("inf"),
                                      1 - 2.0 ** -40])
     def test_first_bad_channel_raises_from_factors_error(self, bad):
-        with pytest.raises(ParameterError) as scalar:
-            Requantizer.from_factor(bad)
-        with pytest.raises(ParameterError) as vector:
+        with pytest.raises(ParameterError, match=f"factor {re.escape(repr(bad))} cannot"):
             OutputQuant.from_scales(1.0, [0.25, bad, 2.0], QuantParams(1.0))
-        assert str(vector.value) == str(scalar.value)
 
 
 def tiled_case(rng, n_out, mode, cin, int8=False):
@@ -608,27 +607,31 @@ class TestAddProjected:
         y = sparse_add_projected(base, other, 2)
         assert np.array_equal(y.coords, base.coords)
 
+    @staticmethod
+    def _operand_requantizers(aq):
+        return [Requantizer(multiplier=int(m), shift=int(sh))
+                for m, sh in zip(aq.multipliers, aq.shifts)]
+
     def test_int8_matches_per_site_oracle(self, rng):
-        from lift.quant import requantize
         base = random_sparse(rng, 8, 8, 3, occupancy=0.6, int8=True,
                              qparams=QuantParams(0.1, 4))
         other = random_sparse(rng, 4, 4, 3, occupancy=0.8, int8=True,
                               qparams=QuantParams(0.05, -3))
         out_qp = QuantParams(0.12, 1)
         aq = AddQuant.from_scales(base.qparams, other.qparams, out_qp)
+        r_base, r_other = self._operand_requantizers(aq)
         y = sparse_add_projected(base, other, 2, add_quant=aq)
         other_map = {tuple(c): f for c, f in zip(map(tuple, other.coords), other.features)}
         for (i, j), brow, yrow in zip(base.coords, base.features, y.features):
             orow = other_map.get((i // 2, j // 2))
             for ch in range(3):
-                rb = requantize(int(brow[ch]) - 4, aq.base)
-                ro = requantize(int(orow[ch]) + 3, aq.other) if orow is not None else 0
+                rb = requantize(int(brow[ch]) - 4, r_base)
+                ro = requantize(int(orow[ch]) + 3, r_other) if orow is not None else 0
                 want = max(-128, min(127, rb + ro + 1))
                 assert yrow[ch] == want
 
     @pytest.mark.parametrize("int8", [False, True])
     def test_mostly_missing_other_matches_per_site_oracle(self, rng, int8):
-        from lift.quant import requantize
         base = random_sparse(rng, 60, 44, 3, occupancy=0.5, int8=int8,
                              qparams=QuantParams(0.1, -7) if int8 else None)
         other = random_sparse(rng, 15, 11, 3, occupancy=0.05, int8=int8,
@@ -639,6 +642,7 @@ class TestAddProjected:
             if int8 else None
         y = sparse_add_projected(base, other, 4, add_quant=aq)
         other_map = {tuple(c): f for c, f in zip(other.coords.tolist(), other.features)}
+        r_base, r_other = self._operand_requantizers(aq) if int8 else (None, None)
         missing = 0
         for (i, j), brow, yrow in zip(base.coords.tolist(), base.features, y.features):
             orow = other_map.get((i // 4, j // 4))
@@ -648,10 +652,28 @@ class TestAddProjected:
                 assert yrow.tobytes() == want.tobytes()
                 continue
             for ch in range(3):
-                rb = requantize(int(brow[ch]) + 7, aq.base)
-                ro = requantize(int(orow[ch]) - 9, aq.other) if orow is not None else 0
+                rb = requantize(int(brow[ch]) + 7, r_base)
+                ro = requantize(int(orow[ch]) - 9, r_other) if orow is not None else 0
                 assert yrow[ch] == max(-128, min(127, rb + ro + 2))
         assert missing > 0.8 * len(base)
+
+    def test_add_quant_matches_the_scalar_oracle_at_the_edges(self):
+        # operand factors s_in / s_out with s_out = 1: the 2^-32 floor (a
+        # factor below it is raised to it), the carry at 2^31 and the
+        # saturated mantissa of exactly 1
+        cases = {(2.0 ** -40, 2.0 ** -32): ([1 << 30, 1 << 30], [31, 31]),
+                 (0.5 * (1 - 2.0 ** -40), 1.0): ([1 << 30, (1 << 31) - 1], [0, 0])}
+        for factors, (multipliers, shifts) in cases.items():
+            aq = AddQuant.from_scales(*map(QuantParams, factors), QuantParams(1.0, 3))
+            rs = [Requantizer.from_factor(max(f, 2.0 ** -32)) for f in factors]
+            assert aq.multipliers.tolist() == [r.multiplier for r in rs] == multipliers
+            assert aq.shifts.tolist() == [r.shift for r in rs] == shifts
+            assert aq.multipliers.dtype == aq.shifts.dtype == np.int64
+            assert aq.qparams == QuantParams(1.0, 3)
+
+    def test_add_quant_rejects_a_factor_above_1(self):
+        with pytest.raises(ParameterError, match="factor 1.5 cannot"):
+            AddQuant.from_scales(QuantParams(0.3), QuantParams(1.5), QuantParams(1.0))
 
     def test_dim_mismatch_rejected(self, rng):
         base = random_sparse(rng, 8, 8, 2)
