@@ -197,7 +197,9 @@ def cmd_calibrate(args) -> int:
     act = {site: collector.qparams(site)
            for site in quantize.activation_sites(cfg.network)}
     net = quantize.quantize_network(weights, collector.feature_qparams(), act)
-    weights_io.write_weight_file(args.out, weights_io.int8_network_records(net))
+    records = weights_io.int8_network_records(net)
+    weights_io.records_to_int8_network(records)   # its f32 values, as infer reads them
+    weights_io.write_weight_file(args.out, records)
     print(f"calibrated on {len(paths)} cloud(s) -> {args.out}")
     return 0
 

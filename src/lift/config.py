@@ -132,30 +132,3 @@ def load_config(path) -> EngineConfig:
         raise FormatError(f"{path}: invalid JSON: {e}") from None
     return config_from_dict(doc)
 
-
-def config_to_dict(cfg: EngineConfig) -> dict:
-    return {
-        "grid": {
-            "x_min": cfg.grid.x_min, "x_max": cfg.grid.x_max,
-            "y_min": cfg.grid.y_min, "y_max": cfg.grid.y_max,
-            "z_min": cfg.grid.z_min, "z_max": cfg.grid.z_max,
-            "pillar_size_x": cfg.grid.pillar_size_x,
-            "pillar_size_y": cfg.grid.pillar_size_y,
-            "max_points_per_pillar": cfg.grid.max_points_per_pillar,
-        },
-        "features": {
-            "normalize_intensity": cfg.features.normalize_intensity,
-            "include_pillar_offsets": cfg.features.include_pillar_offsets,
-        },
-        "network": {
-            "encoder_out": cfg.network.encoder_out,
-            "stage_channels": list(cfg.network.stage_channels),
-            "stage_depths": list(cfg.network.stage_depths),
-            "align_channels": cfg.network.align_channels,
-            "num_classes": cfg.network.num_classes,
-            "class_names": list(cfg.network.class_names),
-        },
-        "decode": {"score_threshold": cfg.score_threshold, "top_k": cfg.top_k},
-        "calibration": {"mode": cfg.calibration_mode,
-                        "percentile": cfg.calibration_percentile},
-    }

@@ -103,6 +103,12 @@ class Op:
     def out_width(self, cin: int) -> int | None:
         return cin if self.keeps_width else self.cout
 
+    @property
+    def tensor_prefix(self) -> str:
+        """Name prefix of a fused or int8 conv op's tensors; backbone
+        layers name their branch, as training-form files do."""
+        return f"{self.name}.fused" if self.stage else self.name
+
 
 def _layer_name(stage: int, idx: int) -> str:
     return f"stage{stage}.layer{idx}"
@@ -422,7 +428,7 @@ def run_network(pillars: PillarSet, weights: NetworkWeights, grid: GridConfig,
 
 
 # ---------------------------------------------------------------------------
-# structure: fusion of a whole network, graph audit, random weights
+# structure: fusion of a whole network, residual-add audit, random weights
 
 
 def fuse_network(weights: NetworkWeights) -> NetworkWeights:
@@ -443,35 +449,19 @@ def fold_linear_bn(weight: np.ndarray, bias: np.ndarray, bn: BnParams):
     return weight * inv, (bias - bn.running_mean) * inv + bn.beta
 
 
-@dataclass(frozen=True)
-class GraphOp:
-    name: str
-    kind: str                    # conv | add | relu | encode
-
-
-def inference_graph(weights: NetworkWeights) -> list:
-    """Structural op list of the network as it would execute.
-
-    Training-form layers expand into one conv per branch and one add
-    per extra branch; fused layers are one conv, so a fused graph
-    carries residual adds only at the two multi-scale fusion points.
-    """
-    graph = [GraphOp("dbpfn", "encode")]
+def residual_adds(weights: NetworkWeights) -> list:
+    """Names of the adds the network runs, in order: the projected adds and
+    one per extra branch of each training-form layer, so a fused network
+    adds only at the two multi-scale fusion points."""
+    adds = []
     for op in weights.ops:
         layer = weights.layers.get(op.name)
         if isinstance(layer, RepConvLayer):
             branches = 3 if layer.identity_bn is not None else 2
-            graph += [GraphOp(f"{op.name}.branch{b}", "conv") for b in range(branches)]
-            graph += [GraphOp(f"{op.name}.branch_sum{b}", "add") for b in range(branches - 1)]
-        else:
-            graph.append(GraphOp(op.name, op.kind))
-        if op.relu:
-            graph.append(GraphOp(f"{op.name}.relu", "relu"))
-    return graph
-
-
-def residual_add_count(weights: NetworkWeights) -> int:
-    return sum(1 for op in inference_graph(weights) if op.kind == "add")
+            adds += [f"{op.name}.branch_sum{b}" for b in range(branches - 1)]
+        elif op.kind == "add":
+            adds.append(op.name)
+    return adds
 
 
 def fusion_probe_deviation(train: NetworkWeights, fused: NetworkWeights,

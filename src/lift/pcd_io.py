@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -105,21 +106,18 @@ def write_detections(boxes, path) -> None:
 
     Lines are ordered by descending score, ties broken by ascending
     (x, y, class_id), so identical inputs diff byte-identically.
-    Floats use Python's shortest round-trip repr (full precision).
+    Floats use Python's shortest round-trip repr (full precision). Each
+    line is json.dumps of the box's dict (NaN, Infinity, ASCII escapes):
+    one json.dumps formats every float, one f-string per box its line.
     """
     ordered = sorted(boxes, key=detection_sort_key)
+    floats = json.dumps([float(v) for b in ordered
+                         for v in (b.score, b.x, b.y, b.z, b.l, b.w, b.h, b.yaw)])
+    # no float's text holds ", ": split the list back into 8 per box
+    per_box = zip(*[iter(floats[1:-1].split(", "))] * 8)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for b in ordered:
-            record = {
-                "class_id": int(b.class_id),
-                "class_name": b.class_name,
-                "score": float(b.score),
-                "x": float(b.x),
-                "y": float(b.y),
-                "z": float(b.z),
-                "l": float(b.l),
-                "w": float(b.w),
-                "h": float(b.h),
-                "yaw": float(b.yaw),
-            }
-            f.write(json.dumps(record) + "\n")
+        f.write("".join(
+            f'{{"class_id": {int(b.class_id)}, '
+            f'"class_name": {encode_basestring_ascii(b.class_name)}, "score": {score}, '
+            f'"x": {x}, "y": {y}, "z": {z}, "l": {l}, "w": {w}, "h": {h}, "yaw": {yaw}}}\n'
+            for b, (score, x, y, z, l, w, h, yaw) in zip(ordered, per_box)))

@@ -49,13 +49,13 @@ def dequantize(q, qp: QuantParams):
     return x if x.ndim else float(x)
 
 
-def integer_bias(bias, in_scale: float, weight_scales, taps: int) -> np.ndarray:
+def integer_bias(bias, in_scale, weight_scales, taps) -> np.ndarray:
     """A layer's bias on its accumulator scale, rint(bias / (in_scale * s_w)).
 
-    The values are integers held in float64. The layer adds taps
-    products (K * K * Cin for a conv, the feature count for the encoder)
-    onto them. RangeError unless every |bias_q| + taps * 255 * 128 is
-    below 2^31, the int32 accumulator bound; NaN and inf fail too.
+    Integers held in float64. The layer adds taps products (K * K * Cin
+    for a conv, the feature count for the encoder; in_scale and taps may
+    be per channel) onto them. RangeError unless every |bias_q| + taps *
+    255 * 128 is below 2^31, the int32 accumulator bound; NaN and inf fail.
     """
     bias_q = np.rint(bias / (in_scale * weight_scales))
     ok = np.abs(bias_q) < 2 ** 31 - taps * 255 * 128   # False for NaN
@@ -122,8 +122,9 @@ def encode_factors(factors) -> tuple[np.ndarray, np.ndarray]:
     multipliers[one], shifts[one] = (1 << 31) - 1, 0
     ok &= shifts >= 0
     if not ok.all():
-        raise ParameterError(f"requantization factor {float(factors[~ok][0])!r} cannot be "
-                             f"encoded as a Q31 multiplier with a right shift")
+        bad = float(factors[~ok][0])
+        raise ParameterError(f"requantization factor {bad!r} cannot be encoded as a Q31 "
+                             f"multiplier with a right shift{', above 1' if bad > 1 else ''}")
     return multipliers, shifts
 
 
@@ -136,8 +137,8 @@ def requantize_array(acc: np.ndarray, multipliers: np.ndarray, shifts: np.ndarra
     floor(x + 1/2) (ties toward +inf), adds the output zero point and
     clamps. acc holds integers (int32 from a conv, int64, or float64
     from the encoder) that must lie within int32 range: callers keep the
-    accumulator bound that integer_bias checks, and the int8 weight
-    reader and quantize_network enforce it. multipliers/shifts broadcast
+    accumulator bound that integer_bias checks, and every Int8Network
+    enforces it when it is made. multipliers/shifts broadcast
     to acc's shape (per channel along the last axis, or scalars). int64
     is exact here: shifts stay <= 31 because encode_factors bounds
     factors below by 2^-32. relu also clamps at the zero point (real 0),

@@ -7,21 +7,22 @@ magnitude by construction); those scales are folded into the encoder
 weights before weight quantization so the integer pipeline still sees a
 single accumulator scale per output channel. Everything downstream is
 per-tensor activations + per-output-channel weights, with fixed-point
-requantizers derived from the stored scales as each op runs.
+requantizers derived from the stored scales as each op runs. Whoever
+makes an Int8Network gets the int8 contract checked once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, RangeError, ShapeError
+from .errors import CalibrationError, ParameterError, RangeError, ShapeError
 from .network import (ENCODER_SITE, InferenceResult, NetworkConfig, NetworkWeights, Op,
                       dual_bound_pool, network_ops, run_encoded)
 from .pillarizer import GridConfig, PillarSet
-from .quant import (INT8_MAX, INT8_MIN, QuantParams, calibrate, integer_bias,
-                    requantize_array)
+from .quant import (INT8_MAX, INT8_MIN, QuantParams, calibrate, encode_factors,
+                    integer_bias, requantize_array)
 from .sparse import (EXACT_F32_CHANNELS, AddQuant, OutputQuant, SparseTensor2D,
                      sparse_add_projected, sparse_conv_stride2, submanifold_conv)
 
@@ -86,12 +87,6 @@ class CalibrationCollector:
                 for f in range(los.size)]
 
 
-def _as_stored(values) -> np.ndarray:
-    """values as a weight file stores them: rounded to float32, held in
-    float64."""
-    return np.asarray(values, dtype=np.float32).astype(np.float64)
-
-
 def _quantize_per_channel(kernel: np.ndarray, axis: int):
     """Symmetric int8 per-channel weights: scale = maxabs / 127."""
     reduce_axes = tuple(a for a in range(kernel.ndim) if a != axis)
@@ -116,20 +111,53 @@ class Int8Weights:
     def cout(self) -> int:
         return self.q_weight.shape[-1]
 
-    def integer_bias(self, in_scale: float) -> np.ndarray:
-        """The bias on the accumulator scale; RangeError if it breaks
-        the int32 accumulator bound (see quant.integer_bias)."""
-        return integer_bias(self.bias, in_scale, self.weight_scales,
-                            self.q_weight.size // self.cout)
-
 
 @dataclass
 class Int8Network:
+    """Int8 weights and activation params, checked once, when made: every
+    requantization factor encodes (quant.encode_factors, as the plans do)
+    and every bias keeps the int32 accumulator bound (quant.integer_bias;
+    bias_q keeps them by op name, "dbpfn" for the encoder). RangeError
+    names the tensor at fault and its op."""
+
     feature_qps: list
     encoder: Int8Weights
     ops: tuple                   # network_ops of the stage depths
     layers: dict                 # conv op name -> Int8Weights
     act: dict                    # site -> QuantParams
+    bias_q: dict = field(init=False, repr=False)   # op name -> int32 (Cout,)
+
+    def __post_init__(self):
+        act = self.act
+        convs = [("dbpfn", "dbpfn.linear", self.encoder, 1.0, ENCODER_SITE)] + [
+            (op.name, op.tensor_prefix, self.layers[op.name], act[op.inputs[0]].scale,
+             op.output) for op in self.ops if op.kind == "conv"]
+        # (op, output site, s_in, s_w) per conv, and per add operand with s_w = 1
+        rescales = [(name, out, s_in, w.weight_scales) for name, _, w, s_in, out in convs] + [
+            (op.name, op.output, act[s].scale, np.ones(1))
+            for op in self.ops if op.kind == "add" for s in op.inputs]
+        # each check is one array pass over every op, on the values the plans use
+        sizes = [r[3].size for r in rescales]
+        s_in = np.repeat([r[2] for r in rescales], sizes)
+        s_w = np.concatenate([r[3] for r in rescales])
+        bias = np.concatenate([c[2].bias for c in convs])
+        try:
+            encode_factors(s_in * s_w / np.repeat([act[r[1]].scale for r in rescales], sizes))
+            bias_q = integer_bias(bias, s_in[:bias.size], s_w[:bias.size], np.repeat(
+                [c[2].q_weight.size // c[2].cout for c in convs], sizes[:len(convs)]))
+        except (ParameterError, RangeError):
+            for name, site, s, w in rescales:   # again op by op, to name the first breach
+                try:
+                    encode_factors(s * w / act[site].scale)
+                except ParameterError as e:
+                    raise RangeError(f"tensor 'act.{site}.scale': op {name!r}: {e}") from None
+            for name, prefix, w, s, _ in convs:
+                try:
+                    integer_bias(w.bias, s, w.weight_scales, w.q_weight.size // w.cout)
+                except RangeError as e:
+                    raise RangeError(f"tensor '{prefix}.bias': op {name!r}: {e}") from None
+        self.bias_q = dict(zip([c[0] for c in convs], np.split(
+            bias_q.astype(np.int32), np.cumsum(sizes)[:len(convs) - 1])))
 
     def apply(self, op: Op, xs: list, threads: int = 1) -> SparseTensor2D:
         """One op on int8 tensors, its ReLU included (a conv clamps at the
@@ -144,7 +172,7 @@ class Int8Network:
         in_scale = act[op.inputs[0]].scale
         oq = OutputQuant.from_scales(in_scale, conv.weight_scales, act[op.output])
         fn = sparse_conv_stride2 if op.mode == "stride2" else submanifold_conv
-        return fn(xs[0], conv.q_weight, conv.integer_bias(in_scale), out_quant=oq,
+        return fn(xs[0], conv.q_weight, self.bias_q[op.name], out_quant=oq,
                   threads=threads, relu=op.relu)
 
 
@@ -168,24 +196,12 @@ def quantize_network(weights: NetworkWeights, feature_qps: list,
             act[site] = QuantParams(scale=needed * _SCALE_MARGIN,
                                     zero_point=qp.zero_point)
 
-    def check_bias(name: str, layer: Int8Weights, in_scale: float):
-        # on the stored values, which the int8 reader checks
-        stored = replace(layer, bias=_as_stored(layer.bias),
-                         weight_scales=_as_stored(layer.weight_scales))
-        try:
-            stored.integer_bias(float(_as_stored(in_scale)))
-        except RangeError as e:
-            raise CalibrationError(f"op {name!r}: {e}") from None
-
     scales = np.array([qp.scale for qp in feature_qps])
     folded = weights.dbpfn.weight * scales[:, None]
     q_w, w_scales = _quantize_per_channel(folded, axis=1)
     widen(ENCODER_SITE, float(w_scales.max()))
     encoder = Int8Weights(q_weight=q_w, weight_scales=w_scales,
                          bias=np.asarray(weights.dbpfn.bias, dtype=np.float64))
-
-    check_bias("dbpfn", encoder, 1.0)
-
     layers = {}
     for op in weights.ops:
         if op.kind == "add":
@@ -197,9 +213,11 @@ def quantize_network(weights: NetworkWeights, feature_qps: list,
         widen(op.output, act[op.inputs[0]].scale * float(ws.max()))
         layers[op.name] = Int8Weights(q_weight=qk, weight_scales=ws,
                                       bias=np.asarray(layer.bias, dtype=np.float64))
-        check_bias(op.name, layers[op.name], act[op.inputs[0]].scale)
-    return Int8Network(feature_qps=list(feature_qps), encoder=encoder, ops=weights.ops,
-                       layers=layers, act=act)
+    try:
+        return Int8Network(feature_qps=list(feature_qps), encoder=encoder,
+                           ops=weights.ops, layers=layers, act=act)
+    except RangeError as e:
+        raise CalibrationError(str(e)) from None
 
 
 def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
@@ -234,7 +252,7 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
     del centered
     acc = dual_bound_pool(products, pillars.offsets).astype(np.int32)
     del products
-    acc += np.tile(net.encoder.integer_bias(1.0).astype(np.int32), 2)
+    acc += np.tile(net.bias_q["dbpfn"], 2)
     oq = OutputQuant.from_scales(1.0, net.encoder.weight_scales, enc_qp)
     q = requantize_array(acc, np.tile(oq.multipliers, 2), np.tile(oq.shifts, 2),
                          enc_qp.zero_point)

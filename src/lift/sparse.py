@@ -27,8 +27,8 @@ tiling and the number of workers.
 
 The int8 path sums into int32 accumulators that start at the integer
 bias. Its precondition is the int32 accumulator bound: |bias| + K * K *
-Cin * 255 * 128 < 2^31 (quant.integer_bias, checked by the int8 weight
-reader and by quantize_network), so no sum overflows. The GEMMs run on
+Cin * 255 * 128 < 2^31 (quant.integer_bias, checked when a
+quantize.Int8Network is made), so no sum overflows. The GEMMs run on
 centered inputs (|q - zero_point| <= 255) and weights (|w| <= 128) in
 float32, over G = 514 // Cin offsets at a time: G * Cin * 255 * 128 <=
 16,776,960 < 2^24, so every product and partial sum is an integer
@@ -388,8 +388,8 @@ def submanifold_conv(x: SparseTensor2D, w, bias=None, out_quant: OutputQuant | N
     zero point (int8), matching zero-padded dense semantics. relu
     rectifies the output as relu() would. An int8 call requires the
     integer bias to keep the int32 accumulator bound, |bias| + K * K *
-    Cin * 255 * 128 < 2^31; this function does not check it, the int8
-    weight reader and quantize_network do.
+    Cin * 255 * 128 < 2^31; this function does not check it, making a
+    quantize.Int8Network does.
     """
     if np.asarray(w).shape[0] not in (1, 3):
         raise ParameterError("submanifold kernel must be 1x1 or 3x3")

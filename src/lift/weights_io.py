@@ -24,8 +24,7 @@ kernel against its op with one shared check; the int8 reader also
 rejects files that break the int8 contract: weights with nonzero zero
 points or non-finite or non-positive scales, activation params with
 such scales or with zero points that are not integers in [-128, 127],
-biases that break the int32 accumulator bound (quant.integer_bias), and
-activation scales that give an op a requantization factor above 1.
+and what making its Int8Network refuses, as a FormatError.
 """
 
 from __future__ import annotations
@@ -189,12 +188,6 @@ def file_kind(records) -> str:
 # networks <-> records: tensor names are op names, one shared dims check
 
 
-def _prefix(op: Op) -> str:
-    """Name prefix of a fused or int8 conv op's tensors; backbone layers
-    name their branch, as training-form files do."""
-    return f"{op.name}.fused" if op.stage else op.name
-
-
 def _bn_records(prefix: str, bn: BnParams) -> list:
     return [TensorRecord(f"{prefix}.gamma", _f32(bn.gamma)),
             TensorRecord(f"{prefix}.beta", _f32(bn.beta)),
@@ -217,8 +210,8 @@ def float_network_records(weights: NetworkWeights) -> list:
             if layer.identity_bn is not None:
                 recs += _bn_records(f"{op.name}.identity.bn", layer.identity_bn)
         elif layer is not None:
-            recs.append(TensorRecord(f"{_prefix(op)}.kernel", _f32(layer.kernel)))
-            recs.append(TensorRecord(f"{_prefix(op)}.bias", _f32(layer.bias)))
+            recs.append(TensorRecord(f"{op.tensor_prefix}.kernel", _f32(layer.kernel)))
+            recs.append(TensorRecord(f"{op.tensor_prefix}.bias", _f32(layer.bias)))
     return recs
 
 
@@ -307,9 +300,9 @@ def records_to_float_network(records) -> NetworkWeights:
 
     def read_conv(op: Op, cin: int):
         if form == "fused" or not op.stage:
-            kernel = _conv_kernel(rm, f"{_prefix(op)}.kernel", op, cin).data
+            kernel = _conv_kernel(rm, f"{op.tensor_prefix}.kernel", op, cin).data
             return FusedConvLayer(kernel=kernel.astype(np.float64),
-                                  bias=rm.array(f"{_prefix(op)}.bias", (kernel.shape[3],)))
+                                  bias=rm.array(f"{op.tensor_prefix}.bias", (kernel.shape[3],)))
         k3 = _conv_kernel(rm, f"{op.name}.branch3x3.kernel", op, cin).data
         cout = k3.shape[3]
         # stride-2 layers have no identity branch: check_all_used names a stray one
@@ -344,7 +337,7 @@ def _validate(ops, layers: dict, encoder_dims, form: str, cfg: EngineConfig) -> 
     for op in network_ops(net.stage_depths, net):
         cout = widths[op.output] = op.out_width(widths[op.inputs[0]])
         if op.kind == "conv" and layers[op.name].cout != cout:
-            kernel = f"{op.name}.branch3x3" if form == "train" and op.stage else _prefix(op)
+            kernel = f"{op.name}.branch3x3" if form == "train" and op.stage else op.tensor_prefix
             raise FormatError(f"tensor '{kernel}.kernel': expected {cout} output "
                               f"channels, got {layers[op.name].cout}")
 
@@ -378,9 +371,9 @@ def int8_network_records(net: Int8Network) -> list:
     for op in net.ops:
         if op.kind == "conv":
             conv = net.layers[op.name]
-            recs.append(_i8_record(f"{_prefix(op)}.kernel", conv.q_weight, 3,
+            recs.append(_i8_record(f"{op.tensor_prefix}.kernel", conv.q_weight, 3,
                                    conv.weight_scales))
-            recs.append(TensorRecord(f"{_prefix(op)}.bias", _f32(conv.bias)))
+            recs.append(TensorRecord(f"{op.tensor_prefix}.bias", _f32(conv.bias)))
         recs += _qp_records(f"act.{op.output}", net.act[op.output])
     return recs
 
@@ -430,23 +423,6 @@ def _i8_weights(rec: TensorRecord, axis: int):
     return rec.data, q.scales.astype(np.float64)
 
 
-def _check_bias(name: str, layer: Int8Weights, in_scale: float) -> None:
-    try:
-        layer.integer_bias(in_scale)
-    except RangeError as e:
-        raise FormatError(f"tensor {name!r}: {e}") from None
-
-
-def _check_factor(act: dict, op_name: str, out_site: str, in_scale: float,
-                  weight_scale: float) -> None:
-    """An op's largest requantization factor (that of its largest weight
-    scale) must not exceed 1; the output scale is the tensor named."""
-    factor = in_scale * weight_scale / act[out_site].scale
-    if factor > 1.0:
-        raise FormatError(f"tensor 'act.{out_site}.scale': op {op_name!r} would "
-                          f"requantize by {factor:.6g}, above 1")
-
-
 def records_to_int8_network(records) -> Int8Network:
     rm = _RecordMap(records)
     feature_qps = _qp_from(rm, INPUT_FEATURES_SITE)
@@ -455,22 +431,15 @@ def records_to_int8_network(records) -> Int8Network:
                          bias=rm.array("dbpfn.linear.bias", (q_w.shape[1],)))
 
     def read_conv(op: Op, cin: int) -> Int8Weights:
-        qk, ws = _i8_weights(_conv_kernel(rm, f"{_prefix(op)}.kernel", op, cin), 3)
+        qk, ws = _i8_weights(_conv_kernel(rm, f"{op.tensor_prefix}.kernel", op, cin), 3)
         return Int8Weights(q_weight=qk, weight_scales=ws,
-                           bias=rm.array(f"{_prefix(op)}.bias", (qk.shape[3],)))
+                           bias=rm.array(f"{op.tensor_prefix}.bias", (qk.shape[3],)))
 
     ops, layers = _read_layers(rm, "fused", q_w.shape[1], read_conv)
     act = {site: _act_from(rm, site) for site in [ENCODER_SITE] + [op.output for op in ops]}
-    _check_bias("dbpfn.linear.bias", encoder, 1.0)
-    _check_factor(act, "dbpfn", ENCODER_SITE, 1.0, max(w_scales.tolist()))
-    for op in ops:
-        if op.kind == "conv":
-            layer, in_scale = layers[op.name], act[op.inputs[0]].scale
-            _check_bias(f"{_prefix(op)}.bias", layer, in_scale)
-            _check_factor(act, op.name, op.output, in_scale, max(layer.weight_scales.tolist()))
-        else:
-            for site in op.inputs:
-                _check_factor(act, op.name, op.output, act[site].scale, 1.0)
     rm.check_all_used()
-    return Int8Network(feature_qps=feature_qps, encoder=encoder, ops=ops, layers=layers,
-                       act=act)
+    try:
+        return Int8Network(feature_qps=feature_qps, encoder=encoder, ops=ops, layers=layers,
+                           act=act)
+    except RangeError as e:
+        raise FormatError(str(e)) from None

@@ -19,7 +19,7 @@ import numpy as np
 from lift.errors import ParameterError
 from lift.network import ENCODER_SITE, LOG_SIZE_CLAMP, OFFSET_CLAMP, DetectionBox
 from lift.pillarizer import FEATURE_NAMES, PillarSet, coarse_detail_split
-from lift.quant import INT8_MAX, INT8_MIN, QuantParams, dequantize
+from lift.quant import INT8_MAX, INT8_MIN, QuantParams, dequantize, integer_bias
 from lift.sparse import OutputQuant, SparseTensor2D, sparse_max_pool
 
 
@@ -386,9 +386,10 @@ def encode_int8_reference(pillars, net):
     centered = np.column_stack([
         np.subtract(quantize(pillars.features[:, f], qp), qp.zero_point, dtype=np.float64)
         for f, qp in enumerate(net.feature_qps)])
-    acc = centered @ net.encoder.q_weight.astype(np.float64) + net.encoder.integer_bias(1.0)
-    enc_qp = net.act[ENCODER_SITE]
-    oq = OutputQuant.from_scales(1.0, net.encoder.weight_scales, enc_qp)
+    enc, enc_qp = net.encoder, net.act[ENCODER_SITE]
+    acc = centered @ enc.q_weight.astype(np.float64) + integer_bias(
+        enc.bias, 1.0, enc.weight_scales, enc.q_weight.shape[0])
+    oq = OutputQuant.from_scales(1.0, enc.weight_scales, enc_qp)
     starts = pillars.offsets[:-1]
     return np.concatenate([
         requant_ref(pool.reduceat(acc, starts, axis=0), oq.multipliers, oq.shifts,

@@ -17,8 +17,8 @@ from oracles import (brute_force_taps, dense_conv, dense_conv_int_fast,
 from lift.analysis import DEFAULT_BUDGET_GMAC, count_macs_network, dpu_budget
 from lift.cli import main
 from lift.config import config_from_dict
-from lift.network import (DbpfnParams, dbpfn_encode, fuse_network, inference_graph,
-                          random_network_weights, residual_add_count, run_network)
+from lift.network import (DbpfnParams, dbpfn_encode, fuse_network, random_network_weights,
+                          residual_adds, run_network)
 from lift.pcd_io import PointCloud
 from lift.pillarizer import (coarse_detail_split, coarse_resolution,
                              effective_detail_step, pillarize)
@@ -261,13 +261,11 @@ def test_criterion_9_skip_connection_audit(capsys):
     cfg = config_from_dict(ACCEPT_CONFIG)
     train = random_network_weights(cfg.network, cfg.feature_length, 3, "train")
     fused = fuse_network(train)
-    fused_adds = [op.name for op in inference_graph(fused) if op.kind == "add"]
-    ok = (fused_adds == ["fusion.add3", "fusion.add4"]
-          and residual_add_count(fused) == 2
-          and residual_add_count(train) > 2)
+    train_adds = residual_adds(train)
+    ok = residual_adds(fused) == ["fusion.add3", "fusion.add4"] and len(train_adds) > 2
     with capsys.disabled():
         report(9, f"fused graph has exactly 2 residual adds (multi-scale fusion), "
-                  f"training graph has {residual_add_count(train)}", ok)
+                  f"training graph has {len(train_adds)}", ok)
 
 
 def test_criterion_10_int8_float_agreement(capsys):

@@ -526,6 +526,25 @@ class TestInt8Contract:
                                  cloud=str(tmp_path / "absent.bin"))
         assert f"op {op!r}" in err and "above 1" in err and "absent.bin" not in err
 
+    def test_act_scale_giving_a_factor_just_below_1(self, workspace, tmp_path, capsys):
+        # every value f32: s_in = (1 - 2^-20) * 2^m, s_w = 1 + 2^-20 and
+        # s_out = 2^m give head.reg.out the factor 1 - 2^-40, which no Q31
+        # multiplier with a right shift encodes; rejected at load, not run
+        name = "act.head.reg.out.scale"
+
+        def mutate(recs):
+            in_scale = recs["act.head.reg.conv.out.scale"].data
+            m = int(np.ceil(np.log2(float(in_scale[0])))) + 1
+            in_scale[0] = (1 - 2.0 ** -20) * 2.0 ** m
+            kernel = recs["head.reg.out.kernel"]
+            kernel.quant.scales[:] = 1 + 2.0 ** -20
+            recs[name].data[0] = 2.0 ** m
+            factor = float(in_scale[0]) * float(kernel.quant.scales[0]) / 2.0 ** m
+            assert factor == 1 - 2.0 ** -40
+        err = self.infer_mutated(workspace, tmp_path, capsys, name, mutate,
+                                 cloud=str(tmp_path / "absent.bin"))
+        assert "op 'head.reg.out'" in err and "absent.bin" not in err
+
 
 def test_calibrate_rejects_a_bias_past_the_accumulator_bound(workspace, tmp_path, capsys):
     from lift.weights_io import read_weight_file, write_weight_file
@@ -543,6 +562,51 @@ def test_calibrate_rejects_a_bias_past_the_accumulator_bound(workspace, tmp_path
     err = capsys.readouterr().err
     assert "op 'stage2.layer1'" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_calibrate_reads_back_what_it_would_write(workspace, tmp_path, capsys, monkeypatch):
+    # the file holds f32 copies of the scales: a bias the float64 scales
+    # keep inside the accumulator bound, but the stored ones do not, is
+    # refused by calibrate as infer would refuse it, and nothing is written
+    from lift import quantize
+    from lift.weights_io import read_weight_file, write_weight_file
+
+    tmp_path, cfg_path, _ = workspace
+    clouds = tmp_path / "cal"
+    clouds.mkdir()
+    write_cloud(clouds / "a.bin", n=500, seed=3)
+    path = gen(tmp_path, cfg_path, "fused")
+    built = []
+    quantize_network = quantize.quantize_network
+    monkeypatch.setattr(quantize, "quantize_network",
+                        lambda *args: built.append(quantize_network(*args)) or built[-1])
+    argv = ["calibrate", "--clouds", str(clouds), "--config", cfg_path]
+    assert main(argv + ["--weights", path, "--out", str(tmp_path / "int8.w")]) == 0
+
+    op = "stage2.layer1"
+    layer, in_scale = built[0].layers[op], built[0].act["stage2.layer0.out"].scale
+    limit = 2 ** 31 - layer.q_weight.size // layer.cout * 255 * 128
+
+    def stored_only(c):
+        """The largest f32 bias of channel c the float64 check passes, if
+        the stored check refuses it."""
+        step = in_scale * layer.weight_scales[c]
+        step32 = float(np.float32(in_scale)) * float(np.float32(layer.weight_scales[c]))
+        b = np.float32(limit * step)
+        while np.rint(float(b) / step) >= limit:
+            b = np.nextafter(b, np.float32(0))
+        return float(b) if np.rint(float(b) / step32) >= limit else None
+
+    c, bias = next((c, b) for c in range(layer.cout) if (b := stored_only(c)) is not None)
+    records = read_weight_file(path)
+    {r.name: r for r in records}[f"{op}.fused.bias"].data[c] = bias
+    write_weight_file(path, records)
+    capsys.readouterr()
+    out = tmp_path / "refused.w"
+    assert main(argv + ["--weights", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"tensor '{op}.fused.bias': op '{op}'" in err and "int32 accumulator" in err
+    assert len(built) == 2 and not out.exists()
 
 
 TINY_CONFIG_DOC = dict(CONFIG_DOC, network={

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from lift.config import EngineConfig, config_from_dict, config_to_dict, load_config
+from lift.config import EngineConfig, config_from_dict, load_config
 from lift.errors import FormatError
 
 
@@ -24,9 +25,20 @@ def test_empty_document_is_all_defaults():
     assert config_from_dict({}) == EngineConfig()
 
 
-def test_round_trip_through_dict():
-    cfg = config_from_dict({"decode": {"score_threshold": 0.3}})
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+def test_readme_default_document_is_the_default_config():
+    # every key, each through its parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Configuration"):]
+    doc = json.loads(section[section.index("```json") + 7:section.index("\n```\n")])
+    assert {k: sorted(v) for k, v in doc.items()} == {
+        "grid": ["max_points_per_pillar", "pillar_size_x", "pillar_size_y", "x_max",
+                 "x_min", "y_max", "y_min", "z_max", "z_min"],
+        "features": ["include_pillar_offsets", "normalize_intensity"],
+        "network": ["align_channels", "encoder_out", "num_classes", "stage_channels",
+                    "stage_depths"],
+        "decode": ["score_threshold", "top_k"],
+        "calibration": ["mode", "percentile"]}
+    assert config_from_dict(doc) == EngineConfig()
 
 
 def test_unknown_section_rejected():

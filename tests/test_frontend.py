@@ -138,14 +138,18 @@ def test_pillarize_matches_oracle_on_the_largest_grid(rng):
 # int8 encoder
 
 
-def _int8_encoder(rng, n_features, hidden, bias_q, weight_scales, out_scale):
-    """An Int8Network holding only what encode_int8 reads. Feature zero
-    points alternate between -128 and 127, so saturated features center
-    to +255 and -255; weights are int8, biases integers on scale 1."""
-    feature_qps = [QuantParams(scale=0.5, zero_point=-128 if f % 2 else 127)
-                   for f in range(n_features)]
-    q_weight = rng.choice(np.array([-128, 127, -1, 0, 1, 93], dtype=np.int8),
-                          size=(n_features, hidden), p=[0.4, 0.4, 0.05, 0.05, 0.05, 0.05])
+def _int8_weights(rng, n_features, hidden):
+    return rng.choice(np.array([-128, 127, -1, 0, 1, 93], dtype=np.int8),
+                      size=(n_features, hidden), p=[0.4, 0.4, 0.05, 0.05, 0.05, 0.05])
+
+
+def _int8_encoder(q_weight, bias_q, weight_scales, out_scale, feature_qps=None):
+    """An Int8Network holding only what encode_int8 reads, with biases
+    integers on scale 1. Feature zero points alternate between -128 and
+    127 unless given, so saturated features center to +255 and -255."""
+    if feature_qps is None:
+        feature_qps = [QuantParams(scale=0.5, zero_point=-128 if f % 2 else 127)
+                       for f in range(q_weight.shape[0])]
     encoder = Int8Weights(q_weight=q_weight, weight_scales=np.asarray(weight_scales),
                           bias=np.asarray(bias_q, dtype=np.float64) * weight_scales)
     return Int8Network(feature_qps=feature_qps, encoder=encoder, ops=(), layers={},
@@ -173,7 +177,8 @@ def test_encode_int8_matches_the_float64_reduceat_formula(rng):
     bias_q[:2] = 0
     weight_scales = 2.0 ** -rng.integers(0, 4, hidden)
     weight_scales[:2] = 2.0 ** 10
-    net = _int8_encoder(rng, n_features, hidden, bias_q, weight_scales, out_scale=2.0 ** 24)
+    net = _int8_encoder(_int8_weights(rng, n_features, hidden), bias_q, weight_scales,
+                        out_scale=2.0 ** 24)
     pillars = _pillars(rng, rng.integers(1, 21, 300), n_features)
     x = encode_int8(pillars, net)
     assert x.is_int8 and np.array_equal(x.coords, pillars.coords)
@@ -183,17 +188,19 @@ def test_encode_int8_matches_the_float64_reduceat_formula(rng):
 
 def test_encode_int8_stays_exact_past_the_float32_feature_count(rng):
     n_features, hidden = EXACT_F32_CHANNELS + 86, 4
-    net = _int8_encoder(rng, n_features, hidden, np.zeros(hidden), np.ones(hidden), 1.0)
     # on channel 0, point 0 sums F - 1 products 255 * -128 and one 1 * 1: an
     # odd integer above 2^24 in magnitude, which float32 cannot hold; the
     # bias brings the pooled sum back to 1
-    net.feature_qps[:-1] = [QuantParams(scale=0.5, zero_point=-128)] * (n_features - 1)
-    net.feature_qps[-1] = QuantParams(scale=1.0, zero_point=0)
-    net.encoder.q_weight[:, 0] = -128
-    net.encoder.q_weight[-1, 0] = 1
+    feature_qps = [QuantParams(scale=0.5, zero_point=-128)] * (n_features - 1)
+    feature_qps.append(QuantParams(scale=1.0, zero_point=0))
+    q_weight = _int8_weights(rng, n_features, hidden)
+    q_weight[:, 0] = -128
+    q_weight[-1, 0] = 1
     total = -(n_features - 1) * 255 * 128 + 1
     assert abs(total) > 2 ** 24 and total % 2
-    net.encoder.bias[0] = 1 - total
+    bias_q = np.zeros(hidden)
+    bias_q[0] = 1 - total
+    net = _int8_encoder(q_weight, bias_q, np.ones(hidden), 1.0, feature_qps)
     pillars = _pillars(rng, [1, 3, 2], n_features)
     pillars.features[0, :-1] = 1e4
     pillars.features[0, -1] = 1.0

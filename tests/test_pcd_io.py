@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from lift.errors import FormatError
 from lift.network import DetectionBox
-from lift.pcd_io import read_binary_cloud, read_text_cloud, write_detections
+from lift.pcd_io import (detection_sort_key, read_binary_cloud, read_text_cloud,
+                         write_detections)
 
 
 def pack_records(rows, stride):
@@ -131,6 +133,26 @@ def test_write_detections_schema(tmp_path):
     record = json.loads(lines[0])
     assert set(record) == {"class_id", "class_name", "score", "x", "y", "z",
                            "l", "w", "h", "yaw"}
+
+
+def test_write_detections_matches_json_dumps_byte_for_byte(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, -2.5]
+    names = ["car", "Fu\u00dfg\u00e4nger", "\u81ea\u8ee2\u8eca \U0001f6b2", 'cone "q" \\ \t']
+    boxes = [DetectionBox(class_id=k % 4, class_name=names[k % 4], score=(k % 7) / 7,
+                          x=specials[k % 9], y=specials[(k + 2) % 9], z=specials[(k + 4) % 9],
+                          l=1.5 + k, w=2.0 ** -k, h=1e-300 * (k + 1), yaw=specials[(k + 7) % 9])
+             for k in range(45)]
+    boxes.append(DetectionBox(class_id=np.int64(1), class_name="truck", score=np.float32(0.3),
+                              x=np.float32(0.1), y=np.float64(-0.0), z=0, l=1, w=2, h=3,
+                              yaw=np.float32(np.nan)))
+    path = tmp_path / "det.jsonl"
+    write_detections(boxes, path)
+    want = "".join(json.dumps({"class_id": int(b.class_id), "class_name": b.class_name,
+                               **{k: float(getattr(b, k)) for k in
+                                  ("score", "x", "y", "z", "l", "w", "h", "yaw")}}) + "\n"
+                   for b in sorted(boxes, key=detection_sort_key))
+    assert path.read_bytes() == want.encode("utf-8")
+    assert "NaN" in want and "-Infinity" in want and "-0.0" in want and "\\u00df" in want
 
 
 def test_write_detections_ordering(tmp_path):

@@ -9,7 +9,7 @@ from lift.config import config_from_dict
 from lift.errors import CalibrationError, FormatError
 from lift.network import fuse_network, network_ops, random_network_weights, run_network
 from lift.pillarizer import pillarize
-from lift import quantize
+from lift import quant, quantize
 from lift.weights_io import (TensorQuant, TensorRecord, file_kind,
                              float_network_records, int8_network_records,
                              read_weight_file, records_to_float_network,
@@ -199,9 +199,11 @@ class TestInt8Binding:
         with pytest.raises(CalibrationError, match=f"op '{op}'.*int32 accumulator"):
             quantize.quantize_network(weights, feature_qps, act)
 
-    def test_quantize_checks_the_bias_bound_on_stored_f32_values(self, tmp_path, rng, cfg):
+    def test_the_reader_checks_the_bias_bound_on_stored_f32_values(self, tmp_path, rng, cfg):
         # a bias whose float64 value passes the bound, but whose f32-rounded
-        # copy (over f32-rounded scales) in the written file would not
+        # copy (over f32-rounded scales) in the written file would not:
+        # quantize_network checks the float64 values it holds, the reader the
+        # file (calibrate reads its file back before writing it)
         op = "stage2.layer1"
         weights, feature_qps, act, _ = self.calibrate(rng, cfg)
         net = quantize.quantize_network(weights, feature_qps, act)
@@ -215,14 +217,21 @@ class TestInt8Binding:
                     if np.rint(float(np.float32(b)) / step32) >= limit)
         assert np.rint(bias / step) < limit
         weights.layers[op].bias[0] = bias
-        with pytest.raises(CalibrationError, match=f"op '{op}'.*int32 accumulator"):
-            quantize.quantize_network(weights, feature_qps, act)
-        # the file it would have written is one the reader refuses
-        net.layers[op].bias[0] = bias
+        net = quantize.quantize_network(weights, feature_qps, act)
         path = tmp_path / "w8.bin"
         write_weight_file(path, int8_network_records(net))
-        with pytest.raises(FormatError, match=f"{op}.fused.bias"):
+        with pytest.raises(FormatError, match=f"{op}.fused.bias': op '{op}'"):
             records_to_int8_network(read_weight_file(path))
+
+    def test_run_int8_network_computes_no_integer_bias(self, monkeypatch, rng, cfg):
+        # the integer biases are computed once, when the network is made
+        net, pillars = self.build_int8(rng, cfg)
+        calls, integer_bias = [], quant.integer_bias
+        for module in (quant, quantize):
+            monkeypatch.setattr(module, "integer_bias",
+                                lambda *args: calls.append(args) or integer_bias(*args))
+        quantize.run_int8_network(pillars, net, cfg.grid, cfg.network, 0.05, 16)
+        assert calls == []
 
     def test_int8_round_trip_bitwise(self, tmp_path, rng, cfg):
         net, pillars = self.build_int8(rng, cfg)
