@@ -79,8 +79,8 @@ def count_macs_network(cloud: PointCloud, grid: GridConfig, cfg: NetworkConfig,
                        budget_gmacs: float = DEFAULT_BUDGET_GMAC) -> MacReport:
     """Walk the network's op list building only rulebooks (no
     arithmetic) and total the multiply-accumulates, encoder and head
-    included. Convs reading the same active set with the same kernel
-    and mode share one rulebook."""
+    included. Submanifold convs on one active set share its table, as
+    the executors' do (sparse.build_rulebook)."""
     pillars = pillarize(cloud, grid, include_offsets=include_offsets)
     report = MacReport(budget_gmacs=budget_gmacs)
     report.add("dbpfn", "linear", pillars.point_count,
@@ -88,7 +88,6 @@ def count_macs_network(cloud: PointCloud, grid: GridConfig, cfg: NetworkConfig,
 
     active = {ENCODER_SITE: _active(pillars.width, pillars.height, pillars.coords)}
     widths = {ENCODER_SITE: cfg.encoder_out}
-    rulebooks = {}
     for op in network_ops(cfg.stage_depths, cfg):
         x = active[op.inputs[0]]
         cin = widths[op.inputs[0]]
@@ -96,10 +95,7 @@ def count_macs_network(cloud: PointCloud, grid: GridConfig, cfg: NetworkConfig,
         if op.kind == "add":
             active[op.output] = x
             continue
-        key = (id(x), op.k, op.mode)  # active keeps every set alive: ids stay unique
-        if key not in rulebooks:
-            rulebooks[key] = build_rulebook(x, op.k, op.mode)
-        rb = rulebooks[key]
+        rb = build_rulebook(x, op.k, op.mode)
         report.add(op.name, "downsample" if op.mode == "stride2" else "submanifold",
                    rb.pair_count(), cin, cout)
         active[op.output] = x if op.mode == "submanifold" else \

@@ -66,14 +66,12 @@ def cmd_infer(args) -> int:
     records = weights_io.read_weight_file(args.weights)
     kind = weights_io.file_kind(records)
     mode = "int8" if kind == "int8" else "float"
-    if args.float:
-        if kind == "int8":
-            raise StructuralError("--float requires a float weight file "
-                                  "(this file is int8-quantized)")
-    if args.int8:
-        if kind != "int8":
-            raise StructuralError("--int8 requires a calibrated int8 weight file; "
-                                  "run the calibrate command first")
+    if args.float and kind == "int8":
+        raise StructuralError("--float requires a float weight file "
+                              "(this file is int8-quantized)")
+    if args.int8 and kind != "int8":
+        raise StructuralError("--int8 requires a calibrated int8 weight file; "
+                              "run the calibrate command first")
 
     # weights are decoded and validated before any cloud I/O, so the
     # latency below covers pillarize -> network -> decode only

@@ -410,6 +410,7 @@ def run_encoded(x: SparseTensor2D, pillars: PillarSet, weights, grid: GridConfig
     fused = fuse_scales(s2, s3, s4, weights, threads=threads, observer=observer)
     heatmap, regression = run_head(fused, weights, threads=threads, observer=observer)
     boxes = decode(heatmap, regression, grid, cfg, score_threshold, top_k)
+    heatmap._tables.clear()   # the tables serve this cloud only, not its result
     sizes = {"pillars": len(pillars), "encoder": len(x), "stage2": len(s2),
              "stage3": len(s3), "stage4": len(s4), "fused": len(fused)}
     return InferenceResult(boxes=boxes, heatmap=heatmap, regression=regression,

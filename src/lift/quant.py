@@ -13,7 +13,11 @@ Conventions used throughout the engine:
 * accumulators: int32. A layer adds ``taps`` products of a centered
   input (|q - zero_point| <= 255) and a weight (|w| <= 128) onto its
   integer bias, so it needs |bias_q| + taps * 255 * 128 < 2^31.
-  ``integer_bias`` computes every bias_q and checks that bound.
+  ``integer_bias`` computes every bias_q and checks that bound. The
+  engine emulates these int32 sums exactly in float64 (integers below
+  2^31) and requantizes them as ``requantize_array`` does; where every
+  shift is at most 13, by the equal float64 epilogue floor(acc * M *
+  2^-(31 + shift) + zero_point + 1/2) (proof: the sparse module).
 """
 
 from __future__ import annotations
@@ -131,19 +135,14 @@ def encode_factors(factors) -> tuple[np.ndarray, np.ndarray]:
 def requantize_array(acc: np.ndarray, multipliers: np.ndarray, shifts: np.ndarray,
                      zero_point: int, relu: bool = False) -> np.ndarray:
     """Rescale integer accumulators to int8 through Q31 multipliers and
-    shifts (from encode_factors), saturating.
-
-    Multiplies by the mantissa, shifts right by 31 + shift rounding to
-    floor(x + 1/2) (ties toward +inf), adds the output zero point and
-    clamps. acc holds integers (int32 from a conv, int64, or float64
-    from the encoder) that must lie within int32 range: callers keep the
-    accumulator bound that integer_bias checks, and every Int8Network
-    enforces it when it is made. multipliers/shifts broadcast
-    to acc's shape (per channel along the last axis, or scalars). int64
-    is exact here: shifts stay <= 31 because encode_factors bounds
-    factors below by 2^-32. relu also clamps at the zero point (real 0),
-    the same as rectifying the int8 result. Works in place on one int64
-    copy of acc; the caller's array is left unchanged.
+    shifts (from encode_factors), saturating: multiply by the mantissa,
+    shift right by 31 + shift rounding to floor(x + 1/2) (ties toward
+    +inf), add the output zero point, clamp. acc holds integers of any
+    dtype within int32 range (the bound integer_bias checks, which every
+    Int8Network enforces when it is made); multipliers/shifts broadcast
+    to its shape. int64 is exact: shifts stay <= 31, as encode_factors
+    bounds factors below by 2^-32. relu also clamps at the zero point
+    (real 0), as rectifying the int8 result would. acc is left unchanged.
     """
     total = acc.astype(np.int64)
     total *= multipliers

@@ -14,6 +14,7 @@ makes an Int8Network gets the int8 contract checked once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -112,22 +113,29 @@ class Int8Weights:
         return self.q_weight.shape[-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Int8Network:
     """Int8 weights and activation params, checked once, when made: every
     requantization factor encodes (quant.encode_factors, as the plans do)
     and every bias keeps the int32 accumulator bound (quant.integer_bias;
     bias_q keeps them by op name, "dbpfn" for the encoder). RangeError
-    names the tensor at fault and its op."""
+    names the tensor at fault and its op. Frozen, with read-only mappings
+    and arrays (those it is given become so): what was checked is what runs."""
 
-    feature_qps: list
+    feature_qps: tuple
     encoder: Int8Weights
     ops: tuple                   # network_ops of the stage depths
-    layers: dict                 # conv op name -> Int8Weights
-    act: dict                    # site -> QuantParams
-    bias_q: dict = field(init=False, repr=False)   # op name -> int32 (Cout,)
+    layers: MappingProxyType     # conv op name -> Int8Weights
+    act: MappingProxyType        # site -> QuantParams
+    bias_q: MappingProxyType = field(init=False, repr=False)   # op name -> int32 (Cout,)
 
     def __post_init__(self):
+        object.__setattr__(self, "feature_qps", tuple(self.feature_qps))
+        object.__setattr__(self, "layers", MappingProxyType(dict(self.layers)))
+        object.__setattr__(self, "act", MappingProxyType(dict(self.act)))
+        for w in (self.encoder, *self.layers.values()):
+            for array in (w.q_weight, w.weight_scales, w.bias):
+                array.setflags(write=False)
         act = self.act
         convs = [("dbpfn", "dbpfn.linear", self.encoder, 1.0, ENCODER_SITE)] + [
             (op.name, op.tensor_prefix, self.layers[op.name], act[op.inputs[0]].scale,
@@ -156,8 +164,10 @@ class Int8Network:
                     integer_bias(w.bias, s, w.weight_scales, w.q_weight.size // w.cout)
                 except RangeError as e:
                     raise RangeError(f"tensor '{prefix}.bias': op {name!r}: {e}") from None
-        self.bias_q = dict(zip([c[0] for c in convs], np.split(
-            bias_q.astype(np.int32), np.cumsum(sizes)[:len(convs) - 1])))
+        bias_q = bias_q.astype(np.int32)
+        bias_q.setflags(write=False)
+        object.__setattr__(self, "bias_q", MappingProxyType(dict(zip(
+            [c[0] for c in convs], np.split(bias_q, np.cumsum(sizes)[:len(convs) - 1])))))
 
     def apply(self, op: Op, xs: list, threads: int = 1) -> SparseTensor2D:
         """One op on int8 tensors, its ReLU included (a conv clamps at the
@@ -201,7 +211,7 @@ def quantize_network(weights: NetworkWeights, feature_qps: list,
     q_w, w_scales = _quantize_per_channel(folded, axis=1)
     widen(ENCODER_SITE, float(w_scales.max()))
     encoder = Int8Weights(q_weight=q_w, weight_scales=w_scales,
-                         bias=np.asarray(weights.dbpfn.bias, dtype=np.float64))
+                         bias=np.array(weights.dbpfn.bias, dtype=np.float64))
     layers = {}
     for op in weights.ops:
         if op.kind == "add":
@@ -212,7 +222,7 @@ def quantize_network(weights: NetworkWeights, feature_qps: list,
         qk, ws = _quantize_per_channel(np.asarray(layer.kernel, dtype=np.float64), axis=3)
         widen(op.output, act[op.inputs[0]].scale * float(ws.max()))
         layers[op.name] = Int8Weights(q_weight=qk, weight_scales=ws,
-                                      bias=np.asarray(layer.bias, dtype=np.float64))
+                                      bias=np.array(layer.bias, dtype=np.float64))
     try:
         return Int8Network(feature_qps=list(feature_qps), encoder=encoder,
                            ops=weights.ops, layers=layers, act=act)

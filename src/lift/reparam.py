@@ -152,5 +152,4 @@ def apply_training_form(layer: RepConvLayer, x: SparseTensor2D, mode: str,
     if layer.identity_bn is not None:
         outi = _branch_conv(x, _identity_kernel(layer.cin), mode, threads)
         total = total + layer.identity_bn.apply(outi.features)
-    return SparseTensor2D(width=out3.width, height=out3.height,
-                          coords=out3.coords, features=total)
+    return out3.with_features(total)

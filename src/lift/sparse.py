@@ -8,36 +8,44 @@ missing, and row n_in of the copied features is zeros. Output rows run
 in tiles of TILE_ROWS (the remainder joins the last tile, since BLAS may
 round a shorter GEMM differently). Per tile, each group of offsets
 gathers its rows side by side, runs one GEMM and adds the product onto
-the tile's accumulators, which start at the bias; a ReLU then rectifies
-the tile while it is in cache.
+the tile's accumulators, which start at the bias; the epilogue (a ReLU,
+or int8 requantization) then runs while the tile is in cache.
 
 Threads: with threads > 1 and at least two tiles, the calling thread
-and threads - 1 pool workers take disjoint tiles from one shared queue,
-and BLAS runs one thread inside them, so the gathers, adds and
-epilogues around the GEMMs run on every core, not only the GEMMs. The
-thread count of numpy's bundled OpenBLAS is set to 1 for the duration
-of such a conv and the count found is restored afterwards, also when a
-tile raises; without that library's thread setter, tiles are split the
-same way and BLAS is left alone. A single-tile conv, and every conv at
-threads = 1, runs in the calling thread and never touches BLAS.
+and threads - 1 pool workers take disjoint tiles from one shared queue
+while numpy's bundled OpenBLAS runs one thread (its count is restored
+afterwards, also when a tile raises; without that library's thread
+setter, BLAS is left alone), so the work around the GEMMs runs on every
+core too. A single-tile conv, and every conv at threads = 1, runs in the
+calling thread and never touches BLAS.
 
 The float path groups one offset per GEMM, so every output row gets its
 bias and then one addition per offset, in offset order, whatever the
 tiling and the number of workers.
 
-The int8 path sums into int32 accumulators that start at the integer
-bias. Its precondition is the int32 accumulator bound: |bias| + K * K *
+The int8 path emulates int32 accumulators exactly in float64 tiles that
+start at the integer bias: the int32 accumulator bound, |bias| + K * K *
 Cin * 255 * 128 < 2^31 (quant.integer_bias, checked when a
-quantize.Int8Network is made), so no sum overflows. The GEMMs run on
-centered inputs (|q - zero_point| <= 255) and weights (|w| <= 128) in
-float32, over G = 514 // Cin offsets at a time: G * Cin * 255 * 128 <=
-16,776,960 < 2^24, so every product and partial sum is an integer
-float32 holds exactly, in any summation order. The live offsets split
-into near-equal groups of at most G (5 + 4 at Cin 64, 3 + 3 + 3 at
-Cin 128). Above Cin = 514 each offset runs its own GEMM in float64
-(exact below 2^53). Each partial is cast to int32 and added; the tile
-is then requantized (and, with a ReLU, clamped at the output zero
-point) by quant.requantize_array and written into the int8 output.
+quantize.Int8Network is made), keeps every sum an integer below 2^31.
+The GEMMs run on centered inputs (|q - zero_point| <= 255) and weights
+(|w| <= 128) in float32, over G = 514 // Cin offsets at a time: G * Cin
+* 255 * 128 <= 16,776,960 < 2^24, so every product and partial sum is
+exact, in any summation order. The live offsets split into near-equal
+groups of at most G (5 + 4 at Cin 64, 3 + 3 + 3 at Cin 128); above
+Cin = 514 each offset runs its own GEMM in float64. Where fewer than
+HIT_ONLY_SHARE of the table's entries are hits, each offset gathers only
+the rows it feeds and adds its GEMM into them (exact sums make the order
+immaterial; the float path never does this, as its bytes depend on it).
+
+OutputQuant.requantize then writes the tile as int8. Where every output
+channel's shift s is at most EXACT_F64_SHIFT = 13, it computes y = acc *
+f with f = M * 2^-(31 + s), exact for a Q31 multiplier M, and
+floor(y + zero_point + 1/2), clipped, bit for bit quant.requantize_array:
+y is exact while |acc * M| < 2^53, i.e. |y| < 2^(22 - s), and the sum, a
+multiple of 2^-(31 + s), while below 2^(22 - s) as well. Rounding is
+monotone, so past either bound the computed value stays past it, where
+both clip alike: 2^(22 - s) - 128.5 > 127 for s <= 13. Plans with a
+larger shift run quant.requantize_array on the same accumulators.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import ctypes
 import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,6 +68,10 @@ TILE_ROWS = 1024
 # 514 * 255 * 128 < 2^24: int8 products over this many input channels sum
 # exactly in float32
 EXACT_F32_CHANNELS = 514
+# the largest shift at which the float64 epilogue is exact (module docstring)
+EXACT_F64_SHIFT = 13
+# int8 convs whose tables hold fewer hits than this share run hit-only GEMMs
+HIT_ONLY_SHARE = 0.3
 
 
 @dataclass
@@ -77,6 +89,7 @@ class SparseTensor2D:
     features: np.ndarray
     qparams: QuantParams | None = None
     _keys: np.ndarray | None = field(default=None, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)  # build_rulebook
 
     @classmethod
     def build(cls, width, height, coords, features, qparams=None) -> "SparseTensor2D":
@@ -135,6 +148,12 @@ class SparseTensor2D:
             self._keys = self.coords[:, 1] * self.width + self.coords[:, 0]
         return self._keys
 
+    def with_features(self, features: np.ndarray, qparams=None) -> "SparseTensor2D":
+        """A tensor on this one's active set, sharing its keys and tables."""
+        return SparseTensor2D(width=self.width, height=self.height, coords=self.coords,
+                              features=features, qparams=qparams, _keys=self.keys(),
+                              _tables=self._tables)
+
 
 def _rows_at(x: SparseTensor2D, ci: np.ndarray, cj: np.ndarray) -> np.ndarray:
     """Rows of x at candidate coords, len(x) where a site is inactive or
@@ -157,16 +176,44 @@ class Rulebook:
     nbr: np.ndarray  # (k * k, n_out) intp
     n_in: int
 
+    @functools.cached_property
+    def hits(self) -> np.ndarray:  # per offset, the number of output rows it feeds
+        return np.count_nonzero(self.nbr < self.n_in, axis=1)
+
+    @functools.cached_property
+    def live(self) -> np.ndarray:  # the offsets that feed some output row
+        return np.flatnonzero(self.hits)
+
+    @functools.cached_property
+    def hit_rows(self) -> list:
+        """Per offset, the output rows it feeds, ascending."""
+        return [np.flatnonzero(taps < self.n_in) for taps in self.nbr]
+
     def pair_count(self) -> int:
-        return int(np.count_nonzero(self.nbr < self.n_in))
+        return int(self.hits.sum())
+
+    @property
+    def hit_share(self) -> float:  # the share of the table's entries that are hits
+        return self.pair_count() / max(self.nbr.size, 1)
 
 
 def build_rulebook(x: SparseTensor2D, k: int, mode: str) -> Rulebook:
+    """x's table for a k x k kernel in mode. A submanifold table is built
+    once per active set and kept with it, so every tensor that keeps the
+    set (submanifold conv outputs, adds, max pool, relu) reads the same
+    table; a stride-2 table is built per call, so none outlives its conv."""
     if mode not in MODES:
         raise ParameterError(f"unknown conv mode {mode!r}")
     if k % 2 != 1:
         raise ParameterError("kernel size must be odd")
+    if mode == "stride2":
+        return _build_table(x, k, mode)
+    if k not in x._tables:
+        x._tables[k] = _build_table(x, k, mode)
+    return x._tables[k]
 
+
+def _build_table(x: SparseTensor2D, k: int, mode: str) -> Rulebook:
     if mode == "submanifold":
         out_w, out_h = x.width, x.height
         out_coords = x.coords
@@ -174,8 +221,7 @@ def build_rulebook(x: SparseTensor2D, k: int, mode: str) -> Rulebook:
     else:  # stride2
         if k != 3:
             raise ParameterError("stride-2 convolution is defined for k = 3")
-        out_w = -(-x.width // 2)
-        out_h = -(-x.height // 2)
+        out_w, out_h = -(-x.width // 2), -(-x.height // 2)
         out_coords = _stride2_coords(x, out_w, out_h)
         step, pad = 2, 1
 
@@ -187,21 +233,14 @@ def build_rulebook(x: SparseTensor2D, k: int, mode: str) -> Rulebook:
 
 
 def _stride2_coords(x: SparseTensor2D, out_w: int, out_h: int) -> np.ndarray:
-    """Outputs o with 2o + d - 1 active for some offset d in {0,1,2}^2."""
-    ii, jj = [], []
-    for dy in range(3):
-        for dx in range(3):
-            num_i = x.coords[:, 0] + 1 - dx
-            num_j = x.coords[:, 1] + 1 - dy
-            ok = (num_i % 2 == 0) & (num_j % 2 == 0)
-            oi = num_i[ok] // 2
-            oj = num_j[ok] // 2
-            ok2 = (oi >= 0) & (oi < out_w) & (oj >= 0) & (oj < out_h)
-            ii.append(oi[ok2])
-            jj.append(oj[ok2])
-    if not any(a.size for a in ii):
-        return np.empty((0, 2), dtype=np.int64)
-    keys = np.unique(np.concatenate(jj) * out_w + np.concatenate(ii))
+    """Outputs o with 2o + d - 1 active for some d in {0,1,2}^2: input i feeds
+    outputs i // 2 and (i + 1) // 2 per axis (a spare bitmap edge takes the last)."""
+    hit = np.zeros((out_h + 1, out_w + 1), dtype=bool)
+    i, j = x.coords[:, 0], x.coords[:, 1]
+    for oj in (j // 2, (j + 1) // 2):
+        for oi in (i // 2, (i + 1) // 2):
+            hit[oj, oi] = True
+    keys = np.flatnonzero(hit[:out_h, :out_w])
     return np.column_stack([keys % out_w, keys // out_w])
 
 
@@ -217,12 +256,35 @@ class OutputQuant:
     qparams: QuantParams
     multipliers: np.ndarray
     shifts: np.ndarray
+    # M * 2^-(31 + s) per channel where the float64 epilogue is exact, else None
+    factors: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shifts = np.asarray(self.shifts)
+        exact = np.all(shifts <= EXACT_F64_SHIFT)
+        factors = np.ldexp(np.asarray(self.multipliers, float), -31 - shifts) if exact else None
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def from_scales(cls, in_scale: float, weight_scales, out_qp: QuantParams) -> "OutputQuant":
         multipliers, shifts = encode_factors(
             in_scale * np.asarray(weight_scales, dtype=np.float64) / out_qp.scale)
         return cls(qparams=out_qp, multipliers=multipliers, shifts=shifts)
+
+    def requantize(self, acc: np.ndarray, out: np.ndarray, relu: bool = False) -> None:
+        """Write quant.requantize_array's int8 of float64 integer
+        accumulators (|acc| < 2^31) into out, overwriting acc; by the
+        float64 epilogue where it is exact (module docstring)."""
+        zero_point = self.qparams.zero_point
+        if self.factors is None:
+            out[...] = requantize_array(acc, self.multipliers, self.shifts, zero_point,
+                                        relu=relu)
+            return
+        acc *= self.factors
+        acc += zero_point + 0.5
+        np.floor(acc, out=acc)
+        np.clip(acc, zero_point if relu else INT8_MIN, INT8_MAX, out=acc)
+        np.copyto(out, acc, casting="unsafe")
 
 
 def _tiles(n: int) -> list:
@@ -336,8 +398,7 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
         raise ShapeError("int8 convolution requires an OutputQuant")
     bias = np.zeros(cout) if bias is None else np.asarray(bias)
     if x.is_int8:
-        # offsets per exact float32 GEMM (see the module docstring); above
-        # Cin = 514 each offset runs its own float64 GEMM
+        # offsets per exact float32 GEMM, float64 above Cin = 514 (module docstring)
         gemm = np.float32 if cin <= EXACT_F32_CHANNELS else np.float64
         per_gemm = max(EXACT_F32_CHANNELS // cin, 1)
         feats = _padded(x.features, x.qparams.zero_point, gemm)
@@ -347,37 +408,40 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
         per_gemm, gemm = 1, np.float64
         feats = _padded(x.features, 0.0)
         out = np.empty((n_out, cout))
-    live = np.flatnonzero((rb.nbr < rb.n_in).any(axis=1))
-    groups = [g.tolist() for g in np.array_split(live, max(-(-live.size // per_gemm), 1))]
+    hit_only = x.is_int8 and rb.hit_share < HIT_ONLY_SHARE
+    groups = [[d] for d in rb.live] if hit_only else \
+        [g.tolist() for g in np.array_split(rb.live, max(-(-rb.live.size // per_gemm), 1))]
     w_g = w.astype(gemm).reshape(k * k, cin, cout)
     w_groups = [w_g[g].reshape(-1, cout) for g in groups]
     # a submanifold conv's center offset maps every row onto itself
     center = [k * k // 2] if mode == "submanifold" else None
+    # int8 GEMM operands are integers: an invalid flag from OpenBLAS is spurious
+    quiet = functools.partial(np.errstate, invalid="ignore") if x.is_int8 else nullcontext
 
     def tile(rows):
         lo, hi = rows
-        acc = np.empty((hi - lo, cout), np.int32) if x.is_int8 else out[lo:hi]
+        acc = np.empty((hi - lo, cout)) if x.is_int8 else out[lo:hi]
         acc[:] = bias
-        for g, w_gemm in zip(groups, w_groups):
-            taps = feats[lo:hi] if g == center else \
-                feats.take(rb.nbr[g, lo:hi].T, axis=0).reshape(hi - lo, -1)
-            if x.is_int8:
-                # operands are integer-valued by construction: an invalid
-                # flag from OpenBLAS's sgemm here is spurious
-                with np.errstate(invalid="ignore"):
-                    prod = taps @ w_gemm
-                acc += prod.astype(np.int32)
-            else:
+        with quiet():
+            for g, w_gemm in zip(groups, w_groups):
+                if hit_only:   # the offset's hit rows within the tile
+                    hit = rb.hit_rows[g[0]][slice(*np.searchsorted(rb.hit_rows[g[0]], rows))]
+                    acc[hit - lo] += feats.take(rb.nbr[g[0], hit], axis=0) @ w_gemm
+                    continue
+                taps = feats[lo:hi] if g == center else \
+                    feats.take(rb.nbr[g, lo:hi].T, axis=0).reshape(hi - lo, -1)
                 acc += taps @ w_gemm
         if x.is_int8:
-            out[lo:hi] = requantize_array(acc, out_quant.multipliers, out_quant.shifts,
-                                          out_quant.qparams.zero_point, relu=relu)
+            out_quant.requantize(acc, out[lo:hi], relu=relu)
         elif relu:
             np.maximum(acc, 0, out=acc)
 
     _run_tiles(tile, _tiles(n_out), threads)
+    qparams = out_quant.qparams if x.is_int8 else None
+    if mode == "submanifold":
+        return x.with_features(out, qparams)
     return SparseTensor2D(width=rb.out_width, height=rb.out_height, coords=rb.out_coords,
-                          features=out, qparams=out_quant.qparams if x.is_int8 else None)
+                          features=out, qparams=qparams)
 
 
 def submanifold_conv(x: SparseTensor2D, w, bias=None, out_quant: OutputQuant | None = None,
@@ -386,10 +450,8 @@ def submanifold_conv(x: SparseTensor2D, w, bias=None, out_quant: OutputQuant | N
 
     Out-of-range or inactive taps contribute zero (real) / the input
     zero point (int8), matching zero-padded dense semantics. relu
-    rectifies the output as relu() would. An int8 call requires the
-    integer bias to keep the int32 accumulator bound, |bias| + K * K *
-    Cin * 255 * 128 < 2^31; this function does not check it, making a
-    quantize.Int8Network does.
+    rectifies the output as relu() would. An int8 call requires the int32
+    accumulator bound (module docstring), which making an Int8Network checks.
     """
     if np.asarray(w).shape[0] not in (1, 3):
         raise ParameterError("submanifold kernel must be 1x1 or 3x3")
@@ -422,8 +484,7 @@ def sparse_max_pool(x: SparseTensor2D, k: int = 3) -> SparseTensor2D:
     for d in range(k * k):
         if d != k * k // 2:
             np.maximum(out, feats[rb.nbr[d]], out=out)
-    return SparseTensor2D(width=x.width, height=x.height, coords=x.coords,
-                          features=out, qparams=x.qparams, _keys=x.keys())
+    return x.with_features(out, x.qparams)
 
 
 @dataclass(frozen=True)
@@ -462,32 +523,28 @@ def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: in
         if add_quant is None or not other.is_int8:
             raise ShapeError("int8 projected add requires int8 operands and an AddQuant")
         # a site without other reads other's zero point, which requantizes to 0
-        o = _padded(other.features, other.qparams.zero_point)[rows]
+        o = _padded(other.features, other.qparams.zero_point)
         # each operand's requantized value of every centered int8 byte, as
         # int16 tables indexed by the byte read as uint8
         q = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.int64)
         centered = q[:, None] - [base.qparams.zero_point, other.qparams.zero_point]
         tables = requantize_array(centered, add_quant.multipliers, add_quant.shifts,
                                   0).astype(np.int16)
-        out = tables[:, 0].take(base.features.view(np.uint8))
-        out += tables[:, 1].take(o.view(np.uint8))
-        out += add_quant.qparams.zero_point
-        out = np.clip(out, INT8_MIN, INT8_MAX, out=out).astype(np.int8)
-        return SparseTensor2D(width=base.width, height=base.height, coords=base.coords,
-                              features=out, qparams=add_quant.qparams, _keys=base.keys())
+        out = np.empty_like(base.features)
+        # by tiles: take widens each tile's byte indices to intp
+        for lo, hi in _tiles(len(base)):
+            acc = tables[:, 0].take(base.features[lo:hi].view(np.uint8))
+            acc += tables[:, 1].take(o[rows[lo:hi]].view(np.uint8))
+            acc += add_quant.qparams.zero_point
+            out[lo:hi] = np.clip(acc, INT8_MIN, INT8_MAX, out=acc)
+        return base.with_features(out, add_quant.qparams)
 
     # a site without other adds -0.0, which leaves every value as it is
-    return SparseTensor2D(width=base.width, height=base.height, coords=base.coords,
-                          features=base.features + _padded(other.features, -0.0)[rows],
-                          qparams=None, _keys=base.keys())
+    return base.with_features(base.features + _padded(other.features, -0.0)[rows])
 
 
 def relu(x: SparseTensor2D) -> SparseTensor2D:
-    """Rectify: max(value, 0) for reals, clamp at the zero point for int8
-    (both represent real 0). Convs rectify their own output tiles
-    (relu=True); this serves training-form layers, whose ReLU follows
-    the sum of their branches."""
+    """Rectify at real 0: max(value, 0), or the zero point for int8. Convs
+    rectify their own tiles; this serves training-form layers' branch sums."""
     floor = x.qparams.zero_point if x.is_int8 else 0
-    return SparseTensor2D(width=x.width, height=x.height, coords=x.coords,
-                          features=np.maximum(x.features, floor),
-                          qparams=x.qparams, _keys=x.keys())
+    return x.with_features(np.maximum(x.features, floor), x.qparams)

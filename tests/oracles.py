@@ -258,6 +258,26 @@ def dense_max_pool(tensor, k=3):
     return np.stack([pooled[j, i] for (i, j) in tensor.coords.tolist()])
 
 
+def stride2_coords_unique(x, out_w, out_h):
+    """The stride-2 output coords of tensor x as the engine once computed
+    them: every candidate output key of every offset, then np.unique."""
+    ii, jj = [], []
+    for dy in range(3):
+        for dx in range(3):
+            num_i = x.coords[:, 0] + 1 - dx
+            num_j = x.coords[:, 1] + 1 - dy
+            ok = (num_i % 2 == 0) & (num_j % 2 == 0)
+            oi = num_i[ok] // 2
+            oj = num_j[ok] // 2
+            ok2 = (oi >= 0) & (oi < out_w) & (oj >= 0) & (oj < out_h)
+            ii.append(oi[ok2])
+            jj.append(oj[ok2])
+    if not any(a.size for a in ii):
+        return np.empty((0, 2), dtype=np.int64)
+    keys = np.unique(np.concatenate(jj) * out_w + np.concatenate(ii))
+    return np.column_stack([keys % out_w, keys // out_w])
+
+
 def stride2_active_set(active, width, height):
     """Independent computation of the stride-2 output active set."""
     out_w, out_h = -(-width // 2), -(-height // 2)

@@ -362,3 +362,36 @@ def test_int8_outputs_match_the_golden_digest(small_config):
         digest.update(np.ascontiguousarray(t.coords, dtype="<i8").tobytes())
         digest.update(np.ascontiguousarray(t.features).tobytes())
     assert digest.hexdigest() == GOLDEN_INT8_DIGEST
+
+
+@pytest.mark.parametrize("mode", ["float", "int8"])
+def test_default_config_cloud_builds_nine_tables_for_forty_lookups(rng, monkeypatch, mode):
+    from lift import quantize, sparse
+    from lift.config import config_from_dict
+
+    cfg = config_from_dict({})
+    weights = random_network_weights(cfg.network, cfg.feature_length, 0, "fused")
+    pillars = pillarize(random_cloud(rng, 3000, cfg.grid), cfg.grid)
+    run, net = run_network, weights
+    if mode == "int8":
+        collector = quantize.CalibrationCollector()
+        collector(quantize.INPUT_FEATURES_SITE, pillars.features)
+        run_network(pillars, weights, cfg.grid, cfg.network, observer=collector)
+        net = quantize.quantize_network(
+            weights, collector.feature_qparams(),
+            {s: collector.qparams(s) for s in quantize.activation_sites(cfg.network)})
+        run = quantize.run_int8_network
+    calls, built = [], []
+    build_rulebook, build_table = sparse.build_rulebook, sparse._build_table
+    monkeypatch.setattr(sparse, "build_rulebook",
+                        lambda *args: calls.append(args[1:]) or build_rulebook(*args))
+    monkeypatch.setattr(sparse, "_build_table",
+                        lambda *args: built.append(args[1:]) or build_table(*args))
+    res = run(pillars, net, cfg.grid, cfg.network)
+    # 34 backbone convs, align, 4 head convs and decode's max pool look up
+    # 4 stride-2 tables, a 3x3 table per stage's active set and stage 2's 1x1
+    assert len(calls) == 40 and all(res.stage_sizes.values())
+    assert sorted(built) == [(1, "submanifold")] + [(3, "stride2")] * 4 \
+        + [(3, "submanifold")] * 4
+    # the result keeps no table past its cloud
+    assert res.heatmap._tables == {}

@@ -7,14 +7,15 @@ import pytest
 from conftest import random_sparse
 from oracles import (Requantizer, dense_conv, dense_conv_int, dense_conv_int_fast,
                      dense_max_pool, densify, conv_loops, max_rel_dev, requantize, scatter_conv,
-                     stride2_active_set)
+                     stride2_active_set, stride2_coords_unique)
 
 from lift import cli, sparse
 from lift.errors import ParameterError, ShapeError
 from lift.quant import QuantParams, integer_bias
-from lift.sparse import (TILE_ROWS, AddQuant, OutputQuant, SparseTensor2D, _tiles,
-                         build_rulebook, sparse_add_projected, sparse_conv_stride2,
-                         sparse_max_pool, submanifold_conv)
+from lift.sparse import (EXACT_F64_SHIFT, HIT_ONLY_SHARE, TILE_ROWS, AddQuant, OutputQuant,
+                         SparseTensor2D, _stride2_coords, _tiles, build_rulebook,
+                         sparse_add_projected, sparse_conv_stride2, sparse_max_pool,
+                         submanifold_conv)
 
 
 def identity_kernel(channels, k=3):
@@ -142,6 +143,21 @@ class TestStride2:
         x = random_sparse(rng, 15, 9, 2, occupancy=0.4)
         y = sparse_conv_stride2(x, rng.normal(size=(3, 3, 2, 2)))
         assert (y.width, y.height) == (8, 5)
+
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (2, 3), (7, 5), (9, 9), (40, 31)])
+    def test_bitmap_coords_equal_the_unique_of_candidate_keys(self, rng, width, height):
+        out_w, out_h = -(-width // 2), -(-height // 2)
+        cases = [SparseTensor2D.empty(width, height, 1),
+                 SparseTensor2D.build(width, height, [(width - 1, height - 1)], [[1.0]]),
+                 SparseTensor2D.build(width, height, [(0, 0)], [[1.0]])]
+        cases += [random_sparse(rng, width, height, 1, occupancy=occ)
+                  for occ in (0.02, 0.3, 1.0)]
+        for x in cases:
+            got = _stride2_coords(x, out_w, out_h)
+            want = stride2_coords_unique(x, out_w, out_h)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestInt8Conv:
@@ -444,7 +460,7 @@ class TestBlasSwitch:
         set_(2)
         before = get()
         inside = []
-        requantize = sparse.requantize_array
+        requantize = OutputQuant.requantize
 
         def spy(*args, **kwargs):
             inside.append(get())
@@ -458,7 +474,7 @@ class TestBlasSwitch:
         assert get() == before
         xq, kq, bq, oq = int8_case(rng, 3 * TILE_ROWS + 618)
         ref = submanifold_conv(xq, kq, bq, out_quant=oq)
-        monkeypatch.setattr(sparse, "requantize_array", spy)
+        monkeypatch.setattr(OutputQuant, "requantize", spy)
         y = submanifold_conv(xq, kq, bq, out_quant=oq, threads=threads)
         assert np.array_equal(y.features, ref.features)
         assert inside == [1] * 3 and get() == before
@@ -467,7 +483,7 @@ class TestBlasSwitch:
         get, set_ = blas
         set_(2)
         before = get()
-        requantize, calls = sparse.requantize_array, []
+        requantize, calls = OutputQuant.requantize, []
 
         def fail_second(*args, **kwargs):
             calls.append(None)
@@ -475,7 +491,7 @@ class TestBlasSwitch:
                 raise RuntimeError("tile failed")
             return requantize(*args, **kwargs)
 
-        monkeypatch.setattr(sparse, "requantize_array", fail_second)
+        monkeypatch.setattr(OutputQuant, "requantize", fail_second)
         x, kernel, bias, oq = int8_case(rng, 3 * TILE_ROWS + 618)
         with pytest.raises(RuntimeError, match="tile failed"):
             submanifold_conv(x, kernel, bias, out_quant=oq, threads=2)
@@ -694,3 +710,143 @@ def test_rulebook_pair_count_consistency(rng):
             assert rb.nbr[d, o] == want
             total += want < len(x)
     assert rb.pair_count() == total
+
+
+def test_rulebook_derived_arrays_match_the_table(rng):
+    for mode in ("submanifold", "stride2"):
+        x = random_sparse(rng, 17, 12, 1, occupancy=0.1)
+        rb = build_rulebook(x, 3, mode)
+        hit = rb.nbr < rb.n_in
+        assert rb.hits.tolist() == hit.sum(axis=1).tolist()
+        assert rb.live.tolist() == np.flatnonzero(hit.any(axis=1)).tolist()
+        assert [r.tolist() for r in rb.hit_rows] == [np.flatnonzero(h).tolist() for h in hit]
+        assert rb.hit_share == hit.sum() / hit.size == rb.pair_count() / hit.size
+
+
+class TestSharedTables:
+    def test_tensors_that_keep_the_active_set_share_its_tables(self, rng):
+        x = random_sparse(rng, 12, 9, 2, occupancy=0.4)
+        rb = build_rulebook(x, 3, "submanifold")
+        y = submanifold_conv(x, rng.normal(size=(3, 3, 2, 2)), relu=True)
+        kept = [y, sparse.relu(y), sparse_max_pool(y),
+                sparse_add_projected(y, random_sparse(rng, 6, 5, 2), 2)]
+        assert all(build_rulebook(t, 3, "submanifold") is rb for t in kept)
+        assert build_rulebook(x, 1, "submanifold") is build_rulebook(y, 1, "submanifold")
+        # a new active set starts without tables; stride-2 tables are never kept
+        down = sparse_conv_stride2(y, rng.normal(size=(3, 3, 2, 2)))
+        assert down._tables == {}
+        assert build_rulebook(y, 3, "stride2") is not build_rulebook(y, 3, "stride2")
+        assert sorted(x._tables) == [1, 3]
+
+    def test_one_build_per_distinct_table(self, rng, monkeypatch):
+        built, build = [], sparse._build_table
+        monkeypatch.setattr(sparse, "_build_table",
+                            lambda *args: built.append(args[1:]) or build(*args))
+        x = random_sparse(rng, 12, 9, 2, occupancy=0.4)
+        for _ in range(3):
+            x = submanifold_conv(x, rng.normal(size=(3, 3, 2, 2)))
+        sparse_max_pool(x)
+        assert built == [(3, "submanifold")]
+
+
+class TestFloat64Epilogue:
+    """OutputQuant.requantize against the Python-int Requantizer oracle."""
+
+    @staticmethod
+    def _check(acc, multipliers, shifts, zero_point, relu):
+        oq = OutputQuant(qparams=QuantParams(1.0, zero_point),
+                         multipliers=np.asarray(multipliers, dtype=np.int64),
+                         shifts=np.asarray(shifts, dtype=np.int64))
+        assert oq.factors is not None
+        out = np.empty(acc.shape, dtype=np.int8)
+        oq.requantize(acc.astype(np.float64), out, relu=relu)
+        floor = zero_point if relu else -128
+        rs = [Requantizer(int(m), int(s), zero_point) for m, s in zip(multipliers, shifts)]
+        want = [[max(floor, requantize(int(a), r)) for a, r in zip(row, rs)]
+                for row in acc.tolist()]
+        assert out.tolist() == want
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("zero_point", [-128, 0, 127])
+    def test_matches_the_scalar_oracle_at_every_exact_shift(self, rng, zero_point, relu):
+        shifts = np.arange(EXACT_F64_SHIFT + 1)
+        multipliers = rng.integers(1 << 30, 1 << 31, size=shifts.size)
+        multipliers[:2] = [1 << 30, (1 << 31) - 1]
+        edges = [0, 1, -1, 2 ** 31 - 1, -(2 ** 31 - 1)]
+        acc = np.concatenate([np.tile(edges, (shifts.size, 1)).T,
+                              rng.integers(-(2 ** 31) + 1, 2 ** 31, size=(200, shifts.size)),
+                              rng.integers(-(2 ** 16), 2 ** 16, size=(200, shifts.size))])
+        self._check(acc, multipliers, shifts, zero_point, relu)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("zero_point", [-128, 127])
+    def test_exact_ties_round_toward_plus_infinity(self, rng, zero_point, relu):
+        # with M = m * 2^t (m odd) and acc = a * 2^(30 + s - t) (a odd),
+        # acc * M = a * m * 2^(30 + s) lies exactly halfway between two
+        # multiples of 2^(31 + s); |acc| < 2^31 needs |a| < 2^(1 + t - s)
+        cases = [(s, t) for s in range(EXACT_F64_SHIFT + 1) for t in (s, s + 3, 30)]
+        shifts = np.array([s for s, _ in cases])
+        multipliers = np.array([int(rng.integers(1 << (29 - t), 1 << (30 - t))) * 2 + 1 << t
+                                if t < 30 else 1 << 30 for _, t in cases])
+        bound = np.array([min(2 ** (t - s), 300) for s, t in cases])
+        odd = (rng.integers(-bound, bound, size=(64, len(cases))) * 2 + 1)
+        acc = odd * np.array([2 ** (30 + s - t) for s, t in cases])
+        acc[0], acc[1] = acc.max(axis=0), acc.min(axis=0)
+        sh = 31 + shifts
+        assert np.all(np.abs(acc) < 2 ** 31)
+        assert np.all((acc * multipliers) % (1 << sh) == 1 << (sh - 1))
+        self._check(acc, multipliers, shifts, zero_point, relu)
+
+    def test_a_shift_past_the_exact_bound_keeps_requantize_array(self, rng, monkeypatch):
+        x, kernel, bias, oq = int8_case(rng, 2 * TILE_ROWS + 5, cin=8, cout=8)
+        shifts = np.full(8, EXACT_F64_SHIFT)
+        multipliers = rng.integers(1 << 30, 1 << 31, size=8)
+        ref_args = dict(qparams=QuantParams(0.5, 3), multipliers=multipliers)
+        calls, requantize_array = [], sparse.requantize_array
+        monkeypatch.setattr(sparse, "requantize_array",
+                            lambda *a, **k: calls.append(a[0].shape) or requantize_array(*a, **k))
+        for top in (EXACT_F64_SHIFT, EXACT_F64_SHIFT + 1):
+            shifts[-1] = top
+            oq = OutputQuant(shifts=shifts.copy(), **ref_args)
+            assert (oq.factors is None) == (top > EXACT_F64_SHIFT)
+            y = submanifold_conv(x, kernel, bias, out_quant=oq, threads=2)
+            ref = dense_conv_int_fast(densify(x), x.qparams.zero_point, kernel,
+                                      bias.astype(np.int64), oq)
+            assert y.features.tobytes() == masked_dense(y, ref).astype(np.int8).tobytes()
+        # only the plan with shift 14 ran requantize_array, once per tile
+        assert sorted(calls) == [(TILE_ROWS, 8), (TILE_ROWS + 5, 8)]
+
+
+class TestHitOnly:
+    """Int8 convs on tables with few hits gather only the hit rows per
+    offset; their bytes equal the grouped GEMMs' and the dense oracle's."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cin", [64, 128])
+    @pytest.mark.parametrize("mode", ["submanifold", "stride2"])
+    def test_equal_bytes_to_grouped_gemms(self, rng, monkeypatch, mode, cin, threads):
+        side = 150 if mode == "submanifold" else 190
+        x = random_sparse(rng, side, side, cin, occupancy=0.12, int8=True)
+        kernel = rng.integers(-128, 128, size=(3, 3, cin, 16)).astype(np.int8)
+        bias = rng.integers(-10 ** 6, 10 ** 6, size=16).astype(np.float64)
+        oq = OutputQuant.from_scales(x.qparams.scale, rng.uniform(5e-4, 2e-3, size=16),
+                                     QuantParams(0.5, -7))
+        rb = build_rulebook(x, 3, mode)
+        assert len(_tiles(len(rb.out_coords))) >= 2 and rb.hit_share < HIT_ONLY_SHARE
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        hit_only = conv(x, kernel, bias, out_quant=oq, threads=threads, relu=True)
+        monkeypatch.setattr(sparse, "HIT_ONLY_SHARE", 0.0)
+        grouped = conv(x, kernel, bias, out_quant=oq, threads=threads, relu=True)
+        assert hit_only.features.tobytes() == grouped.features.tobytes()
+        stride = 1 if mode == "submanifold" else 2
+        ref = dense_conv_int_fast(densify(x), x.qparams.zero_point, kernel,
+                                  bias.astype(np.int64), oq, stride=stride)
+        want = np.maximum(masked_dense(hit_only, ref), oq.qparams.zero_point)
+        assert np.array_equal(hit_only.features, want.astype(np.int8))
+
+    def test_float_convs_never_run_hit_only(self, rng, monkeypatch):
+        x = random_sparse(rng, 150, 150, 8, occupancy=0.12)
+        kernel, bias = rng.normal(size=(3, 3, 8, 8)), rng.normal(size=8)
+        y = sparse_conv_stride2(x, kernel, bias)
+        monkeypatch.setattr(sparse, "HIT_ONLY_SHARE", 0.0)
+        assert y.features.tobytes() == sparse_conv_stride2(x, kernel, bias).features.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 
@@ -222,6 +223,22 @@ class TestInt8Binding:
         write_weight_file(path, int8_network_records(net))
         with pytest.raises(FormatError, match=f"{op}.fused.bias': op '{op}'"):
             records_to_int8_network(read_weight_file(path))
+
+    def test_a_made_network_cannot_be_changed(self, rng, cfg):
+        # the contract was checked when the network was made; changing a
+        # bias, a scale or a layer afterwards would run unchecked values
+        net, _ = self.build_int8(rng, cfg)
+        with pytest.raises(ValueError, match="read-only"):
+            net.encoder.bias[:] = 1e30
+        with pytest.raises(TypeError):
+            net.act["head.reg.out"] = quant.QuantParams(1e-30)
+        with pytest.raises(TypeError):
+            net.layers["align"] = net.encoder
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.act = {}
+        for w in (net.encoder, *net.layers.values()):
+            assert not any(a.flags.writeable for a in (w.q_weight, w.weight_scales, w.bias))
+        assert not any(b.flags.writeable for b in net.bias_q.values())
 
     def test_run_int8_network_computes_no_integer_bias(self, monkeypatch, rng, cfg):
         # the integer biases are computed once, when the network is made
