@@ -275,19 +275,20 @@ def dual_bound_pool(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run(weights, segment: str, inputs: tuple, threads: int, observer) -> tuple:
+def _run(weights, segment: str, inputs: list, threads: int, observer) -> tuple:
     """Run one segment of weights.ops, for either path; weights.apply
     runs an op and its ReLU.
 
-    inputs fill the sites the segment reads from earlier segments, in
-    reading order. Each site is dropped after its last reader in the
-    whole network, so what is left -- returned in the order it was
-    made -- is what later segments (or decoding) read.
+    inputs hold the sites the segment reads from earlier segments, in
+    reading order. _run empties the list and drops each site after its
+    last reader in the whole network, which frees it unless the caller
+    kept a reference; what is left is returned in the order it was made.
     """
     ops = [op for op in weights.ops if op.segment == segment]
     made = {op.output for op in ops}
     sites = dict(zip(dict.fromkeys(s for op in ops for s in op.inputs if s not in made),
                      inputs))
+    inputs.clear()
     last_reader = {s: op.name for op in weights.ops for s in op.inputs}
     for op in ops:
         y = weights.apply(op, [sites[s] for s in op.inputs], threads)
@@ -302,7 +303,9 @@ def _run(weights, segment: str, inputs: tuple, threads: int, observer) -> tuple:
 
 def run_backbone(x: SparseTensor2D, weights, threads: int = 1, observer=None):
     """Run the 4 stages; returns stage 2, 3, 4 outputs (strides 4, 8, 16)."""
-    return _run(weights, "backbone", (x,), threads, observer)
+    inputs = [x]
+    del x   # so that _run holds the only reference this call makes
+    return _run(weights, "backbone", inputs, threads, observer)
 
 
 def fuse_scales(s2: SparseTensor2D, s3: SparseTensor2D, s4: SparseTensor2D, weights,
@@ -312,14 +315,16 @@ def fuse_scales(s2: SparseTensor2D, s3: SparseTensor2D, s4: SparseTensor2D, weig
     s2 first passes a 1x1 submanifold alignment conv to the fusion
     width. The result keeps exactly s2's active pixels.
     """
-    (fused,) = _run(weights, "fusion", (s2, s3, s4), threads, observer)
-    return fused
+    inputs = [s2, s3, s4]
+    del s2, s3, s4
+    return _run(weights, "fusion", inputs, threads, observer)[0]
 
 
 def run_head(x: SparseTensor2D, weights, threads: int = 1, observer=None):
     """Two shallow submanifold branches: class logits and box regression."""
-    heatmap, regression = _run(weights, "head", (x,), threads, observer)
-    return heatmap, regression
+    inputs = [x]
+    del x
+    return _run(weights, "head", inputs, threads, observer)
 
 
 def _sigmoid(x):
@@ -405,14 +410,22 @@ class InferenceResult:
 def run_encoded(x: SparseTensor2D, pillars: PillarSet, weights, grid: GridConfig,
                 cfg: NetworkConfig, score_threshold: float, top_k: int, threads: int,
                 observer=None) -> InferenceResult:
-    """Encoder output to boxes on either path, recording active-set sizes."""
-    s2, s3, s4 = run_backbone(x, weights, threads=threads, observer=observer)
-    fused = fuse_scales(s2, s3, s4, weights, threads=threads, observer=observer)
-    heatmap, regression = run_head(fused, weights, threads=threads, observer=observer)
+    """Encoder output to boxes on either path, recording active-set sizes.
+    Each segment gets the only references to what it reads (CPython 3.11+
+    moves popped call arguments into the callee): no site outlives its last reader."""
+    if observer is not None:
+        observer(ENCODER_SITE, x.features)
+    sizes = {"pillars": len(pillars), "encoder": len(x)}
+    live = [x]
+    del x
+    live = list(run_backbone(live.pop(), weights, threads=threads, observer=observer))
+    sizes.update(zip(("stage2", "stage3", "stage4"), map(len, live)))
+    live = [fuse_scales(live.pop(0), live.pop(0), live.pop(0), weights, threads=threads,
+                        observer=observer)]
+    sizes["fused"] = len(live[0])
+    heatmap, regression = run_head(live.pop(), weights, threads=threads, observer=observer)
     boxes = decode(heatmap, regression, grid, cfg, score_threshold, top_k)
     heatmap._tables.clear()   # the tables serve this cloud only, not its result
-    sizes = {"pillars": len(pillars), "encoder": len(x), "stage2": len(s2),
-             "stage3": len(s3), "stage4": len(s4), "fused": len(fused)}
     return InferenceResult(boxes=boxes, heatmap=heatmap, regression=regression,
                            stage_sizes=sizes)
 
@@ -421,11 +434,8 @@ def run_network(pillars: PillarSet, weights: NetworkWeights, grid: GridConfig,
                 cfg: NetworkConfig, score_threshold: float = 0.1, top_k: int = 500,
                 threads: int = 1, observer=None) -> InferenceResult:
     """Float path, pillars to boxes, recording active-set sizes."""
-    x = dbpfn_encode(pillars, weights.dbpfn)
-    if observer is not None:
-        observer(ENCODER_SITE, x.features)
-    return run_encoded(x, pillars, weights, grid, cfg, score_threshold, top_k, threads,
-                       observer)
+    return run_encoded(dbpfn_encode(pillars, weights.dbpfn), pillars, weights, grid, cfg,
+                       score_threshold, top_k, threads, observer)
 
 
 # ---------------------------------------------------------------------------

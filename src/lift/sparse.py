@@ -1,15 +1,17 @@
 """2D sparse tensors, neighbour tables, and the convolution flavors.
 
-A sparse tensor stores only its active coordinates plus one feature
-row per coordinate, kept in canonical row-major order (by j, then i).
-A conv's rulebook is an output-major table: nbr[d, o] is the input row
+A sparse tensor stores only its active coordinates plus one feature row
+per coordinate, kept in canonical row-major order (by j, then i). A
+conv's rulebook is an output-major table: nbr[d, o] is the input row
 that kernel offset d feeds into output row o, or n_in where that tap is
-missing, and row n_in of the copied features is zeros. Output rows run
-in tiles of TILE_ROWS (the remainder joins the last tile, since BLAS may
-round a shorter GEMM differently). Per tile, each group of offsets
-gathers its rows side by side, runs one GEMM and adds the product onto
-the tile's accumulators, which start at the bias; the epilogue (a ReLU,
-or int8 requantization) then runs while the tile is in cache.
+missing, and row n_in of the features reads zeros: float conv and add
+outputs keep a spare +0.0 row for this, other inputs are copied and
+padded. Output rows run in tiles of TILE_ROWS (the remainder joins the
+last tile, since BLAS may round a shorter GEMM differently). Per tile,
+each group of offsets gathers its rows side by side, runs one GEMM and
+adds the product onto the tile's accumulators, which start at the bias;
+the epilogue (a ReLU, or int8 requantization) then runs while the tile
+is in cache.
 
 Threads: with threads > 1 and at least two tiles, the calling thread
 and threads - 1 pool workers take disjoint tiles from one shared queue
@@ -382,6 +384,26 @@ def _padded(features: np.ndarray, fill, dtype=None) -> np.ndarray:
     return out
 
 
+def _empty_zero_row(n: int, channels: int) -> np.ndarray:
+    """(n, channels) float64: the first rows of a buffer whose spare last row is +0.0."""
+    buf = np.empty((n + 1, channels))
+    buf[n] = 0.0
+    return buf[:n]
+
+
+def _zero_padded(features: np.ndarray) -> np.ndarray:
+    """_padded(features, 0.0): the buffer features is a view of when that is
+    exactly features and a +0.0 row (float conv and add outputs), else a copy."""
+    buf = features.base
+    if (isinstance(buf, np.ndarray) and buf.dtype == features.dtype
+            and buf.ctypes.data == features.ctypes.data
+            and buf.shape == (features.shape[0] + 1, features.shape[1])
+            and buf.flags.c_contiguous and features.flags.c_contiguous
+            and not buf[-1].view(np.uint8).any()):   # bitwise +0.0
+        return buf
+    return _padded(features, 0.0)
+
+
 def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
           out_quant: OutputQuant | None = None, threads: int = 1,
           relu: bool = False) -> SparseTensor2D:
@@ -406,8 +428,8 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
         out = np.empty((n_out, cout), dtype=np.int8)
     else:
         per_gemm, gemm = 1, np.float64
-        feats = _padded(x.features, 0.0)
-        out = np.empty((n_out, cout))
+        feats = _zero_padded(x.features)
+        out = _empty_zero_row(n_out, cout)
     hit_only = x.is_int8 and rb.hit_share < HIT_ONLY_SHARE
     groups = [[d] for d in rb.live] if hit_only else \
         [g.tolist() for g in np.array_split(rb.live, max(-(-rb.live.size // per_gemm), 1))]
@@ -531,16 +553,20 @@ def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: in
         tables = requantize_array(centered, add_quant.multipliers, add_quant.shifts,
                                   0).astype(np.int16)
         out = np.empty_like(base.features)
-        # by tiles: take widens each tile's byte indices to intp
-        for lo, hi in _tiles(len(base)):
-            acc = tables[:, 0].take(base.features[lo:hi].view(np.uint8))
-            acc += tables[:, 1].take(o[rows[lo:hi]].view(np.uint8))
-            acc += add_quant.qparams.zero_point
-            out[lo:hi] = np.clip(acc, INT8_MIN, INT8_MAX, out=acc)
-        return base.with_features(out, add_quant.qparams)
-
-    # a site without other adds -0.0, which leaves every value as it is
-    return base.with_features(base.features + _padded(other.features, -0.0)[rows])
+    else:
+        o, out = _zero_padded(other.features), _empty_zero_row(len(base), base.channels)
+    # by tiles: the rows gathered from other (and int8 byte indices as intp) stay small
+    for lo, hi in _tiles(len(base)):
+        taps = o[rows[lo:hi]]
+        if not base.is_int8:
+            taps[rows[lo:hi] == len(other)] = -0.0   # adding -0.0 changes no value
+            np.add(base.features[lo:hi], taps, out=out[lo:hi])
+            continue
+        acc = tables[:, 0].take(base.features[lo:hi].view(np.uint8))
+        acc += tables[:, 1].take(taps.view(np.uint8))
+        acc += add_quant.qparams.zero_point
+        out[lo:hi] = np.clip(acc, INT8_MIN, INT8_MAX, out=acc)
+    return base.with_features(out, add_quant.qparams if base.is_int8 else None)
 
 
 def relu(x: SparseTensor2D) -> SparseTensor2D:

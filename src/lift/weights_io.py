@@ -289,6 +289,9 @@ def _read_layers(rm: _RecordMap, branch: str, hidden: int, read_conv):
 def records_to_float_network(records) -> NetworkWeights:
     """Rebuild a float network from tensors alone (no config needed);
     structure and channel widths come from names and dims."""
+    for r in records:
+        if not np.isfinite(r.data).all():
+            raise FormatError(f"tensor {r.name!r}: holds a value that is not finite")
     rm = _RecordMap(records)
     form = "train" if any(".branch3x3." in r.name for r in records) else "fused"
     w = _encoder_weight(rm).data
@@ -300,9 +303,10 @@ def records_to_float_network(records) -> NetworkWeights:
 
     def read_conv(op: Op, cin: int):
         if form == "fused" or not op.stage:
+            # kept as stored, in float32: a conv widens its kernel per call
             kernel = _conv_kernel(rm, f"{op.tensor_prefix}.kernel", op, cin).data
-            return FusedConvLayer(kernel=kernel.astype(np.float64),
-                                  bias=rm.array(f"{op.tensor_prefix}.bias", (kernel.shape[3],)))
+            return FusedConvLayer(kernel=kernel,
+                                  bias=rm.get(f"{op.tensor_prefix}.bias", (kernel.shape[3],)).data)
         k3 = _conv_kernel(rm, f"{op.name}.branch3x3.kernel", op, cin).data
         cout = k3.shape[3]
         # stride-2 layers have no identity branch: check_all_used names a stray one

@@ -254,6 +254,31 @@ class TestFuse:
             capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, form, name, value", [
+    ("infer", "fused", "stage2.layer1.fused.kernel", np.inf),
+    ("fuse", "train", "stage2.layer1.branch1x1.bn.var", np.nan),
+])
+def test_non_finite_float_tensor_exit2_names_it(workspace, capsys, command, form, name,
+                                                value):
+    from lift.weights_io import read_weight_file, write_weight_file
+
+    tmp_path, cfg_path, _ = workspace
+    records = read_weight_file(gen(tmp_path, cfg_path, form))
+    next(r for r in records if r.name == name).data.flat[5] = value
+    path = tmp_path / "non-finite.w"
+    write_weight_file(path, records)
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    # the cloud is absent: the file is refused before any cloud is read
+    argv = (["infer", "--weights", str(path), "--cloud", str(tmp_path / "absent.bin"),
+             "--config", cfg_path, "--out", out] if command == "infer"
+            else ["fuse", "--weights-train", str(path), "--out", out])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"tensor {name!r}" in err and "not finite" in err
+    assert "absent.bin" not in err and "Traceback" not in err
+
+
 class TestMacs:
     def test_empty_cloud_passes(self, workspace, tmp_path, capsys):
         _, cfg_path, _ = workspace

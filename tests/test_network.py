@@ -1,13 +1,17 @@
+import sys
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from conftest import random_cloud, random_sparse
 from oracles import dense_conv, densify, max_rel_dev, sigmoid
 
 from lift.errors import ShapeError
-from lift.network import (DbpfnParams, NetworkConfig, dbpfn_encode,
+from lift.network import (ENCODER_SITE, DbpfnParams, NetworkConfig, dbpfn_encode,
                           decode, fuse_network, fuse_scales, fusion_probe_deviation,
-                          random_network_weights, residual_adds, run_backbone, run_head,
-                          run_network)
+                          random_network_weights, residual_adds, run_backbone, run_encoded,
+                          run_head, run_network)
 from lift.pillarizer import GridConfig, PillarSet, pillarize
 from lift.sparse import SparseTensor2D
 
@@ -395,3 +399,69 @@ def test_default_config_cloud_builds_nine_tables_for_forty_lookups(rng, monkeypa
         + [(3, "submanifold")] * 4
     # the result keeps no table past its cloud
     assert res.heatmap._tables == {}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11, CPython keeps a call's arguments alive in the "
+                           "caller until the call returns")
+@pytest.mark.parametrize("mode", ["float", "int8"])
+def test_each_site_is_freed_after_its_last_reader(rng, small_config, mode):
+    from lift import quantize
+    from lift.quant import QuantParams
+
+    cfg = small_config
+    weights = random_network_weights(cfg.network, cfg.feature_length, 0, "fused")
+    pillars = pillarize(random_cloud(rng, 2000, cfg.grid), cfg.grid)
+    refs, freed = {}, {}
+
+    def observer(site, features):
+        freed[site] = {s for s, ref in refs.items() if ref() is None}
+        refs[site] = weakref.ref(features)
+
+    if mode == "float":
+        run_network(pillars, weights, cfg.grid, cfg.network, 0.05, 32, observer=observer)
+    else:
+        net8 = quantize.quantize_network(
+            weights, [QuantParams(s, z) for s, z in GOLDEN_FEATURE_QPS],
+            {site: golden_act(site) for site in quantize.activation_sites(cfg.network)})
+        run_encoded(quantize.encode_int8(pillars, net8), pillars, net8, cfg.grid,
+                    cfg.network, 0.05, 32, 1, observer)
+    depths = cfg.network.stage_depths
+    s2, s3, s4 = (f"stage{s}.layer{depths[s - 1]}.out" for s in (2, 3, 4))
+    assert ENCODER_SITE in freed["stage1.layer1.out"]
+    assert {"align.out", s2, s3, s4} <= freed["head.cls.conv.out"]
+    # the head's input lives until its last reader, the second branch's conv
+    assert "fusion.out" not in freed["head.cls.out"]
+    assert "fusion.out" in freed["head.reg.out"]
+
+
+def test_one_float_cloud_keeps_only_live_activations(rng):
+    from lift.config import config_from_dict
+
+    cfg = config_from_dict({})
+    weights = random_network_weights(cfg.network, cfg.feature_length, 0, "fused")
+    pillars = pillarize(random_cloud(rng, 6000, cfg.grid), cfg.grid)
+    shapes = {}
+    tracemalloc.start()
+    try:
+        run_network(pillars, weights, cfg.grid, cfg.network, threads=1,
+                    observer=lambda site, features: shapes.setdefault(site, features.shape))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    def nbytes(site):   # float64 rows and a spare row
+        rows, channels = shapes[site]
+        return (rows + 1) * channels * 8
+
+    # a conv holds its input, its output and its table (k * k intp per output row)
+    largest = max(nbytes(op.inputs[0]) + nbytes(op.output) + op.k ** 2 * 8 * shapes[op.output][0]
+                  for op in weights.ops if op.kind == "conv")
+    pillar_bytes = sum(a.nbytes for a in (pillars.features, pillars.coords, pillars.offsets))
+    # the first fusion add holds a head conv's input and output beside the
+    # stage 3 and 4 outputs; the 25 % covers each tile's gather and product,
+    # kernels widened to float64 and the tables of live active sets
+    depths = cfg.network.stage_depths
+    coarse = nbytes(f"stage3.layer{depths[2]}.out") + nbytes(f"stage4.layer{depths[3]}.out")
+    budget = 1.25 * (largest + pillar_bytes + coarse)
+    assert peak <= budget, f"peak {peak / 1e6:.1f} MB over a budget of {budget / 1e6:.1f} MB"

@@ -749,6 +749,75 @@ class TestSharedTables:
         assert built == [(3, "submanifold")]
 
 
+class TestSpareZeroRow:
+    """Float conv and add outputs are the first rows of a buffer whose spare
+    last row is +0.0, which the next float conv reads in place of a copy."""
+
+    KERNELS = (("submanifold", (3, 3, 8, 8)), ("stride2", (3, 3, 8, 16)),
+               ("submanifold", (1, 1, 16, 16)), ("submanifold", (3, 3, 16, 4)))
+
+    def chain(self, x, kernels, copy):
+        for mode, kernel in kernels:
+            if copy:
+                x = x.with_features(x.features.copy())
+            conv = sparse_conv_stride2 if mode == "stride2" else submanifold_conv
+            x = conv(x, kernel, threads=2, relu=True)
+        return x
+
+    def test_a_float_conv_chain_copies_only_its_input(self, rng, monkeypatch):
+        x = random_sparse(rng, 90, 60, 8, occupancy=0.5)   # multi-tile convs
+        kernels = [(mode, rng.normal(size=shape)) for mode, shape in self.KERNELS]
+        copied = self.chain(x, kernels, copy=True)
+        padded, calls = sparse._padded, []
+        monkeypatch.setattr(sparse, "_padded",
+                            lambda features, *args: calls.append(features.shape)
+                            or padded(features, *args))
+        y = self.chain(x, kernels, copy=False)
+        assert calls == [x.features.shape]
+        assert np.array_equal(y.coords, copied.coords)
+        assert y.features.tobytes() == copied.features.tobytes()
+
+    @pytest.mark.parametrize("hidden", [0.0, -0.0, 1.0, np.nan])
+    def test_only_a_bitwise_plus_zero_hidden_row_is_trusted(self, rng, hidden):
+        x = random_sparse(rng, 20, 16, 4, occupancy=0.5)
+        buf = np.vstack([x.features, np.full((1, 4), hidden)])
+        view = x.with_features(buf[:-1])
+        trusted = sparse._zero_padded(view.features) is buf
+        assert trusted == (np.signbit(hidden) == 0 and hidden == 0.0)
+        kernel = rng.normal(size=(3, 3, 4, 4))
+        assert submanifold_conv(view, kernel).features.tobytes() == \
+            submanifold_conv(x, kernel).features.tobytes()
+
+    def test_a_view_past_the_buffers_first_row_is_copied(self, rng):
+        x = random_sparse(rng, 20, 16, 4, occupancy=0.5)
+        x.features[-1] = 0.0
+        # n + 1 rows ending in +0.0, but the features start at its second row
+        buf = np.vstack([rng.normal(size=(1, 4)), x.features])
+        view = x.with_features(buf[1:])
+        assert sparse._zero_padded(view.features) is not buf
+        kernel = rng.normal(size=(3, 3, 4, 4))
+        assert submanifold_conv(view, kernel).features.tobytes() == \
+            submanifold_conv(x, kernel).features.tobytes()
+
+    def test_the_tiled_float_add_equals_the_padded_gather(self, rng):
+        base = random_sparse(rng, 120, 90, 16, occupancy=0.5)
+        base.features[::3] = -0.0
+        other = submanifold_conv(random_sparse(rng, 30, 23, 16, occupancy=0.3),
+                                 rng.normal(size=(3, 3, 16, 16)))
+        kept = other.features.copy()
+        y = sparse_add_projected(base, other, 4)
+        rows = sparse._rows_at(other, base.coords[:, 0] // 4, base.coords[:, 1] // 4)
+        want = base.features + sparse._padded(other.features, -0.0)[rows]
+        assert len(_tiles(len(base))) > 1
+        assert y.features.tobytes() == want.tobytes()
+        # -0.0 stays -0.0 where there is no other; other's buffer is only read
+        zeros_alone = (rows == len(other)) & (np.arange(len(base)) % 3 == 0)
+        assert zeros_alone.any() and np.signbit(y.features[zeros_alone]).all()
+        assert other.features.tobytes() == kept.tobytes()
+        assert sparse._zero_padded(other.features) is other.features.base
+        assert sparse._zero_padded(y.features) is y.features.base
+
+
 class TestFloat64Epilogue:
     """OutputQuant.requantize against the Python-int Requantizer oracle."""
 
