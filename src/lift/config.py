@@ -1,12 +1,15 @@
 """Engine configuration: one JSON document covering grid, features,
-network shape, decoding and calibration. Unknown keys are rejected so
-typos fail fast instead of silently running with defaults.
+network shape, decoding and calibration. Unknown keys and unusable values
+are rejected, naming the key, so a typo fails fast and never runs silently.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import FormatError
 from .network import DEFAULT_CLASS_NAMES, NetworkConfig
@@ -41,22 +44,26 @@ def _bool(v):
     return v
 
 
-def _int(v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or int(v) != v:
+def _int(v, lo=-math.inf):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not -math.inf < v < math.inf or int(v) != v:   # NaN fails the range
         raise FormatError(f"expected an integer, got {v!r}")
+    if v < lo:
+        raise FormatError(f"expected an integer >= {lo}, got {v!r}")
     return int(v)
 
 
 def _float(v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise FormatError(f"expected a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not -sys.float_info.max <= v <= sys.float_info.max:   # NaN fails too
+        raise FormatError(f"expected a finite number, got {v!r}")
     return float(v)
 
 
-def _int_list(v):
+def _int_list(v, lo=-math.inf):
     if not isinstance(v, (list, tuple)):
         raise FormatError(f"expected a list, got {v!r}")
-    return tuple(_int(x) for x in v)
+    return tuple(_int(x, lo) for x in v)
 
 
 def _str_list(v):
@@ -91,27 +98,31 @@ def config_from_dict(doc: dict) -> EngineConfig:
         "x_min": _float, "x_max": _float, "y_min": _float, "y_max": _float,
         "z_min": _float, "z_max": _float,
         "pillar_size_x": _float, "pillar_size_y": _float,
-        "max_points_per_pillar": _int,
+        "max_points_per_pillar": partial(_int, lo=1),
     })
     feat_kwargs = _take(doc.get("features", {}), "features", {
         "normalize_intensity": _bool, "include_pillar_offsets": _bool,
     })
     net_kwargs = _take(doc.get("network", {}), "network", {
-        "encoder_out": _int, "stage_channels": _int_list, "stage_depths": _int_list,
-        "align_channels": _int, "num_classes": _int, "class_names": _str_list,
+        "encoder_out": partial(_int, lo=1), "stage_channels": partial(_int_list, lo=1),
+        "stage_depths": partial(_int_list, lo=0), "align_channels": partial(_int, lo=1),
+        "num_classes": partial(_int, lo=1), "class_names": _str_list,
     })
     if "class_names" not in net_kwargs:
         n = net_kwargs.get("num_classes", NetworkConfig().num_classes)
         net_kwargs["class_names"] = DEFAULT_CLASS_NAMES if n == len(DEFAULT_CLASS_NAMES) \
             else tuple(f"class_{k}" for k in range(n))
     decode_kwargs = _take(doc.get("decode", {}), "decode", {
-        "score_threshold": _float, "top_k": _int,
+        "score_threshold": _float, "top_k": partial(_int, lo=1),
     })
     calib_kwargs = _take(doc.get("calibration", {}), "calibration", {
         "mode": str, "percentile": _float,
     })
     if calib_kwargs.get("mode", "minmax") not in ("minmax", "percentile"):
         raise FormatError(f"unknown calibration mode {calib_kwargs['mode']!r}")
+    if not 0 < calib_kwargs.get("percentile", 100) <= 100:
+        raise FormatError("config key calibration.percentile: expected a value in (0, 100], "
+                          f"got {calib_kwargs['percentile']!r}")
 
     return EngineConfig(
         grid=GridConfig(**grid_kwargs),

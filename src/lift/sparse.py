@@ -7,11 +7,11 @@ that kernel offset d feeds into output row o, or n_in where that tap is
 missing, and row n_in of the features reads zeros: float conv and add
 outputs keep a spare +0.0 row for this, other inputs are copied and
 padded. Output rows run in tiles of TILE_ROWS (the remainder joins the
-last tile, since BLAS may round a shorter GEMM differently). Per tile,
-each group of offsets gathers its rows side by side, runs one GEMM and
-adds the product onto the tile's accumulators, which start at the bias;
-the epilogue (a ReLU, or int8 requantization) then runs while the tile
-is in cache.
+last tile, since BLAS may round a shorter GEMM differently). Every conv,
+float or int8, runs one tile: each group of live offsets gathers its rows
+side by side, runs one GEMM and adds the product onto the tile's
+accumulators, which start at the bias; the epilogue (a ReLU, or int8
+requantization) then runs while the tile is in cache.
 
 Threads: with threads > 1 and at least two tiles, the calling thread
 and threads - 1 pool workers take disjoint tiles from one shared queue
@@ -34,10 +34,7 @@ The GEMMs run on centered inputs (|q - zero_point| <= 255) and weights
 * 255 * 128 <= 16,776,960 < 2^24, so every product and partial sum is
 exact, in any summation order. The live offsets split into near-equal
 groups of at most G (5 + 4 at Cin 64, 3 + 3 + 3 at Cin 128); above
-Cin = 514 each offset runs its own GEMM in float64. Where fewer than
-HIT_ONLY_SHARE of the table's entries are hits, each offset gathers only
-the rows it feeds and adds its GEMM into them (exact sums make the order
-immaterial; the float path never does this, as its bytes depend on it).
+Cin = 514 each offset runs its own GEMM in float64.
 
 OutputQuant.requantize then writes the tile as int8. Where every output
 channel's shift s is at most EXACT_F64_SHIFT = 13, it computes y = acc *
@@ -72,8 +69,6 @@ TILE_ROWS = 1024
 EXACT_F32_CHANNELS = 514
 # the largest shift at which the float64 epilogue is exact (module docstring)
 EXACT_F64_SHIFT = 13
-# int8 convs whose tables hold fewer hits than this share run hit-only GEMMs
-HIT_ONLY_SHARE = 0.3
 
 
 @dataclass
@@ -186,17 +181,8 @@ class Rulebook:
     def live(self) -> np.ndarray:  # the offsets that feed some output row
         return np.flatnonzero(self.hits)
 
-    @functools.cached_property
-    def hit_rows(self) -> list:
-        """Per offset, the output rows it feeds, ascending."""
-        return [np.flatnonzero(taps < self.n_in) for taps in self.nbr]
-
     def pair_count(self) -> int:
         return int(self.hits.sum())
-
-    @property
-    def hit_share(self) -> float:  # the share of the table's entries that are hits
-        return self.pair_count() / max(self.nbr.size, 1)
 
 
 def build_rulebook(x: SparseTensor2D, k: int, mode: str) -> Rulebook:
@@ -430,9 +416,7 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
         per_gemm, gemm = 1, np.float64
         feats = _zero_padded(x.features)
         out = _empty_zero_row(n_out, cout)
-    hit_only = x.is_int8 and rb.hit_share < HIT_ONLY_SHARE
-    groups = [[d] for d in rb.live] if hit_only else \
-        [g.tolist() for g in np.array_split(rb.live, max(-(-rb.live.size // per_gemm), 1))]
+    groups = [g.tolist() for g in np.array_split(rb.live, max(-(-rb.live.size // per_gemm), 1))]
     w_g = w.astype(gemm).reshape(k * k, cin, cout)
     w_groups = [w_g[g].reshape(-1, cout) for g in groups]
     # a submanifold conv's center offset maps every row onto itself
@@ -446,10 +430,6 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
         acc[:] = bias
         with quiet():
             for g, w_gemm in zip(groups, w_groups):
-                if hit_only:   # the offset's hit rows within the tile
-                    hit = rb.hit_rows[g[0]][slice(*np.searchsorted(rb.hit_rows[g[0]], rows))]
-                    acc[hit - lo] += feats.take(rb.nbr[g[0], hit], axis=0) @ w_gemm
-                    continue
                 taps = feats[lo:hi] if g == center else \
                     feats.take(rb.nbr[g, lo:hi].T, axis=0).reshape(hi - lo, -1)
                 acc += taps @ w_gemm

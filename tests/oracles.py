@@ -5,7 +5,9 @@ with explicit offset arithmetic -- no rulebooks, no gather/scatter -- so
 agreement with the sparse engine is meaningful. The front-end and decode
 oracles at the end restate those stages in their plainest form
 (reduceat pooling, a stable argsort, a float64 encoder GEMM, one box at
-a time), which the engine's array versions must match bit for bit. The
+a time), which the engine's array versions must match bit for bit, and
+run_int8_reference composes them with the dense conv oracle into a
+whole int8 network. The
 scalar quantize, Requantizer and requantize at the top are the
 Python-int reference for the engine's Q31 encoding (quant.encode_factors)
 and requantization (quant.requantize_array).
@@ -13,6 +15,7 @@ and requantization (quant.requantize_array).
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -415,6 +418,88 @@ def encode_int8_reference(pillars, net):
         requant_ref(pool.reduceat(acc, starts, axis=0), oq.multipliers, oq.shifts,
                     enc_qp.zero_point) for pool in (np.maximum, np.minimum)],
         axis=1).astype(np.int8)
+
+
+def _stride2_mask(mask):
+    """Stride-2 output active set of a dense (H, W) mask: o is active iff
+    some input 2o + d - 1, d in {0,1,2}^2, is."""
+    h, w = mask.shape
+    ho, wo = -(-h // 2), -(-w // 2)
+    pad = np.zeros((h + 2, w + 2), dtype=bool)
+    pad[1:h + 1, 1:w + 1] = mask
+    out = np.zeros((ho, wo), dtype=bool)
+    for dy in range(3):
+        for dx in range(3):
+            out |= pad[dy:dy + 2 * ho:2, dx:dx + 2 * wo:2]
+    return out
+
+
+def _requantize_each(centered, r):
+    """requantize(v, r) for every element of an int64 array, one scalar
+    call per distinct value."""
+    values, inverse = np.unique(centered, return_inverse=True)
+    out = np.array([requantize(int(v), r) for v in values], dtype=np.int64)
+    return out[inverse].reshape(centered.shape)
+
+
+def run_int8_reference(pillars, net, grid, cfg, score_threshold=0.1, top_k=500):
+    """The int8 network with no neighbour table, tile or thread: every site
+    is a dense int64 (H, W, C) grid plus its active mask, and inactive
+    sites hold the zero point (0 once centered). The encoder runs by
+    encode_int8_reference; each conv by dense_conv_int_fast, with the
+    Requantizer encoding and quant.integer_bias of its op, then masked to
+    its active set; each projected add requantizes both centered operands
+    through the scalar Requantizer. Returns decode_reference's boxes and
+    the head maps as SparseTensor2D."""
+    h, w = pillars.height, pillars.width
+    enc_qp = net.act[ENCODER_SITE]
+    dense = np.full((h, w, 2 * net.encoder.cout), enc_qp.zero_point, dtype=np.int64)
+    mask = np.zeros((h, w), dtype=bool)
+    if len(pillars):
+        i, j = pillars.coords.T
+        mask[j, i] = True
+        dense[j, i] = encode_int8_reference(pillars, net)
+    sites = {ENCODER_SITE: (dense, mask)}
+    for op in net.ops:
+        out_qp = net.act[op.output]
+        if op.kind == "conv":
+            x, mask = sites[op.inputs[0]]
+            in_qp, layer = net.act[op.inputs[0]], net.layers[op.name]
+            plan = [Requantizer.from_factor(in_qp.scale * s / out_qp.scale)
+                    for s in layer.weight_scales]
+            oq = SimpleNamespace(qparams=out_qp, multipliers=[r.multiplier for r in plan],
+                                 shifts=[r.shift for r in plan])
+            bias = integer_bias(layer.bias, in_qp.scale, layer.weight_scales,
+                                layer.q_weight.size // layer.cout)
+            stride = 2 if op.mode == "stride2" else 1
+            y = dense_conv_int_fast(x, in_qp.zero_point, layer.q_weight, bias, oq, stride)
+            if op.relu:
+                y = np.maximum(y, out_qp.zero_point)
+            if stride == 2:
+                mask = _stride2_mask(mask)
+        else:
+            (base, mask), (other, _) = sites[op.inputs[0]], sites[op.inputs[1]]
+            # base site (i, j) reads other at (i // factor, j // factor)
+            other = other.repeat(op.factor, axis=0).repeat(op.factor, axis=1)
+            other = other[:mask.shape[0], :mask.shape[1]]
+            y = out_qp.zero_point
+            for operand, s in ((base, op.inputs[0]), (other, op.inputs[1])):
+                qp = net.act[s]
+                y = y + _requantize_each(operand - qp.zero_point,
+                                         Requantizer.from_factor(qp.scale / out_qp.scale))
+            y = np.clip(y, INT8_MIN, INT8_MAX)
+        y[~mask] = out_qp.zero_point
+        sites[op.output] = (y, mask)
+
+    def sparse_site(site):
+        y, mask = sites[site]
+        jj, ii = np.nonzero(mask)
+        return SparseTensor2D(mask.shape[1], mask.shape[0], np.column_stack([ii, jj]),
+                              y[jj, ii].astype(np.int8), net.act[site])
+
+    heatmap, regression = sparse_site("head.cls.out"), sparse_site("head.reg.out")
+    boxes = decode_reference(heatmap, regression, grid, cfg, score_threshold, top_k)
+    return boxes, heatmap, regression
 
 
 def decode_reference(heatmap, regression, grid, cfg, score_threshold, top_k, stride=4):

@@ -673,6 +673,38 @@ def test_mutated_int8_file_exits_0_or_2(tiny_int8_file, mutations):
     assert code in (0, 2)
 
 
+@pytest.fixture(scope="module")
+def tiny_float_files(tiny_int8_file):
+    """The fused file the int8 one was calibrated from, and the training
+    form of the same seed."""
+    tmp_path = tiny_int8_file[0]
+    gen(tmp_path, str(tmp_path / "config.json"), "train")
+    return {form: (tmp_path / f"{form}0.w").read_bytes() for form in ("fused", "train")}
+
+
+@pytest.mark.parametrize("form, command", [("fused", "infer"), ("train", "infer"),
+                                           ("train", "fuse")])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 31), st.integers(1, 255)),
+                min_size=1, max_size=4))
+def test_mutated_float_file_exits_0_or_2(tiny_int8_file, tiny_float_files, form, command,
+                                         mutations):
+    tmp_path = tiny_int8_file[0]
+    data = bytearray(tiny_float_files[form])
+    for pos, flip in mutations:
+        data[pos % len(data)] ^= flip
+    path = tmp_path / "mutated-float.w"
+    path.write_bytes(data)
+    argv = ["fuse", "--weights-train", str(path), "--out", str(tmp_path / "fused.w")] \
+        if command == "fuse" else \
+        ["infer", "--weights", str(path), "--cloud", str(tmp_path / "cloud.bin"),
+         "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "d.jsonl"),
+         "--threads", "1"]
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.sampled_from(["cloud.bin", "config.json"]),
        st.lists(st.tuples(st.integers(0, 2 ** 31), st.integers(1, 255)),
@@ -691,6 +723,26 @@ def test_mutated_cloud_or_config_exits_0_or_2(tiny_int8_file, target, mutations)
                      "--config", str(inputs["config.json"]),
                      "--out", str(tmp_path / "d.jsonl"), "--threads", "1"])
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("decode", "top_k", -1), ("decode", "score_threshold", float("nan")),
+    ("network", "stage_depths", [1, -1, 1, 1]), ("grid", "pillar_size_x", float("nan")),
+    ("calibration", "percentile", 150)])
+def test_malformed_config_value_exit2_names_the_key(workspace, capsys, section, key, value):
+    tmp_path, cfg_path, cloud_path = workspace
+    weights = gen(tmp_path, cfg_path, "fused")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**CONFIG_DOC, section: {**CONFIG_DOC.get(section, {}),
+                                                       key: value}}))
+    capsys.readouterr()
+    assert main(["gen-weights", "--config", str(bad), "--seed", "0", "--form", "fused",
+                 "--out", str(tmp_path / "refused.w")]) == 2
+    assert main(["infer", "--weights", weights, "--cloud", cloud_path, "--config", str(bad),
+                 "--out", str(tmp_path / "d.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: config key {section}.{key}: expected") == 2
+    assert not (tmp_path / "refused.w").exists() and not (tmp_path / "d.jsonl").exists()
 
 
 def test_infer_validates_weights_before_reading_the_cloud(workspace, tmp_path, capsys):

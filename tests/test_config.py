@@ -87,3 +87,25 @@ def test_load_config_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(FormatError):
         load_config(path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("decode", "top_k", -1), ("decode", "top_k", 0), ("decode", "top_k", float("inf")),
+    ("decode", "score_threshold", float("nan")), ("grid", "pillar_size_x", float("nan")),
+    ("grid", "x_max", float("inf")), ("grid", "x_min", 10 ** 400),
+    ("grid", "max_points_per_pillar", 0), ("network", "stage_depths", [1, -1, 1, 1]),
+    ("network", "stage_channels", [64, 0, 128, 128]), ("network", "encoder_out", 0),
+    ("network", "align_channels", -8), ("network", "num_classes", 0),
+    ("calibration", "percentile", 150), ("calibration", "percentile", 0),
+    ("calibration", "percentile", float("nan"))])
+def test_values_no_run_can_use_are_rejected_naming_the_key(section, key, value):
+    with pytest.raises(FormatError, match=rf"^config key {section}\.{key}: expected"):
+        config_from_dict({section: {key: value}})
+
+
+def test_values_at_the_edge_of_their_range_parse():
+    cfg = config_from_dict({"decode": {"top_k": 1, "score_threshold": -1e300},
+                            "network": {"stage_depths": [0, 0, 0, 0]},
+                            "calibration": {"percentile": 100}})
+    assert (cfg.top_k, cfg.network.stage_depths, cfg.calibration_percentile) == \
+        (1, (0, 0, 0, 0), 100.0)

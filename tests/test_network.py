@@ -368,6 +368,84 @@ def test_int8_outputs_match_the_golden_digest(small_config):
     assert digest.hexdigest() == GOLDEN_INT8_DIGEST
 
 
+ORACLE_CONFIG_DOC = {
+    # 192 x 192 pillars; stage 3 has no submanifold layer
+    "grid": {"x_min": -4.8, "x_max": 4.8, "y_min": -4.8, "y_max": 4.8,
+             "pillar_size_x": 0.05, "pillar_size_y": 0.05},
+    "network": {"encoder_out": 16, "stage_channels": [16, 16, 32, 32], "align_channels": 32,
+                "num_classes": 3, "stage_depths": [1, 1, 0, 1]},
+    "decode": {"score_threshold": 0.05, "top_k": 32},
+}
+# zero points set over calibrated scales; the rest keep theirs (-128 after a ReLU)
+ORACLE_ZERO_POINTS = {"dbpfn.out": 0, "align.out": 127, "fusion.add3.out": 0}
+
+
+@pytest.fixture(scope="module")
+def oracle_case():
+    """An int8 network and a sparse cloud that reach the tile edge cases:
+    a multi-tile stride-2 conv under 30 % hits, convs whose last tile
+    carries a remainder, a plan with a shift past EXACT_F64_SHIFT, zero
+    points -128, 0 and 127, and a stage of depth 0."""
+    from lift import quantize
+    from lift.config import config_from_dict
+    from lift.quant import QuantParams
+
+    cfg = config_from_dict(ORACLE_CONFIG_DOC)
+    weights = random_network_weights(cfg.network, cfg.feature_length, 0, "fused")
+    # one output channel far below the rest: its plan's shift passes 13
+    layer = weights.layers["stage2.layer1"]
+    layer.kernel[..., 0] *= 2.0 ** -10
+    layer.bias[0] *= 2.0 ** -10
+    pillars = pillarize(random_cloud(np.random.default_rng(7), 5000, cfg.grid), cfg.grid)
+    collector = quantize.CalibrationCollector()
+    collector(quantize.INPUT_FEATURES_SITE, pillars.features)
+    run_network(pillars, weights, cfg.grid, cfg.network, observer=collector)
+    act = {s: QuantParams(collector.qparams(s).scale,
+                          ORACLE_ZERO_POINTS.get(s, collector.qparams(s).zero_point))
+           for s in quantize.activation_sites(cfg.network)}
+    net = quantize.quantize_network(weights, collector.feature_qparams(), act)
+    return cfg, pillars, net
+
+
+def test_int8_oracle_case_reaches_the_tile_edge_cases(oracle_case):
+    from lift import quantize
+    from lift.sparse import EXACT_F64_SHIFT, TILE_ROWS, OutputQuant, build_rulebook
+
+    cfg, pillars, net = oracle_case
+    rb = build_rulebook(quantize.encode_int8(pillars, net), 3, "stride2")
+    # stage 1's rows: several tiles, the last with a remainder; under 30 % hits
+    n_out = len(rb.out_coords)
+    assert n_out >= 2 * TILE_ROWS and n_out % TILE_ROWS
+    assert rb.pair_count() < 0.3 * rb.nbr.size
+    shifts = [OutputQuant.from_scales(net.act[op.inputs[0]].scale,
+                                      net.layers[op.name].weight_scales,
+                                      net.act[op.output]).shifts.max()
+              for op in net.ops if op.kind == "conv"]
+    assert max(shifts) > EXACT_F64_SHIFT
+    assert {-128, 0, 127} <= {qp.zero_point for qp in net.act.values()}
+    assert 0 in cfg.network.stage_depths
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("points", [5000, 0])
+def test_int8_network_equals_the_dense_oracle(oracle_case, threads, points):
+    from oracles import run_int8_reference
+
+    from lift import quantize
+
+    cfg, pillars, net = oracle_case
+    if points == 0:
+        pillars = pillarize(random_cloud(np.random.default_rng(7), 0, cfg.grid), cfg.grid)
+    boxes, heatmap, regression = run_int8_reference(pillars, net, cfg.grid, cfg.network,
+                                                    0.05, 32)
+    res = quantize.run_int8_network(pillars, net, cfg.grid, cfg.network, 0.05, 32, threads)
+    for got, want in ((res.heatmap, heatmap), (res.regression, regression)):
+        assert np.array_equal(got.coords, want.coords)
+        assert got.features.tobytes() == want.features.tobytes()
+    assert res.boxes == boxes
+    assert len(boxes) == (32 if points else 0)
+
+
 @pytest.mark.parametrize("mode", ["float", "int8"])
 def test_default_config_cloud_builds_nine_tables_for_forty_lookups(rng, monkeypatch, mode):
     from lift import quantize, sparse
