@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import FormatError
+from .errors import FormatError, StructuralError
 from .network import DEFAULT_CLASS_NAMES, NetworkConfig
 from .pillarizer import FEATURE_NAMES, GridConfig
 
@@ -124,10 +124,14 @@ def config_from_dict(doc: dict) -> EngineConfig:
         raise FormatError("config key calibration.percentile: expected a value in (0, 100], "
                           f"got {calib_kwargs['percentile']!r}")
 
+    try:
+        network = NetworkConfig(**net_kwargs)
+    except StructuralError as e:
+        raise FormatError(f"config section network: {e}") from None
     return EngineConfig(
         grid=GridConfig(**grid_kwargs),
         features=FeatureFlags(**feat_kwargs),
-        network=NetworkConfig(**net_kwargs),
+        network=network,
         score_threshold=decode_kwargs.get("score_threshold", 0.1),
         top_k=decode_kwargs.get("top_k", 500),
         calibration_mode=calib_kwargs.get("mode", "minmax"),

@@ -39,6 +39,7 @@ DEFAULT_CLASS_NAMES = (
 REGRESSION_CHANNELS = 8
 OFFSET_CLAMP = 1.0     # cells; keeps decoded centers near their site
 LOG_SIZE_CLAMP = 8.0   # keeps exp() finite for arbitrary regressions
+HEAD_STRIDE = 4        # the head maps' pillar stride (stage 2's resolution)
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,17 @@ class NetworkConfig:
 
     def __post_init__(self):
         if len(self.stage_channels) != 4 or len(self.stage_depths) != 4:
-            raise StructuralError("backbone has exactly 4 stages")
+            raise StructuralError("stage_channels and stage_depths need 4 values each")
         if self.encoder_out % 2 != 0:
-            raise StructuralError("encoder output width must be even (max/min halves)")
+            raise StructuralError(f"encoder_out must be even, got {self.encoder_out}")
         if not (self.stage_channels[2] == self.stage_channels[3] == self.align_channels):
-            raise StructuralError("fusion requires align_channels == stage 3/4 channels")
+            raise StructuralError(f"align_channels ({self.align_channels}) must equal the "
+                                  f"stage 3/4 stage_channels {self.stage_channels[2:]}")
         if self.num_classes < 1:
             raise StructuralError("need at least one class")
         if len(self.class_names) != self.num_classes:
-            raise StructuralError("class_names length must equal num_classes")
+            raise StructuralError(f"class_names has {len(self.class_names)} names, "
+                                  f"num_classes is {self.num_classes}")
 
     @property
     def encoder_hidden(self) -> int:
@@ -348,8 +351,7 @@ def _centers(cells, offsets, v_min, v_max, cell):
 
 
 def decode(heatmap: SparseTensor2D, regression: SparseTensor2D, grid: GridConfig,
-           cfg: NetworkConfig, score_threshold: float, top_k: int,
-           stride: int = 4) -> list:
+           cfg: NetworkConfig, score_threshold: float, top_k: int) -> list:
     """Turn head maps into boxes.
 
     Per class, a site survives if its score is a local maximum over the
@@ -357,7 +359,7 @@ def decode(heatmap: SparseTensor2D, regression: SparseTensor2D, grid: GridConfig
     top_k by score is kept, ties broken by ascending (class, j, i).
     Box centers use the cell-center convention (i + 0.5 + offset) with
     offsets clamped to one cell, so centers stay within the grid
-    expanded by one cell at this stride.
+    expanded by one cell at HEAD_STRIDE.
     """
     if len(heatmap) == 0:
         return []
@@ -381,8 +383,8 @@ def decode(heatmap: SparseTensor2D, regression: SparseTensor2D, grid: GridConfig
     ii, jj, cls, cand_scores = ii[order], jj[order], cls[order], cand_scores[order]
     reg = regression.features[rows[order]]
 
-    cell_x = grid.pillar_size_x * stride
-    cell_y = grid.pillar_size_y * stride
+    cell_x = grid.pillar_size_x * HEAD_STRIDE
+    cell_y = grid.pillar_size_y * HEAD_STRIDE
     off = np.clip(reg[:, :2], -OFFSET_CLAMP, OFFSET_CLAMP)
     xs = _centers(ii, off[:, 0], grid.x_min, grid.x_max, cell_x).tolist()
     ys = _centers(jj, off[:, 1], grid.y_min, grid.y_max, cell_y).tolist()

@@ -27,23 +27,21 @@ class PointCloud:
     """
 
     data: np.ndarray = field(default_factory=lambda: np.empty((0, 4), dtype=np.float32))
-    source_stride: int = 4
     dropped: int = 0
 
     def __len__(self) -> int:
         return self.data.shape[0]
 
 
-def _keep_finite(records: np.ndarray, stride: int) -> PointCloud:
+def _keep_finite(records: np.ndarray) -> PointCloud:
     """The rows of C-contiguous (N, stride) float32 records whose first
     four fields are finite, as a new (N', 4) array; one isfinite pass
     over the whole buffer, and no row mask unless some field fails it."""
     finite = np.isfinite(records)
     if finite.all():
-        return PointCloud(data=records[:, :4].copy(), source_stride=stride)
+        return PointCloud(data=records[:, :4].copy())
     kept = finite[:, :4].all(axis=1)
-    return PointCloud(data=records[kept, :4], source_stride=stride,
-                      dropped=int(kept.size - np.count_nonzero(kept)))
+    return PointCloud(data=records[kept, :4], dropped=int(kept.size - np.count_nonzero(kept)))
 
 
 def read_binary_cloud(path, stride: int = 5) -> PointCloud:
@@ -63,7 +61,7 @@ def read_binary_cloud(path, stride: int = 5) -> PointCloud:
             f"{path}: file length {len(raw)} is not a multiple of {record_bytes} "
             f"(stride {stride} x 4 bytes)"
         )
-    return _keep_finite(np.frombuffer(raw, dtype="<f4").reshape(-1, stride), stride)
+    return _keep_finite(np.frombuffer(raw, dtype="<f4").reshape(-1, stride))
 
 
 def read_text_cloud(path) -> PointCloud:
@@ -86,8 +84,8 @@ def read_text_cloud(path) -> PointCloud:
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: non-numeric field") from None
     if not rows:
-        return PointCloud(data=np.empty((0, 4), dtype=np.float32), source_stride=4)
-    return _keep_finite(np.asarray(rows, dtype=np.float32), 4)
+        return PointCloud()
+    return _keep_finite(np.asarray(rows, dtype=np.float32))
 
 
 def read_cloud(path, stride: int = 5) -> PointCloud:

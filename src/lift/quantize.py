@@ -24,8 +24,8 @@ from .network import (ENCODER_SITE, InferenceResult, NetworkConfig, NetworkWeigh
 from .pillarizer import GridConfig, PillarSet
 from .quant import (INT8_MAX, INT8_MIN, QuantParams, calibrate, encode_factors,
                     integer_bias, requantize_array)
-from .sparse import (EXACT_F32_CHANNELS, AddQuant, OutputQuant, SparseTensor2D,
-                     sparse_add_projected, sparse_conv_stride2, submanifold_conv)
+from .sparse import (EXACT_F32_CHANNELS, OutputQuant, SparseTensor2D, sparse_add_projected,
+                     sparse_conv_stride2, submanifold_conv)
 
 INPUT_FEATURES_SITE = "input_features"
 
@@ -116,7 +116,7 @@ class Int8Weights:
 @dataclass(frozen=True)
 class Int8Network:
     """Int8 weights and activation params, checked once, when made: every
-    requantization factor encodes (quant.encode_factors, as the plans do)
+    requantization factor encodes (quant.encode_factors, as the ops do)
     and every bias keeps the int32 accumulator bound (quant.integer_bias;
     bias_q keeps them by op name, "dbpfn" for the encoder). RangeError
     names the tensor at fault and its op. Frozen, with read-only mappings
@@ -144,7 +144,7 @@ class Int8Network:
         rescales = [(name, out, s_in, w.weight_scales) for name, _, w, s_in, out in convs] + [
             (op.name, op.output, act[s].scale, np.ones(1))
             for op in self.ops if op.kind == "add" for s in op.inputs]
-        # each check is one array pass over every op, on the values the plans use
+        # each check is one array pass over every op, on the values the ops use
         sizes = [r[3].size for r in rescales]
         s_in = np.repeat([r[2] for r in rescales], sizes)
         s_w = np.concatenate([r[3] for r in rescales])
@@ -171,13 +171,11 @@ class Int8Network:
 
     def apply(self, op: Op, xs: list, threads: int = 1) -> SparseTensor2D:
         """One op on int8 tensors, its ReLU included (a conv clamps at the
-        output zero point as it requantizes); the requantization plan is
-        built from the stored scales per call."""
+        output zero point as it requantizes); the requantization factors
+        are encoded from the stored scales per call."""
         act = self.act
         if op.kind == "add":
-            add_quant = AddQuant.from_scales(act[op.inputs[0]], act[op.inputs[1]],
-                                             act[op.output])
-            return sparse_add_projected(xs[0], xs[1], op.factor, add_quant=add_quant)
+            return sparse_add_projected(xs[0], xs[1], op.factor, qparams=act[op.output])
         conv = self.layers[op.name]
         in_scale = act[op.inputs[0]].scale
         oq = OutputQuant.from_scales(in_scale, conv.weight_scales, act[op.output])
@@ -245,8 +243,7 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
     q_weight = net.encoder.q_weight
     n_features, hidden = q_weight.shape
     if len(pillars) == 0:
-        return SparseTensor2D.empty(pillars.width, pillars.height, 2 * hidden,
-                                    qparams=enc_qp, int8=True)
+        return SparseTensor2D.empty(pillars.width, pillars.height, 2 * hidden, qparams=enc_qp)
     if pillars.feature_length != n_features:
         raise ShapeError("pillar feature length does not match encoder weights")
     gemm = np.float32 if n_features <= EXACT_F32_CHANNELS else np.float64

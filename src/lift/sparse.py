@@ -122,8 +122,9 @@ class SparseTensor2D:
                    qparams=qparams, _keys=keys)
 
     @classmethod
-    def empty(cls, width, height, channels, qparams=None, int8=False) -> "SparseTensor2D":
-        dtype = np.int8 if int8 else np.float64
+    def empty(cls, width, height, channels, qparams=None) -> "SparseTensor2D":
+        """No active sites; int8 exactly when given qparams."""
+        dtype = np.float64 if qparams is None else np.int8
         return cls(width=width, height=height,
                    coords=np.empty((0, 2), dtype=np.int64),
                    features=np.empty((0, channels), dtype=dtype),
@@ -489,29 +490,13 @@ def sparse_max_pool(x: SparseTensor2D, k: int = 3) -> SparseTensor2D:
     return x.with_features(out, x.qparams)
 
 
-@dataclass(frozen=True)
-class AddQuant:
-    """Requantization plan for an int8 projected addition: both
-    operands are rescaled to the shared output scale (factor s_in /
-    s_out, Q31-encoded like a conv's) and saturated, then summed.
-    multipliers and shifts hold (base, other)."""
-
-    qparams: QuantParams
-    multipliers: np.ndarray
-    shifts: np.ndarray
-
-    @classmethod
-    def from_scales(cls, base_qp: QuantParams, other_qp: QuantParams,
-                    out_qp: QuantParams) -> "AddQuant":
-        multipliers, shifts = encode_factors(
-            np.array([base_qp.scale, other_qp.scale]) / out_qp.scale)
-        return cls(qparams=out_qp, multipliers=multipliers, shifts=shifts)
-
-
 def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: int,
-                         add_quant: AddQuant | None = None) -> SparseTensor2D:
+                         qparams: QuantParams | None = None) -> SparseTensor2D:
     """Add a coarser tensor onto base at floor(coord / factor), keeping
-    exactly base's active set."""
+    exactly base's active set. int8 operands need the output's qparams:
+    each operand is rescaled to the output scale (factor s_in / s_out,
+    Q31-encoded like a conv's) and saturated, and their sum onto the
+    output zero point is clamped."""
     if factor not in (2, 4):
         raise ParameterError("projection factor must be 2 or 4")
     if base.channels != other.channels:
@@ -522,16 +507,17 @@ def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: in
     rows = _rows_at(other, base.coords[:, 0] // factor, base.coords[:, 1] // factor)
 
     if base.is_int8:
-        if add_quant is None or not other.is_int8:
-            raise ShapeError("int8 projected add requires int8 operands and an AddQuant")
+        if qparams is None or not other.is_int8:
+            raise ShapeError("int8 projected add requires int8 operands and output qparams")
+        multipliers, shifts = encode_factors(
+            np.array([base.qparams.scale, other.qparams.scale]) / qparams.scale)
         # a site without other reads other's zero point, which requantizes to 0
         o = _padded(other.features, other.qparams.zero_point)
         # each operand's requantized value of every centered int8 byte, as
         # int16 tables indexed by the byte read as uint8
         q = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.int64)
         centered = q[:, None] - [base.qparams.zero_point, other.qparams.zero_point]
-        tables = requantize_array(centered, add_quant.multipliers, add_quant.shifts,
-                                  0).astype(np.int16)
+        tables = requantize_array(centered, multipliers, shifts, 0).astype(np.int16)
         out = np.empty_like(base.features)
     else:
         o, out = _zero_padded(other.features), _empty_zero_row(len(base), base.channels)
@@ -544,9 +530,9 @@ def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: in
             continue
         acc = tables[:, 0].take(base.features[lo:hi].view(np.uint8))
         acc += tables[:, 1].take(taps.view(np.uint8))
-        acc += add_quant.qparams.zero_point
+        acc += qparams.zero_point
         out[lo:hi] = np.clip(acc, INT8_MIN, INT8_MAX, out=acc)
-    return base.with_features(out, add_quant.qparams if base.is_int8 else None)
+    return base.with_features(out, qparams if base.is_int8 else None)
 
 
 def relu(x: SparseTensor2D) -> SparseTensor2D:

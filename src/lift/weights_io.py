@@ -47,8 +47,6 @@ VERSION = 1
 DTYPE_F32 = 0
 DTYPE_I8 = 1
 
-BN_PARAMS = ("gamma", "beta", "mean", "var")
-
 
 @dataclass(frozen=True)
 class TensorQuant:
@@ -330,13 +328,13 @@ def _validate(ops, layers: dict, encoder_dims, form: str, cfg: EngineConfig) -> 
     net = cfg.network
     want = (cfg.feature_length, net.encoder_hidden)
     if tuple(encoder_dims) != want:
-        raise FormatError(f"tensor 'dbpfn.linear.weight': expected dims {want}, "
-                          f"got {tuple(encoder_dims)}")
+        raise FormatError(f"tensor 'dbpfn.linear.weight': expected dims {want} (features, "
+                          f"network.encoder_out / 2), got {tuple(encoder_dims)}")
     for s, depth in enumerate(net.stage_depths, start=1):
         got = sum(op.stage == s for op in ops) - 1
         if got != depth:
-            raise FormatError(f"stage{s} has {got} submanifold layers, "
-                              f"config expects {depth}")
+            raise FormatError(f"stage{s} has {got} submanifold layers, config key "
+                              f"network.stage_depths expects {depth}")
     widths = {ENCODER_SITE: net.encoder_out}
     for op in network_ops(net.stage_depths, net):
         cout = widths[op.output] = op.out_width(widths[op.inputs[0]])

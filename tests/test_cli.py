@@ -385,6 +385,69 @@ class TestCalibrate:
                      "--config", cfg_path, "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_percentile_mode_calibrates_and_infers(self, workspace, tmp_path, monkeypatch):
+        from lift import quantize
+        from lift.config import load_config
+        from lift.quant import calibrate
+
+        _, _, cloud = workspace
+        cfg_path = tmp_path / "percentile.json"
+        cfg_path.write_text(json.dumps(dict(CONFIG_DOC, calibration={
+            "mode": "percentile", "percentile": 99.0})))
+        clouds = tmp_path / "cal"
+        clouds.mkdir()
+        write_cloud(clouds / "a.bin", n=500, seed=3)
+        write_cloud(clouds / "b.bin", n=500, seed=4)
+        made, collector = [], quantize.CalibrationCollector
+        monkeypatch.setattr(quantize, "CalibrationCollector",
+                            lambda **kw: made.append(collector(**kw)) or made[-1])
+        int8_path = tmp_path / "int8.w"
+        assert main(["calibrate", "--weights", gen(tmp_path, str(cfg_path), "fused"),
+                     "--clouds", str(clouds), "--config", str(cfg_path),
+                     "--out", str(int8_path)]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"det8_{threads}.jsonl"
+            assert main(["infer", "--weights", str(int8_path), "--cloud", cloud,
+                         "--config", str(cfg_path), "--out", str(out),
+                         "--threads", threads]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1]
+        # clipping |values| at a percentile only narrows each site's range
+        (c,) = made
+        assert (c.mode, c.percentile) == ("percentile", 99.0)
+        pairs = [(c.qparams(site).scale, calibrate([c.lo[site], c.hi[site]]).scale)
+                 for site in quantize.activation_sites(load_config(cfg_path).network)]
+        lo, hi = c.lo[quantize.INPUT_FEATURES_SITE], c.hi[quantize.INPUT_FEATURES_SITE]
+        pairs += [(qp.scale, calibrate([lo[f], hi[f]]).scale)
+                  for f, qp in enumerate(c.feature_qparams())]
+        assert all(p <= m for p, m in pairs)
+        assert any(p < m for p, m in pairs)
+
+    def test_training_form_file_calibrates(self, workspace, tmp_path):
+        # calibrate fuses in float64; `lift fuse` rounds its output to f32
+        # first, so the two int8 files differ and are not compared here
+        _, cfg_path, cloud = workspace
+        clouds = tmp_path / "cal"
+        clouds.mkdir()
+        write_cloud(clouds / "a.bin", n=500, seed=3)
+        int8_path = tmp_path / "int8.w"
+        assert main(["calibrate", "--weights", gen(tmp_path, cfg_path, "train"),
+                     "--clouds", str(clouds), "--config", cfg_path,
+                     "--out", str(int8_path)]) == 0
+        assert main(["infer", "--weights", str(int8_path), "--cloud", cloud,
+                     "--config", cfg_path, "--out", str(tmp_path / "d.jsonl"),
+                     "--int8"]) == 0
+
+    def test_int8_file_is_refused(self, workspace, tmp_path, capsys):
+        code, cfg_path, _, int8_path = self.run_calibrate(workspace, tmp_path)
+        assert code == 0
+        capsys.readouterr()
+        out = tmp_path / "again.w"
+        assert main(["calibrate", "--weights", int8_path, "--clouds", str(tmp_path / "cal"),
+                     "--config", cfg_path, "--out", str(out)]) == 2
+        assert "already int8-quantized" in capsys.readouterr().err and not out.exists()
+
 
 def test_module_entry_point(workspace):
     tmp_path, cfg_path, _ = workspace
@@ -520,6 +583,39 @@ class TestInt8Contract:
                                        zero_points=kernel.quant.zero_points[:6])
             bias.data = bias.data[:6].copy()
         self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+
+    def test_act_site_with_two_values(self, workspace, tmp_path, capsys):
+        name = "act.stage2.layer1.out.scale"
+
+        def mutate(recs):
+            for param in ("scale", "zero_point"):
+                rec = recs[f"act.stage2.layer1.out.{param}"]
+                rec.data = np.repeat(rec.data, 2)
+        err = self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+        assert "expected 1 value, got 2" in err
+
+    @pytest.mark.parametrize("change, cause", [
+        ("scale_count", "63 scales for 64 channels"),
+        ("axis", "expected channel axis 3"),
+        ("f32_data", "expected quantized int8 data")])
+    def test_kernel_breaking_the_int8_layout(self, workspace, tmp_path, capsys, change,
+                                             cause):
+        from lift.weights_io import TensorQuant
+
+        name = "stage1.layer1.fused.kernel"
+
+        def mutate(recs):
+            rec = recs[name]
+            q = rec.quant
+            if change == "scale_count":
+                rec.quant = TensorQuant(axis=3, scales=q.scales[:-1],
+                                        zero_points=q.zero_points[:-1])
+            elif change == "axis":
+                rec.quant = TensorQuant(axis=2, scales=q.scales, zero_points=q.zero_points)
+            else:
+                rec.data, rec.quant = rec.data.astype(np.float32), None
+        err = self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+        assert cause in err
 
     @pytest.mark.parametrize("name, value", [
         ("act.align.out.zero_point", 1.6),
@@ -744,6 +840,35 @@ def test_malformed_config_value_exit2_names_the_key(workspace, capsys, section, 
     assert err.count(f"error: config key {section}.{key}: expected") == 2
     assert not (tmp_path / "refused.w").exists() and not (tmp_path / "d.jsonl").exists()
 
+
+def test_inconsistent_network_section_exit2_names_it(workspace, capsys):
+    # every cause: test_config.py::test_inconsistent_network_section_is_rejected_naming_it
+    tmp_path = workspace[0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(CONFIG_DOC, network={"align_channels": 64})))
+    capsys.readouterr()
+    assert main(["gen-weights", "--config", str(bad), "--seed", "0", "--form", "fused",
+                 "--out", str(tmp_path / "refused.w")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config section network: align_channels (64) must equal")
+    assert not (tmp_path / "refused.w").exists()
+
+
+@pytest.mark.parametrize("network, cause", [
+    ({"stage_depths": [1, 1, 1, 1]},
+     "stage2 has 2 submanifold layers, config key network.stage_depths expects 1"),
+    ({"encoder_out": 32}, "tensor 'dbpfn.linear.weight': expected dims (9, 16)")])
+def test_file_and_config_structures_differ_exit2(workspace, tmp_path, capsys, network, cause):
+    code, _, cloud, int8_path = TestCalibrate().run_calibrate(workspace, tmp_path)
+    assert code == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(CONFIG_DOC, network={**CONFIG_DOC["network"],
+                                                          **network})))
+    capsys.readouterr()
+    for weights in (str(tmp_path / "fused0.w"), int8_path):
+        assert main(["infer", "--weights", weights, "--cloud", cloud, "--config", str(other),
+                     "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert capsys.readouterr().err.count(cause) == 2
 
 def test_infer_validates_weights_before_reading_the_cloud(workspace, tmp_path, capsys):
     tmp_path, cfg_path, _ = workspace

@@ -109,3 +109,14 @@ def test_values_at_the_edge_of_their_range_parse():
                             "calibration": {"percentile": 100}})
     assert (cfg.top_k, cfg.network.stage_depths, cfg.calibration_percentile) == \
         (1, (0, 0, 0, 0), 100.0)
+
+
+@pytest.mark.parametrize("network, cause", [
+    ({"stage_depths": [1, 1, 1]}, "stage_channels and stage_depths need 4 values each"),
+    ({"stage_channels": [8, 8, 128, 128, 128]}, "stage_channels and stage_depths need 4"),
+    ({"encoder_out": 63}, "encoder_out must be even"),
+    ({"align_channels": 64}, r"align_channels \(64\) must equal the stage 3/4 stage_channels"),
+    ({"num_classes": 3, "class_names": ["a", "b"]}, "class_names has 2 names, num_classes is 3")])
+def test_inconsistent_network_section_is_rejected_naming_it(network, cause):
+    with pytest.raises(FormatError, match=rf"^config section network: {cause}"):
+        config_from_dict({"network": network})

@@ -184,7 +184,7 @@ def test_requantize_array_matches_scalar_at_the_edges(rng, dtype, per_channel):
         accs = [col.reshape(-1, 1).repeat(len(rs), axis=1)]
         plans = [(np.array([r.multiplier for r in rs], dtype=np.int64),
                   np.array([r.shift for r in rs], dtype=np.int64))]
-    else:   # the AddQuant form: one scalar multiplier and shift per call
+    else:   # one scalar multiplier and shift per call
         accs = [col] * len(rs)
         plans = [(np.int64(r.multiplier), np.int64(r.shift)) for r in rs]
     before = [a.copy() for a in accs]

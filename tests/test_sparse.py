@@ -12,7 +12,7 @@ from oracles import (Requantizer, dense_conv, dense_conv_int, dense_conv_int_fas
 from lift import cli, sparse
 from lift.errors import ParameterError, ShapeError
 from lift.quant import QuantParams, integer_bias
-from lift.sparse import (EXACT_F64_SHIFT, TILE_ROWS, AddQuant, OutputQuant,
+from lift.sparse import (EXACT_F64_SHIFT, TILE_ROWS, OutputQuant,
                          SparseTensor2D, _stride2_coords, _tiles, build_rulebook,
                          sparse_add_projected, sparse_conv_stride2, sparse_max_pool,
                          submanifold_conv)
@@ -624,9 +624,27 @@ class TestAddProjected:
         assert np.array_equal(y.coords, base.coords)
 
     @staticmethod
-    def _operand_requantizers(aq):
-        return [Requantizer(multiplier=int(m), shift=int(sh))
-                for m, sh in zip(aq.multipliers, aq.shifts)]
+    def _operand_requantizers(base, other, out_qp):
+        """The scalar oracle's plan per operand, factor s_in / s_out."""
+        return [Requantizer.from_factor(max(t.qparams.scale / out_qp.scale, 2.0 ** -32))
+                for t in (base, other)]
+
+    @staticmethod
+    def _oracle(base, other, factor, out_qp):
+        """Per site and channel: each centered operand through its scalar
+        Requantizer (a missing other reads 0), summed onto the output zero
+        point and clamped."""
+        r_base, r_other = TestAddProjected._operand_requantizers(base, other, out_qp)
+        other_map = {tuple(c): f for c, f in zip(other.coords.tolist(), other.features)}
+        want = np.empty(base.features.shape, dtype=np.int64)
+        for row, ((i, j), brow) in enumerate(zip(base.coords.tolist(), base.features)):
+            orow = other_map.get((i // factor, j // factor))
+            for ch in range(base.channels):
+                rb = requantize(int(brow[ch]) - base.qparams.zero_point, r_base)
+                ro = 0 if orow is None else \
+                    requantize(int(orow[ch]) - other.qparams.zero_point, r_other)
+                want[row, ch] = max(-128, min(127, rb + ro + out_qp.zero_point))
+        return want
 
     def test_int8_matches_per_site_oracle(self, rng):
         base = random_sparse(rng, 8, 8, 3, occupancy=0.6, int8=True,
@@ -634,17 +652,9 @@ class TestAddProjected:
         other = random_sparse(rng, 4, 4, 3, occupancy=0.8, int8=True,
                               qparams=QuantParams(0.05, -3))
         out_qp = QuantParams(0.12, 1)
-        aq = AddQuant.from_scales(base.qparams, other.qparams, out_qp)
-        r_base, r_other = self._operand_requantizers(aq)
-        y = sparse_add_projected(base, other, 2, add_quant=aq)
-        other_map = {tuple(c): f for c, f in zip(map(tuple, other.coords), other.features)}
-        for (i, j), brow, yrow in zip(base.coords, base.features, y.features):
-            orow = other_map.get((i // 2, j // 2))
-            for ch in range(3):
-                rb = requantize(int(brow[ch]) - 4, r_base)
-                ro = requantize(int(orow[ch]) + 3, r_other) if orow is not None else 0
-                want = max(-128, min(127, rb + ro + 1))
-                assert yrow[ch] == want
+        y = sparse_add_projected(base, other, 2, qparams=out_qp)
+        assert y.qparams == out_qp and y.features.dtype == np.int8
+        assert y.features.tolist() == self._oracle(base, other, 2, out_qp).tolist()
 
     @pytest.mark.parametrize("int8", [False, True])
     def test_mostly_missing_other_matches_per_site_oracle(self, rng, int8):
@@ -654,42 +664,45 @@ class TestAddProjected:
                               qparams=QuantParams(0.3, 9) if int8 else None)
         other.features[0] = 127 if int8 else -0.0
         base.features[::5, 0] = -128 if int8 else -0.0   # signed zeros stay as they are
-        aq = AddQuant.from_scales(base.qparams, other.qparams, QuantParams(0.4, 2)) \
-            if int8 else None
-        y = sparse_add_projected(base, other, 4, add_quant=aq)
+        out_qp = QuantParams(0.4, 2) if int8 else None
+        y = sparse_add_projected(base, other, 4, qparams=out_qp)
         other_map = {tuple(c): f for c, f in zip(other.coords.tolist(), other.features)}
-        r_base, r_other = self._operand_requantizers(aq) if int8 else (None, None)
-        missing = 0
+        missing = sum(other_map.get((i // 4, j // 4)) is None for i, j in base.coords.tolist())
+        assert missing > 0.8 * len(base)
+        if int8:
+            assert y.features.tolist() == self._oracle(base, other, 4, out_qp).tolist()
+            return
         for (i, j), brow, yrow in zip(base.coords.tolist(), base.features, y.features):
             orow = other_map.get((i // 4, j // 4))
-            missing += orow is None
-            if not int8:
-                want = brow if orow is None else brow + orow
-                assert yrow.tobytes() == want.tobytes()
-                continue
-            for ch in range(3):
-                rb = requantize(int(brow[ch]) + 7, r_base)
-                ro = requantize(int(orow[ch]) - 9, r_other) if orow is not None else 0
-                assert yrow[ch] == max(-128, min(127, rb + ro + 2))
-        assert missing > 0.8 * len(base)
+            want = brow if orow is None else brow + orow
+            assert yrow.tobytes() == want.tobytes()
 
-    def test_add_quant_matches_the_scalar_oracle_at_the_edges(self):
+    def test_int8_add_matches_the_scalar_oracle_at_the_edges(self):
         # operand factors s_in / s_out with s_out = 1: the 2^-32 floor (a
         # factor below it is raised to it), the carry at 2^31 and the
-        # saturated mantissa of exactly 1
+        # saturated mantissa of exactly 1; the operands hold every int8 byte
         cases = {(2.0 ** -40, 2.0 ** -32): ([1 << 30, 1 << 30], [31, 31]),
                  (0.5 * (1 - 2.0 ** -40), 1.0): ([1 << 30, (1 << 31) - 1], [0, 0])}
+        byte = np.arange(-128, 128, dtype=np.int8)
+        grid = lambda n: np.column_stack(np.divmod(np.arange(n * n), n)[::-1])
+        out_qp = QuantParams(1.0, 3)
         for factors, (multipliers, shifts) in cases.items():
-            aq = AddQuant.from_scales(*map(QuantParams, factors), QuantParams(1.0, 3))
-            rs = [Requantizer.from_factor(max(f, 2.0 ** -32)) for f in factors]
-            assert aq.multipliers.tolist() == [r.multiplier for r in rs] == multipliers
-            assert aq.shifts.tolist() == [r.shift for r in rs] == shifts
-            assert aq.multipliers.dtype == aq.shifts.dtype == np.int64
-            assert aq.qparams == QuantParams(1.0, 3)
+            base = SparseTensor2D.build(16, 16, grid(16),
+                                        np.stack([np.roll(byte, c) for c in range(4)], axis=1),
+                                        qparams=QuantParams(factors[0], 5))
+            other = SparseTensor2D.build(8, 8, grid(8), byte.reshape(64, 4),
+                                         qparams=QuantParams(factors[1], -7))
+            rs = self._operand_requantizers(base, other, out_qp)
+            assert [r.multiplier for r in rs] == multipliers
+            assert [r.shift for r in rs] == shifts
+            y = sparse_add_projected(base, other, 2, qparams=out_qp)
+            assert y.features.tolist() == self._oracle(base, other, 2, out_qp).tolist()
 
-    def test_add_quant_rejects_a_factor_above_1(self):
+    def test_int8_add_rejects_a_factor_above_1(self, rng):
+        base = random_sparse(rng, 8, 8, 2, int8=True, qparams=QuantParams(0.3))
+        other = random_sparse(rng, 4, 4, 2, int8=True, qparams=QuantParams(1.5))
         with pytest.raises(ParameterError, match="factor 1.5 cannot"):
-            AddQuant.from_scales(QuantParams(0.3), QuantParams(1.5), QuantParams(1.0))
+            sparse_add_projected(base, other, 2, qparams=QuantParams(1.0))
 
     def test_dim_mismatch_rejected(self, rng):
         base = random_sparse(rng, 8, 8, 2)
