@@ -27,8 +27,8 @@ from .pillarizer import GridConfig, PillarSet
 from .quant import dequantize
 from .reparam import (BnParams, FusedConvLayer, RepConvLayer, apply_fused,
                       apply_training_form, fuse)
-from .sparse import (SparseTensor2D, relu, sparse_add_projected, sparse_conv_stride2,
-                     sparse_max_pool, submanifold_conv)
+from .sparse import (SparseTensor2D, empty_zero_row, relu, sparse_add_projected,
+                     sparse_conv_stride2, sparse_max_pool, submanifold_conv)
 
 DEFAULT_CLASS_NAMES = (
     "car", "truck", "construction_vehicle", "bus", "trailer",
@@ -226,7 +226,9 @@ class DetectionBox:
 def dbpfn_encode(pillars: PillarSet, params: DbpfnParams) -> SparseTensor2D:
     """Dual-bound pillar encoding: linear map per point, then
     concat(max-pool, min-pool) over each pillar. No ReLU before the
-    pooling, so the min half carries real lower-bound information."""
+    pooling, so the min half carries real lower-bound information. Like a
+    float conv's, the output buffer has a spare +0.0 row that the first
+    conv reads in place of a padded copy."""
     if pillars.feature_length != params.weight.shape[0]:
         raise ShapeError(
             f"pillar features have length {pillars.feature_length}, "
@@ -237,14 +239,15 @@ def dbpfn_encode(pillars: PillarSet, params: DbpfnParams) -> SparseTensor2D:
     mapped = pillars.features @ params.weight.astype(np.float64) + params.bias
     if params.bn is not None:
         mapped = params.bn.apply(mapped)
-    return SparseTensor2D.build(pillars.width, pillars.height, pillars.coords,
-                                dual_bound_pool(mapped, pillars.offsets))
+    pooled = dual_bound_pool(mapped, pillars.offsets, empty_zero_row(len(pillars), 2 * hidden))
+    return SparseTensor2D.build(pillars.width, pillars.height, pillars.coords, pooled)
 
 
-def dual_bound_pool(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def dual_bound_pool(values: np.ndarray, offsets: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """concat(max, min) of values over each pillar's rows
     offsets[m]:offsets[m + 1] (all non-empty), as one (P, 2H) array of
-    values' dtype.
+    values' dtype, written into out when given.
 
     Equal, bit for bit, to np.maximum.reduceat and np.minimum.reduceat:
     each pillar's bounds start at its first row and take np.maximum /
@@ -257,7 +260,8 @@ def dual_bound_pool(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     hidden = values.shape[1]
     starts = offsets[:-1]
     counts = np.diff(offsets)
-    out = np.empty((starts.size, 2 * hidden), dtype=values.dtype)
+    if out is None:
+        out = np.empty((starts.size, 2 * hidden), dtype=values.dtype)
     out[:, :hidden] = np.take(values, starts, axis=0)
     out[:, hidden:] = out[:, :hidden]
     # alive[p]: pillars holding more than p points

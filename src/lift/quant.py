@@ -14,10 +14,11 @@ Conventions used throughout the engine:
   input (|q - zero_point| <= 255) and a weight (|w| <= 128) onto its
   integer bias, so it needs |bias_q| + taps * 255 * 128 < 2^31.
   ``integer_bias`` computes every bias_q and checks that bound. The
-  engine emulates these int32 sums exactly in float64 (integers below
-  2^31) and requantizes them as ``requantize_array`` does; where every
-  shift is at most 13, by the equal float64 epilogue floor(acc * M *
-  2^-(31 + shift) + zero_point + 1/2) (proof: the sparse module).
+  engine emulates these int32 sums exactly, in float32 where each output
+  channel's 255 * sum |w| + |bias_q| is below 2^24 and in float64
+  otherwise, and requantizes them as ``requantize_array`` does; where
+  every shift is at most 13, by an equal float64 epilogue (proof: the
+  sparse module).
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ makes an Int8Network gets the int8 contract checked once.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -24,8 +25,9 @@ from .network import (ENCODER_SITE, InferenceResult, NetworkConfig, NetworkWeigh
 from .pillarizer import GridConfig, PillarSet
 from .quant import (INT8_MAX, INT8_MIN, QuantParams, calibrate, encode_factors,
                     integer_bias, requantize_array)
-from .sparse import (EXACT_F32_CHANNELS, OutputQuant, SparseTensor2D, sparse_add_projected,
-                     sparse_conv_stride2, submanifold_conv)
+from .sparse import (EXACT_F32_CHANNELS, OutputQuant, SparseTensor2D, int8_gemms,
+                     one_blas_thread, sparse_add_projected, sparse_conv_stride2,
+                     submanifold_conv)
 
 INPUT_FEATURES_SITE = "input_features"
 
@@ -120,7 +122,9 @@ class Int8Network:
     and every bias keeps the int32 accumulator bound (quant.integer_bias;
     bias_q keeps them by op name, "dbpfn" for the encoder). RangeError
     names the tensor at fault and its op. Frozen, with read-only mappings
-    and arrays (those it is given become so): what was checked is what runs."""
+    and arrays (those it is given become so): what was checked is what runs.
+    Each conv's GEMM layout (sparse.int8_gemms) is worked out on its first
+    run and kept."""
 
     feature_qps: tuple
     encoder: Int8Weights
@@ -128,6 +132,7 @@ class Int8Network:
     layers: MappingProxyType     # conv op name -> Int8Weights
     act: MappingProxyType        # site -> QuantParams
     bias_q: MappingProxyType = field(init=False, repr=False)   # op name -> int32 (Cout,)
+    _gemms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "feature_qps", tuple(self.feature_qps))
@@ -176,12 +181,15 @@ class Int8Network:
         act = self.act
         if op.kind == "add":
             return sparse_add_projected(xs[0], xs[1], op.factor, qparams=act[op.output])
-        conv = self.layers[op.name]
+        conv, bias = self.layers[op.name], self.bias_q[op.name]
+        gemms = self._gemms.get(op.name)
+        if gemms is None:
+            gemms = self._gemms[op.name] = int8_gemms(conv.q_weight, bias)
         in_scale = act[op.inputs[0]].scale
         oq = OutputQuant.from_scales(in_scale, conv.weight_scales, act[op.output])
         fn = sparse_conv_stride2 if op.mode == "stride2" else submanifold_conv
-        return fn(xs[0], conv.q_weight, self.bias_q[op.name], out_quant=oq,
-                  threads=threads, relu=op.relu)
+        return fn(xs[0], conv.q_weight, bias, out_quant=oq, threads=threads, relu=op.relu,
+                  gemms=gemms)
 
 
 # requantization factors must stay below 1 to be representable as a Q31
@@ -270,6 +278,10 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
 def run_int8_network(pillars: PillarSet, net: Int8Network, grid: GridConfig,
                      cfg: NetworkConfig, score_threshold: float = 0.1,
                      top_k: int = 500, threads: int = 1) -> InferenceResult:
-    """Integer path, pillars to boxes; bitwise deterministic."""
-    return run_encoded(encode_int8(pillars, net), pillars, net, grid, cfg,
-                       score_threshold, top_k, threads)
+    """Integer path, pillars to boxes; bitwise deterministic. At threads
+    > 1 the encoder runs with BLAS at one thread, so that no BLAS thread
+    spins beside the conv tiles that follow (sparse module docstring)."""
+    with one_blas_thread() if threads > 1 else nullcontext():
+        live = [encode_int8(pillars, net)]
+    # run_encoded gets the only reference to the encoder output
+    return run_encoded(live.pop(), pillars, net, grid, cfg, score_threshold, top_k, threads)

@@ -5,46 +5,61 @@ per coordinate, kept in canonical row-major order (by j, then i). A
 conv's rulebook is an output-major table: nbr[d, o] is the input row
 that kernel offset d feeds into output row o, or n_in where that tap is
 missing, and row n_in of the features reads zeros: float conv and add
-outputs keep a spare +0.0 row for this, other inputs are copied and
-padded. Output rows run in tiles of TILE_ROWS (the remainder joins the
-last tile, since BLAS may round a shorter GEMM differently). Every conv,
-float or int8, runs one tile: each group of live offsets gathers its rows
-side by side, runs one GEMM and adds the product onto the tile's
-accumulators, which start at the bias; the epilogue (a ReLU, or int8
-requantization) then runs while the tile is in cache.
+outputs, and the float encoder's, keep a spare +0.0 row for this, other
+inputs are copied and padded. Every conv, float or int8, runs by row
+tiles: each group of live offsets gathers its rows side by side and runs
+one GEMM, and the products sum onto the bias; the epilogue (a ReLU, or
+int8 requantization) then runs while the tile is in cache.
+
+Float tiles are TILE_ROWS rows (the remainder joins the last tile, since
+BLAS may round a GEMM of another height differently) and group one
+offset per GEMM, so every output row gets its bias and then one addition
+per offset, in offset order, whatever the tiling and the number of
+workers. Int8 sums are exact, so any split gives the same bytes: int8
+tiles are near-equal row ranges, one per TILE_ROWS rows, and at least
+one per thread once a conv has threads * SPLIT_ROWS rows.
 
 Threads: with threads > 1 and at least two tiles, the calling thread
 and threads - 1 pool workers take disjoint tiles from one shared queue
 while numpy's bundled OpenBLAS runs one thread (its count is restored
 afterwards, also when a tile raises; without that library's thread
 setter, BLAS is left alone), so the work around the GEMMs runs on every
-core too. A single-tile conv, and every conv at threads = 1, runs in the
-calling thread and never touches BLAS.
+core too, and no idle BLAS thread spins against the workers. A
+single-tile conv, and every conv at threads = 1, runs in the calling
+thread and never touches BLAS: below threads * SPLIT_ROWS rows, BLAS's
+own threads beat a split.
 
-The float path groups one offset per GEMM, so every output row gets its
-bias and then one addition per offset, in offset order, whatever the
-tiling and the number of workers.
-
-The int8 path emulates int32 accumulators exactly in float64 tiles that
-start at the integer bias: the int32 accumulator bound, |bias| + K * K *
-Cin * 255 * 128 < 2^31 (quant.integer_bias, checked when a
-quantize.Int8Network is made), keeps every sum an integer below 2^31.
-The GEMMs run on centered inputs (|q - zero_point| <= 255) and weights
-(|w| <= 128) in float32, over G = 514 // Cin offsets at a time: G * Cin
-* 255 * 128 <= 16,776,960 < 2^24, so every product and partial sum is
-exact, in any summation order. The live offsets split into near-equal
-groups of at most G (5 + 4 at Cin 64, 3 + 3 + 3 at Cin 128); above
-Cin = 514 each offset runs its own GEMM in float64.
+The int8 path emulates int32 accumulators exactly: the int32 accumulator
+bound, |bias| + K * K * Cin * 255 * 128 < 2^31 (quant.integer_bias,
+checked when a quantize.Int8Network is made), keeps every sum an
+integer below 2^31. The GEMMs run on centered inputs (|q - zero_point|
+<= 255) and the weights in float32, which holds every integer up to
+2^24. int8_gemms sizes the GEMMs by each output channel's L1 bound (as
+A2Q does): a partial sum over a set of offsets is at most 255 times the
+sum of |w| over them. Where every channel's 255 * sum |w| + |bias| is
+below 2^24, the tile runs one float32 GEMM over all live offsets and
+adds the bias in float32, every partial sum exact in any order.
+Otherwise the offsets split into the fewest greedy runs whose bound
+stays below 2^24, each one exact float32 GEMM summed onto the bias in
+float64; where a single offset passes 2^24, one float64 GEMM runs.
 
 OutputQuant.requantize then writes the tile as int8. Where every output
-channel's shift s is at most EXACT_F64_SHIFT = 13, it computes y = acc *
-f with f = M * 2^-(31 + s), exact for a Q31 multiplier M, and
-floor(y + zero_point + 1/2), clipped, bit for bit quant.requantize_array:
-y is exact while |acc * M| < 2^53, i.e. |y| < 2^(22 - s), and the sum, a
-multiple of 2^-(31 + s), while below 2^(22 - s) as well. Rounding is
-monotone, so past either bound the computed value stays past it, where
-both clip alike: 2^(22 - s) - 128.5 > 127 for s <= 13. Plans with a
-larger shift run quant.requantize_array on the same accumulators.
+channel's shift s is at most EXACT_F64_SHIFT = 13, it computes, in
+float64, t = acc * f + (zero_point + 128.5) with f = M * 2^-(31 + s), a
+Q31 multiplier M, clips t to [lo + 128, 255] (lo = -128, or the zero
+point under a ReLU), truncates it into the output bytes read as uint8,
+and flips their sign bit. This is bit for bit quant.requantize_array's
+clip(floor(acc * f + zero_point + 1/2), lo, 127): t >= 0 after the clip,
+so truncation is floor, floor(v) + 128 = floor(v + 128), clipping
+commutes with floor at integer bounds, and u ^ 0x80 is u - 128 as int8.
+acc * f is exact while |acc * M| < 2^53, i.e. |acc * f| < B = 2^(22 -
+s); then t, a multiple of 2^-(31 + s), is exact while |t| < B as well.
+Rounding is monotone and B is representable, so where acc * f or t is
+past +-B, the computed value stays past it too, and both clip alike:
+with 0 < zero_point + 128.5 <= 255.5 and B >= 512 for s <= 13, acc * f
+>= B or t >= B gives t > 255, and acc * f <= -B or t <= -B gives t < 0.
+Plans with a larger shift run quant.requantize_array on the same
+accumulators.
 """
 
 from __future__ import annotations
@@ -64,9 +79,12 @@ from .quant import INT8_MAX, INT8_MIN, QuantParams, encode_factors, requantize_a
 
 MODES = ("submanifold", "stride2")
 TILE_ROWS = 1024
-# 514 * 255 * 128 < 2^24: int8 products over this many input channels sum
-# exactly in float32
-EXACT_F32_CHANNELS = 514
+# an int8 conv of at least threads * SPLIT_ROWS rows runs one tile per thread
+SPLIT_ROWS = 768
+# float32 holds every integer of magnitude up to 2^24
+F32_EXACT = 2 ** 24
+# 514: int8 products over this many input channels sum exactly in float32
+EXACT_F32_CHANNELS = (F32_EXACT - 1) // (255 * 128)
 # the largest shift at which the float64 epilogue is exact (module docstring)
 EXACT_F64_SHIFT = 13
 
@@ -178,10 +196,6 @@ class Rulebook:
     def hits(self) -> np.ndarray:  # per offset, the number of output rows it feeds
         return np.count_nonzero(self.nbr < self.n_in, axis=1)
 
-    @functools.cached_property
-    def live(self) -> np.ndarray:  # the offsets that feed some output row
-        return np.flatnonzero(self.hits)
-
     def pair_count(self) -> int:
         return int(self.hits.sum())
 
@@ -260,26 +274,67 @@ class OutputQuant:
             in_scale * np.asarray(weight_scales, dtype=np.float64) / out_qp.scale)
         return cls(qparams=out_qp, multipliers=multipliers, shifts=shifts)
 
-    def requantize(self, acc: np.ndarray, out: np.ndarray, relu: bool = False) -> None:
-        """Write quant.requantize_array's int8 of float64 integer
-        accumulators (|acc| < 2^31) into out, overwriting acc; by the
-        float64 epilogue where it is exact (module docstring)."""
+    def requantize(self, acc: np.ndarray, out: np.ndarray, relu: bool = False,
+                   work: np.ndarray | None = None) -> None:
+        """Write quant.requantize_array's int8 of integer accumulators
+        (|acc| < 2^31, float32 or float64) into out; by the float64
+        epilogue where it is exact (module docstring). That runs in work,
+        a float64 array of acc's shape that acc is copied into, or in acc
+        itself when work is None (acc must then be float64), overwriting
+        it."""
         zero_point = self.qparams.zero_point
         if self.factors is None:
             out[...] = requantize_array(acc, self.multipliers, self.shifts, zero_point,
                                         relu=relu)
             return
+        if work is not None:
+            np.copyto(work, acc)   # exact; faster than a float32 x float64 multiply
+            acc = work
         acc *= self.factors
-        acc += zero_point + 0.5
-        np.floor(acc, out=acc)
-        np.clip(acc, zero_point if relu else INT8_MIN, INT8_MAX, out=acc)
-        np.copyto(out, acc, casting="unsafe")
+        acc += zero_point + 128.5
+        np.clip(acc, (zero_point if relu else INT8_MIN) + 128, 255, out=acc)
+        biased = out.view(np.uint8)
+        np.copyto(biased, acc, casting="unsafe")   # truncates: acc >= 0, so floor
+        biased ^= 0x80
 
 
 def _tiles(n: int) -> list:
     """Row ranges of TILE_ROWS rows; the remainder joins the last range."""
     starts = list(range(0, n - TILE_ROWS + 1, TILE_ROWS)) or [0]
     return list(zip(starts, starts[1:] + [n])) if n else []
+
+
+def _int8_tiles(n: int, threads: int) -> list:
+    """Near-equal row ranges: one per TILE_ROWS rows, and at least
+    threads of them once there are threads * SPLIT_ROWS rows."""
+    count = max(n // TILE_ROWS, threads if n >= threads * SPLIT_ROWS else 1)
+    bounds = [n * t // count for t in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:])) if n else []
+
+
+def int8_gemms(w: np.ndarray, bias) -> tuple:
+    """(offset groups, GEMM dtype, accumulator dtype) that keep an int8
+    (K, K, Cin, Cout) kernel's sums with its integer bias exact, from
+    each output channel's L1 bound (module docstring). The groups cover
+    every kernel offset in order; with equal dtypes there is one group
+    and the bias is added in that dtype."""
+    k, cout = w.shape[0], w.shape[3]
+    # 255 * sum |w| per offset and output channel
+    l1 = np.abs(w.reshape(k * k, -1, cout).astype(np.int64)).sum(axis=1) * 255
+    every = (tuple(range(k * k)),)
+    if (l1.sum(axis=0) + np.abs(bias)).max() < F32_EXACT:
+        return every, np.float32, np.float32
+    if l1.max() >= F32_EXACT:   # float64 holds every int32 partial sum
+        return every, np.float64, np.float64
+    groups, total = [], None
+    for d in range(k * k):
+        if groups and (total + l1[d]).max() < F32_EXACT:
+            groups[-1].append(d)
+            total += l1[d]
+        else:
+            groups.append([d])
+            total = l1[d].copy()
+    return tuple(map(tuple, groups)), np.float32, np.float64
 
 
 # (getter, setter) symbol pairs of the OpenBLAS builds numpy wheels bundle
@@ -315,7 +370,7 @@ _blas_found = 0
 
 
 @contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """BLAS at one thread for the block. Concurrent or nested blocks share
     one switch: the first in records the count, the last out restores it."""
     global _blas_users, _blas_found
@@ -357,7 +412,7 @@ def _run_tiles(tile, tiles: list, threads: int) -> None:
                 return
             tile(rows)
 
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         helpers = [pool.submit(drain) for _ in range(workers)]
         drain()
         for helper in helpers:
@@ -371,7 +426,7 @@ def _padded(features: np.ndarray, fill, dtype=None) -> np.ndarray:
     return out
 
 
-def _empty_zero_row(n: int, channels: int) -> np.ndarray:
+def empty_zero_row(n: int, channels: int) -> np.ndarray:
     """(n, channels) float64: the first rows of a buffer whose spare last row is +0.0."""
     buf = np.empty((n + 1, channels))
     buf[n] = 0.0
@@ -393,7 +448,7 @@ def _zero_padded(features: np.ndarray) -> np.ndarray:
 
 def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
           out_quant: OutputQuant | None = None, threads: int = 1,
-          relu: bool = False) -> SparseTensor2D:
+          relu: bool = False, gemms: tuple | None = None) -> SparseTensor2D:
     w = np.asarray(w)
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"kernel must be KxKxCinxCout, got {w.shape}")
@@ -407,39 +462,58 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
         raise ShapeError("int8 convolution requires an OutputQuant")
     bias = np.zeros(cout) if bias is None else np.asarray(bias)
     if x.is_int8:
-        # offsets per exact float32 GEMM, float64 above Cin = 514 (module docstring)
-        gemm = np.float32 if cin <= EXACT_F32_CHANNELS else np.float64
-        per_gemm = max(EXACT_F32_CHANNELS // cin, 1)
+        groups, gemm, acc_dtype = gemms or int8_gemms(w, bias)
         feats = _padded(x.features, x.qparams.zero_point, gemm)
         feats -= x.qparams.zero_point   # centered: the padding row reads 0
         out = np.empty((n_out, cout), dtype=np.int8)
+        tiles = _int8_tiles(n_out, threads)
     else:
-        per_gemm, gemm = 1, np.float64
+        groups, gemm, acc_dtype = [[d] for d in range(k * k)], np.float64, np.float64
         feats = _zero_padded(x.features)
-        out = _empty_zero_row(n_out, cout)
-    groups = [g.tolist() for g in np.array_split(rb.live, max(-(-rb.live.size // per_gemm), 1))]
+        out = empty_zero_row(n_out, cout)
+        tiles = _tiles(n_out)
+    groups = [g for g in ([d for d in g if rb.hits[d]] for g in groups) if g]
     w_g = w.astype(gemm).reshape(k * k, cin, cout)
     w_groups = [w_g[g].reshape(-1, cout) for g in groups]
+    # an int8 GEMM whose dtype is the accumulator's is the tile's only one
+    one_gemm = x.is_int8 and gemm == acc_dtype
+    if one_gemm:
+        bias = bias.astype(acc_dtype)
     # a submanifold conv's center offset maps every row onto itself
     center = [k * k // 2] if mode == "submanifold" else None
     # int8 GEMM operands are integers: an invalid flag from OpenBLAS is spurious
     quiet = functools.partial(np.errstate, invalid="ignore") if x.is_int8 else nullcontext
+    # each thread's float64 epilogue buffer for float32 accumulators
+    scratch = threading.local()
+
+    def products(g, w_gemm, lo, hi):
+        taps = feats[lo:hi] if g == center else \
+            feats.take(rb.nbr[g, lo:hi].T, axis=0).reshape(hi - lo, -1)
+        return taps @ w_gemm
 
     def tile(rows):
         lo, hi = rows
-        acc = np.empty((hi - lo, cout)) if x.is_int8 else out[lo:hi]
-        acc[:] = bias
         with quiet():
-            for g, w_gemm in zip(groups, w_groups):
-                taps = feats[lo:hi] if g == center else \
-                    feats.take(rb.nbr[g, lo:hi].T, axis=0).reshape(hi - lo, -1)
-                acc += taps @ w_gemm
-        if x.is_int8:
-            out_quant.requantize(acc, out[lo:hi], relu=relu)
-        elif relu:
-            np.maximum(acc, 0, out=acc)
+            if one_gemm:
+                acc = products(groups[0], w_groups[0], lo, hi)
+                acc += bias
+            else:
+                acc = np.empty((hi - lo, cout)) if x.is_int8 else out[lo:hi]
+                acc[:] = bias
+                for g, w_gemm in zip(groups, w_groups):
+                    acc += products(g, w_gemm, lo, hi)
+        if not x.is_int8:
+            if relu:
+                np.maximum(acc, 0, out=acc)
+            return
+        work = None
+        if acc.dtype != np.float64:
+            if not hasattr(scratch, "work"):
+                scratch.work = np.empty((max(b - a for a, b in tiles), cout))
+            work = scratch.work[:hi - lo]
+        out_quant.requantize(acc, out[lo:hi], relu=relu, work=work)
 
-    _run_tiles(tile, _tiles(n_out), threads)
+    _run_tiles(tile, tiles, threads)
     qparams = out_quant.qparams if x.is_int8 else None
     if mode == "submanifold":
         return x.with_features(out, qparams)
@@ -448,30 +522,35 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
 
 
 def submanifold_conv(x: SparseTensor2D, w, bias=None, out_quant: OutputQuant | None = None,
-                     threads: int = 1, relu: bool = False) -> SparseTensor2D:
+                     threads: int = 1, relu: bool = False,
+                     gemms: tuple | None = None) -> SparseTensor2D:
     """Convolution whose output active set equals the input active set.
 
     Out-of-range or inactive taps contribute zero (real) / the input
     zero point (int8), matching zero-padded dense semantics. relu
     rectifies the output as relu() would. An int8 call requires the int32
-    accumulator bound (module docstring), which making an Int8Network checks.
+    accumulator bound (module docstring), which making an Int8Network
+    checks; gemms is int8_gemms(w, bias), computed per call when None.
     """
     if np.asarray(w).shape[0] not in (1, 3):
         raise ParameterError("submanifold kernel must be 1x1 or 3x3")
-    return _conv(x, w, bias, "submanifold", out_quant=out_quant, threads=threads, relu=relu)
+    return _conv(x, w, bias, "submanifold", out_quant=out_quant, threads=threads, relu=relu,
+                 gemms=gemms)
 
 
 def sparse_conv_stride2(x: SparseTensor2D, w, bias=None, out_quant: OutputQuant | None = None,
-                        threads: int = 1, relu: bool = False) -> SparseTensor2D:
+                        threads: int = 1, relu: bool = False,
+                        gemms: tuple | None = None) -> SparseTensor2D:
     """3x3 stride-2 downsampling convolution, padding 1.
 
     Output site o is active iff some input 2o + d - 1 (d in {0,1,2}^2)
-    is active; output dims are ceil(input / 2). relu as for
+    is active; output dims are ceil(input / 2). relu and gemms as for
     submanifold_conv.
     """
     if np.asarray(w).shape[0] != 3:
         raise ParameterError("stride-2 convolution requires a 3x3 kernel")
-    return _conv(x, w, bias, "stride2", out_quant=out_quant, threads=threads, relu=relu)
+    return _conv(x, w, bias, "stride2", out_quant=out_quant, threads=threads, relu=relu,
+                 gemms=gemms)
 
 
 def sparse_max_pool(x: SparseTensor2D, k: int = 3) -> SparseTensor2D:
@@ -520,7 +599,7 @@ def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: in
         tables = requantize_array(centered, multipliers, shifts, 0).astype(np.int16)
         out = np.empty_like(base.features)
     else:
-        o, out = _zero_padded(other.features), _empty_zero_row(len(base), base.channels)
+        o, out = _zero_padded(other.features), empty_zero_row(len(base), base.channels)
     # by tiles: the rows gathered from other (and int8 byte indices as intp) stay small
     for lo, hi in _tiles(len(base)):
         taps = o[rows[lo:hi]]

@@ -369,8 +369,9 @@ def test_int8_outputs_match_the_golden_digest(small_config):
 
 
 ORACLE_CONFIG_DOC = {
-    # 192 x 192 pillars; stage 3 has no submanifold layer
-    "grid": {"x_min": -4.8, "x_max": 4.8, "y_min": -4.8, "y_max": 4.8,
+    # 176 x 176 pillars, so stage 2 has 1,935 rows; stage 3 has no
+    # submanifold layer
+    "grid": {"x_min": -4.4, "x_max": 4.4, "y_min": -4.4, "y_max": 4.4,
              "pillar_size_x": 0.05, "pillar_size_y": 0.05},
     "network": {"encoder_out": 16, "stage_channels": [16, 16, 32, 32], "align_channels": 32,
                 "num_classes": 3, "stage_depths": [1, 1, 0, 1]},
@@ -385,7 +386,9 @@ def oracle_case():
     """An int8 network and a sparse cloud that reach the tile edge cases:
     a multi-tile stride-2 conv under 30 % hits, convs whose last tile
     carries a remainder, a plan with a shift past EXACT_F64_SHIFT, zero
-    points -128, 0 and 127, and a stage of depth 0."""
+    points -128, 0 and 127, a stage of depth 0, convs that run one float32
+    GEMM per tile and one that falls back to float64 accumulators, and
+    convs that split below TILE_ROWS rows at threads 2."""
     from lift import quantize
     from lift.config import config_from_dict
     from lift.quant import QuantParams
@@ -396,6 +399,9 @@ def oracle_case():
     layer = weights.layers["stage2.layer1"]
     layer.kernel[..., 0] *= 2.0 ** -10
     layer.bias[0] *= 2.0 ** -10
+    # one head channel's kernel far below its bias: its integer bias passes
+    # the float32 accumulator bound
+    weights.layers["head.reg.conv"].kernel[..., 5] *= 2.0 ** -17
     pillars = pillarize(random_cloud(np.random.default_rng(7), 5000, cfg.grid), cfg.grid)
     collector = quantize.CalibrationCollector()
     collector(quantize.INPUT_FEATURES_SITE, pillars.features)
@@ -407,8 +413,8 @@ def oracle_case():
     return cfg, pillars, net
 
 
-def test_int8_oracle_case_reaches_the_tile_edge_cases(oracle_case):
-    from lift import quantize
+def test_int8_oracle_case_reaches_the_tile_edge_cases(oracle_case, monkeypatch):
+    from lift import quantize, sparse
     from lift.sparse import EXACT_F64_SHIFT, TILE_ROWS, OutputQuant, build_rulebook
 
     cfg, pillars, net = oracle_case
@@ -424,6 +430,17 @@ def test_int8_oracle_case_reaches_the_tile_edge_cases(oracle_case):
     assert max(shifts) > EXACT_F64_SHIFT
     assert {-128, 0, 127} <= {qp.zero_point for qp in net.act.values()}
     assert 0 in cfg.network.stage_depths
+    # one float32 GEMM per tile, and the float64 fallback
+    gemms = [sparse.int8_gemms(net.layers[op.name].q_weight, net.bias_q[op.name])
+             for op in net.ops if op.kind == "conv"]
+    assert {gemm[1:] for gemm in gemms} == {(np.float32, np.float32), (np.float32, np.float64)}
+    # at threads 2, convs split into tiles below TILE_ROWS rows
+    int8_tiles, splits = sparse._int8_tiles, []
+    monkeypatch.setattr(sparse, "_int8_tiles",
+                        lambda n, threads: splits.append(int8_tiles(n, threads)) or splits[-1])
+    quantize.run_int8_network(pillars, net, cfg.grid, cfg.network, 0.05, 32, 2)
+    assert any(len(tiles) > 1 and max(hi - lo for lo, hi in tiles) < TILE_ROWS
+               for tiles in splits)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -444,6 +461,86 @@ def test_int8_network_equals_the_dense_oracle(oracle_case, threads, points):
         assert got.features.tobytes() == want.features.tobytes()
     assert res.boxes == boxes
     assert len(boxes) == (32 if points else 0)
+
+
+def test_int8_network_holds_blas_at_one_thread_in_the_encoder_and_split_convs(
+        oracle_case, monkeypatch):
+    """At threads 2, BLAS reads 1 in the encoder and in every tile of a
+    split conv, and single-tile convs keep its count; the count found
+    comes back after the run, also when a tile raises. At threads 1,
+    nothing touches BLAS."""
+    from lift import quantize, sparse
+    from lift.sparse import OutputQuant
+
+    cfg, pillars, net = oracle_case
+    handle = sparse.blas_thread_handle()
+    if handle is None:
+        pytest.skip("numpy's bundled OpenBLAS has no thread setter here")
+    get, set_ = handle
+    found = get()
+    encode, run_tiles, requantize = quantize.encode_int8, sparse._run_tiles, \
+        OutputQuant.requantize
+    encoders, convs = [], []
+
+    def spy_encode(*args):
+        encoders.append(get())
+        return encode(*args)
+
+    def spy_run_tiles(tile, tiles, threads):
+        seen = []
+        convs.append((len(tiles), seen))
+        return run_tiles(lambda rows: seen.append(get()) or tile(rows), tiles, threads)
+
+    monkeypatch.setattr(quantize, "encode_int8", spy_encode)
+    monkeypatch.setattr(sparse, "_run_tiles", spy_run_tiles)
+    try:
+        set_(2)
+        quantize.run_int8_network(pillars, net, cfg.grid, cfg.network, 0.05, 32, 2)
+        assert encoders == [1] and get() == 2
+        assert {n for n, _ in convs} > {1}
+        assert all(seen == ([1] * n if n > 1 else [2]) for n, seen in convs)
+
+        calls = []
+
+        def fail_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("tile failed")
+            return requantize(*args, **kwargs)
+
+        monkeypatch.setattr(OutputQuant, "requantize", fail_third)
+        with pytest.raises(RuntimeError, match="tile failed"):
+            quantize.run_int8_network(pillars, net, cfg.grid, cfg.network, 0.05, 32, 2)
+        assert convs[-1][0] > 1   # the third tile belongs to a split conv
+        assert get() == 2 and sparse._blas_users == 0
+    finally:
+        set_(found)
+
+    recorded = []
+    monkeypatch.setattr(sparse, "blas_thread_handle", lambda: (lambda: 7, recorded.append))
+    monkeypatch.setattr(OutputQuant, "requantize", requantize)
+    quantize.run_int8_network(pillars, net, cfg.grid, cfg.network, 0.05, 32, 1)
+    assert recorded == []
+
+
+def test_the_float_encoder_output_keeps_a_spare_zero_row(rng, small_config, monkeypatch):
+    """So no float conv pads a copy: only decode's max pool pads its input."""
+    from lift import sparse
+    from lift.network import dual_bound_pool
+
+    cfg = small_config
+    weights = random_network_weights(cfg.network, cfg.feature_length, 0, "fused")
+    pillars = pillarize(random_cloud(rng, 2000, cfg.grid), cfg.grid)
+    x = dbpfn_encode(pillars, weights.dbpfn)
+    mapped = pillars.features @ weights.dbpfn.weight.astype(np.float64) + weights.dbpfn.bias
+    assert x.features.tobytes() == dual_bound_pool(mapped, pillars.offsets).tobytes()
+    assert sparse._zero_padded(x.features) is x.features.base
+    padded, calls = sparse._padded, []
+    monkeypatch.setattr(sparse, "_padded",
+                        lambda features, *args: calls.append(features.shape)
+                        or padded(features, *args))
+    res = run_network(pillars, weights, cfg.grid, cfg.network, 0.05, 32, threads=2)
+    assert calls == [res.heatmap.features.shape]
 
 
 @pytest.mark.parametrize("mode", ["float", "int8"])

@@ -12,10 +12,10 @@ from oracles import (Requantizer, dense_conv, dense_conv_int, dense_conv_int_fas
 from lift import cli, sparse
 from lift.errors import ParameterError, ShapeError
 from lift.quant import QuantParams, integer_bias
-from lift.sparse import (EXACT_F64_SHIFT, TILE_ROWS, OutputQuant,
-                         SparseTensor2D, _stride2_coords, _tiles, build_rulebook,
-                         sparse_add_projected, sparse_conv_stride2, sparse_max_pool,
-                         submanifold_conv)
+from lift.sparse import (EXACT_F64_SHIFT, F32_EXACT, TILE_ROWS, OutputQuant,
+                         SparseTensor2D, _int8_tiles, _stride2_coords, _tiles, build_rulebook,
+                         int8_gemms, sparse_add_projected, sparse_conv_stride2,
+                         sparse_max_pool, submanifold_conv)
 
 
 def identity_kernel(channels, k=3):
@@ -213,8 +213,8 @@ class TestInt8Conv:
     @pytest.mark.parametrize("mode", ["submanifold", "stride2"])
     @pytest.mark.parametrize("cin", [514, 515])
     def test_bitwise_at_the_float32_gemm_edge(self, cin, mode, zero_point, threads):
-        # Cin <= 514 runs each offset's GEMM in float32, Cin = 515 in
-        # float64. Every input is centered to v = +255 or -255. Output
+        # At Cin = 514 each offset runs its own float32 GEMM, at Cin = 515
+        # one float64 GEMM runs. Every input is centered to v = +255 or -255. Output
         # channel 0 weighs input channel 0 by -127 and the rest by -128, so
         # each full offset sums to the odd -v/255 * (32385 + (Cin - 1) *
         # 32640): 16,776,705 < 2^24 in magnitude at 514, 16,809,345 > 2^24
@@ -245,8 +245,9 @@ class TestInt8Conv:
     @pytest.mark.parametrize("mode", ["submanifold", "stride2"])
     @pytest.mark.parametrize("cin", [257, 258])
     def test_bitwise_at_the_offset_group_edge(self, cin, mode, zero_point, threads):
-        # 514 // Cin offsets share one float32 GEMM: 2 at Cin = 257, 1 at
-        # 258. Every input is centered to v = +255 or -255 and output
+        # Offsets share a float32 GEMM while 255 * sum |w| over them stays
+        # below 2^24: 2 at Cin = 257, 1 at 258. Every input is centered to
+        # v = +255 or -255 and output
         # channel 0 weighs every input by -128, but by -127 at offset 0,
         # input channel 0. The GEMM over offsets 0 and 1 then sums to the
         # odd v/255 * 255 * (256 * Cin - 1): 16,776,705 < 2^24 in magnitude
@@ -379,6 +380,19 @@ class TestTiling:
         assert _tiles(3 * TILE_ROWS + 618) == [(0, TILE_ROWS), (TILE_ROWS, 2 * TILE_ROWS),
                                                (2 * TILE_ROWS, 4 * TILE_ROWS - 406)]
 
+    def test_int8_tiles_are_near_equal_and_one_per_thread_past_the_split(self):
+        assert _int8_tiles(0, 2) == []
+        assert _int8_tiles(1, 4) == [(0, 1)]
+        assert _int8_tiles(2 * TILE_ROWS + 5, 1) == [(0, 1026), (1026, 2053)]
+        # below threads * SPLIT_ROWS (768) rows, BLAS's threads take the conv
+        assert _int8_tiles(1535, 2) == [(0, 1535)]
+        assert _int8_tiles(1536, 2) == [(0, 768), (768, 1536)]
+        assert _int8_tiles(2025, 2) == [(0, 1012), (1012, 2025)]
+        assert _int8_tiles(2025, 3) == [(0, 2025)]
+        assert _int8_tiles(3 * TILE_ROWS + 618, 2) == [(0, 1230), (1230, 2460), (2460, 3690)]
+        assert _int8_tiles(3 * TILE_ROWS + 618, 4) == [(0, 922), (922, 1845), (1845, 2767),
+                                                       (2767, 3690)]
+
     @pytest.mark.parametrize("n_out", TILED_ROWS)
     @pytest.mark.parametrize("k, cin, cout, mode", TILED_SHAPES)
     def test_float_matches_per_offset_scatter_bitwise(self, rng, k, cin, cout, mode, n_out):
@@ -477,7 +491,8 @@ class TestBlasSwitch:
         monkeypatch.setattr(OutputQuant, "requantize", spy)
         y = submanifold_conv(xq, kq, bq, out_quant=oq, threads=threads)
         assert np.array_equal(y.features, ref.features)
-        assert inside == [1] * 3 and get() == before
+        # int8 tiles: one per TILE_ROWS rows, at least one per thread
+        assert inside == [1] * {2: 3, 4: 4}[threads] and get() == before
 
     def test_count_restored_after_a_tile_raises(self, rng, blas, monkeypatch):
         get, set_ = blas
@@ -509,9 +524,26 @@ class TestBlasSwitch:
         submanifold_conv(x, kernel, bias, threads=2)
         assert recorded == [1, 7]
 
+    def test_every_tile_of_a_split_2025_row_int8_conv_reads_one(self, rng, blas,
+                                                                monkeypatch):
+        get, set_ = blas
+        set_(2)
+        inside, requantize = [], OutputQuant.requantize
+
+        def spy(*args, **kwargs):
+            inside.append(get())
+            return requantize(*args, **kwargs)
+
+        x, kernel, bias, oq = int8_case(rng, 2025, cin=128, cout=128)
+        ref = submanifold_conv(x, kernel, bias, out_quant=oq)
+        monkeypatch.setattr(OutputQuant, "requantize", spy)
+        y = submanifold_conv(x, kernel, bias, out_quant=oq, threads=2)
+        assert y.features.tobytes() == ref.features.tobytes()
+        assert inside == [1, 1] and get() == 2
+
     def test_nested_switches_restore_the_outermost_count(self, recorded):
-        with sparse._one_blas_thread():
-            with sparse._one_blas_thread():
+        with sparse.one_blas_thread():
+            with sparse.one_blas_thread():
                 assert recorded == [1]
             assert recorded == [1]
         assert recorded == [1, 7]
@@ -731,7 +763,6 @@ def test_rulebook_derived_arrays_match_the_table(rng):
         rb = build_rulebook(x, 3, mode)
         hit = rb.nbr < rb.n_in
         assert rb.hits.tolist() == hit.sum(axis=1).tolist()
-        assert rb.live.tolist() == np.flatnonzero(hit.any(axis=1)).tolist()
         assert rb.pair_count() == hit.sum()
 
 
@@ -834,13 +865,16 @@ class TestFloat64Epilogue:
     """OutputQuant.requantize against the Python-int Requantizer oracle."""
 
     @staticmethod
-    def _check(acc, multipliers, shifts, zero_point, relu):
+    def _check(acc, multipliers, shifts, zero_point, relu, dtype=np.float64):
         oq = OutputQuant(qparams=QuantParams(1.0, zero_point),
                          multipliers=np.asarray(multipliers, dtype=np.int64),
                          shifts=np.asarray(shifts, dtype=np.int64))
         assert oq.factors is not None
         out = np.empty(acc.shape, dtype=np.int8)
-        oq.requantize(acc.astype(np.float64), out, relu=relu)
+        held = acc.astype(dtype)
+        assert held.tolist() == acc.tolist()   # exact integers in dtype
+        work = None if dtype == np.float64 else np.empty(acc.shape)
+        oq.requantize(held, out, relu=relu, work=work)
         floor = zero_point if relu else -128
         rs = [Requantizer(int(m), int(s), zero_point) for m, s in zip(multipliers, shifts)]
         want = [[max(floor, requantize(int(a), r)) for a, r in zip(row, rs)]
@@ -859,24 +893,51 @@ class TestFloat64Epilogue:
                               rng.integers(-(2 ** 16), 2 ** 16, size=(200, shifts.size))])
         self._check(acc, multipliers, shifts, zero_point, relu)
 
-    @pytest.mark.parametrize("relu", [False, True])
-    @pytest.mark.parametrize("zero_point", [-128, 127])
-    def test_exact_ties_round_toward_plus_infinity(self, rng, zero_point, relu):
-        # with M = m * 2^t (m odd) and acc = a * 2^(30 + s - t) (a odd),
-        # acc * M = a * m * 2^(30 + s) lies exactly halfway between two
-        # multiples of 2^(31 + s); |acc| < 2^31 needs |a| < 2^(1 + t - s)
-        cases = [(s, t) for s in range(EXACT_F64_SHIFT + 1) for t in (s, s + 3, 30)]
+    @staticmethod
+    def _ties(rng, limit, ts):
+        """(acc, multipliers, shifts) whose every product acc * M lies
+        exactly halfway between two multiples of 2^(31 + s), |acc| < limit.
+        With M = m * 2^t (m odd) and acc = a * 2^(30 + s - t) (a odd),
+        acc * M = a * m * 2^(30 + s); |acc| < limit needs |a| < limit /
+        2^(30 + s - t), and t with no such a is left out."""
+        cases = [(s, t) for s in range(EXACT_F64_SHIFT + 1) for t in ts(s)
+                 if limit >> (31 + s - t)]
         shifts = np.array([s for s, _ in cases])
         multipliers = np.array([int(rng.integers(1 << (29 - t), 1 << (30 - t))) * 2 + 1 << t
                                 if t < 30 else 1 << 30 for _, t in cases])
-        bound = np.array([min(2 ** (t - s), 300) for s, t in cases])
+        bound = np.array([min(limit >> (31 + s - t), 300) for s, t in cases])
         odd = (rng.integers(-bound, bound, size=(64, len(cases))) * 2 + 1)
         acc = odd * np.array([2 ** (30 + s - t) for s, t in cases])
         acc[0], acc[1] = acc.max(axis=0), acc.min(axis=0)
         sh = 31 + shifts
-        assert np.all(np.abs(acc) < 2 ** 31)
+        assert np.all(np.abs(acc) < limit)
         assert np.all((acc * multipliers) % (1 << sh) == 1 << (sh - 1))
+        return acc, multipliers, shifts
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("zero_point", [-128, 127])
+    def test_exact_ties_round_toward_plus_infinity(self, rng, zero_point, relu):
+        acc, multipliers, shifts = self._ties(rng, 2 ** 31, lambda s: (s, s + 3, 30))
         self._check(acc, multipliers, shifts, zero_point, relu)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("zero_point", [-128, 0, 127])
+    def test_float32_accumulators_match_the_scalar_oracle(self, rng, zero_point, relu):
+        # the one-GEMM tile's accumulators: integers of magnitude below 2^24
+        shifts = np.arange(EXACT_F64_SHIFT + 1)
+        multipliers = rng.integers(1 << 30, 1 << 31, size=shifts.size)
+        multipliers[:2] = [1 << 30, (1 << 31) - 1]
+        edges = [0, 1, -1, F32_EXACT - 1, -(F32_EXACT - 1)]
+        acc = np.concatenate([np.tile(edges, (shifts.size, 1)).T,
+                              rng.integers(-F32_EXACT + 1, F32_EXACT, size=(200, shifts.size)),
+                              rng.integers(-(2 ** 12), 2 ** 12, size=(200, shifts.size))])
+        self._check(acc, multipliers, shifts, zero_point, relu, np.float32)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("zero_point", [-128, 0, 127])
+    def test_float32_exact_ties_round_toward_plus_infinity(self, rng, zero_point, relu):
+        acc, multipliers, shifts = self._ties(rng, F32_EXACT, lambda s: (s + 7, s + 12, 30))
+        self._check(acc, multipliers, shifts, zero_point, relu, np.float32)
 
     def test_a_shift_past_the_exact_bound_keeps_requantize_array(self, rng, monkeypatch):
         x, kernel, bias, oq = int8_case(rng, 2 * TILE_ROWS + 5, cin=8, cout=8)
@@ -894,8 +955,9 @@ class TestFloat64Epilogue:
             ref = dense_conv_int_fast(densify(x), x.qparams.zero_point, kernel,
                                       bias.astype(np.int64), oq)
             assert y.features.tobytes() == masked_dense(y, ref).astype(np.int8).tobytes()
-        # only the plan with shift 14 ran requantize_array, once per tile
-        assert sorted(calls) == [(TILE_ROWS, 8), (TILE_ROWS + 5, 8)]
+        # only the plan with shift 14 ran requantize_array, once per
+        # near-equal tile of the 2 * TILE_ROWS + 5 rows
+        assert sorted(calls) == [(TILE_ROWS + 2, 8), (TILE_ROWS + 3, 8)]
 
 
 class TestHitOnly:
@@ -922,3 +984,63 @@ class TestHitOnly:
                                   bias.astype(np.int64), oq, stride=stride)
         want = np.maximum(masked_dense(y, ref), oq.qparams.zero_point)
         assert y.features.tobytes() == want.astype(np.int8).tobytes()
+
+
+class TestL1BoundGemms:
+    """int8_gemms sizes an int8 conv's GEMMs by each output channel's
+    bound 255 * sum |w| + |bias|: below 2^24 one float32 GEMM per tile,
+    else the fewest greedy float32 groups summed in float64."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_groups_follow_the_channel_l1_bound(self, rng, k):
+        every = (tuple(range(k * k)),)
+        small = rng.integers(-128, 128, size=(k, k, 64, 8)).astype(np.int8)
+        assert int8_gemms(small, np.zeros(8)) == (every, np.float32, np.float32)
+        # the bias counts in the bound of its channel only
+        big_bias = np.zeros(8)
+        big_bias[5] = F32_EXACT
+        assert int8_gemms(small, big_bias) == (every, np.float32, np.float64)
+        # 127 * 128 * 255 per offset: 4 offsets stay below 2^24, 5 do not
+        wide = np.full((k, k, 128, 4), 127, dtype=np.int8)
+        groups = ((0, 1, 2, 3), (4, 5, 6, 7), (8,)) if k == 3 else every
+        assert int8_gemms(wide, np.zeros(4)) == (groups, np.float32,
+                                                 np.float64 if k == 3 else np.float32)
+        # one offset past 2^24 alone: one float64 GEMM holds every int32 sum
+        deep = np.full((k, k, 515, 2), -128, dtype=np.int8)
+        assert int8_gemms(deep, np.zeros(2)) == (every, np.float64, np.float64)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["submanifold", "stride2"])
+    @pytest.mark.parametrize("bound", [F32_EXACT - 1, F32_EXACT, F32_EXACT + 1])
+    @pytest.mark.parametrize("cin", [64, 128])
+    def test_bytes_at_the_float32_accumulator_bound(self, cin, bound, mode, threads):
+        # Every site of a full grid is active and centered to +255.
+        # Channel 0's 9 * cin weights are >= 0 and sum to 65,793, so 255 *
+        # sum |w| = 2^24 - 1, and its bias bound - (2^24 - 1) >= 0: an
+        # output with every tap active accumulates exactly bound. Channel 1
+        # is its negation. The factor M * 2^-48 puts channel 0's rounding
+        # edge at that accumulator, so its byte there changes if the sum is
+        # off by one: a float32 sum of 2^24 + 1 would round to 2^24.
+        side = 48 if mode == "submanifold" else 96    # 2,304 output rows
+        x = SparseTensor2D.build(side, side, [(i, j) for j in range(side) for i in range(side)],
+                                 np.full((side * side, cin), 127, dtype=np.int8),
+                                 qparams=QuantParams(1.0, -128))
+        base, extra = divmod((F32_EXACT - 1) // 255, 9 * cin)
+        w0 = np.full(9 * cin, base)
+        w0[:extra] += 1
+        kernel = np.stack([w0, -w0], axis=-1).reshape(3, 3, cin, 2).astype(np.int8)
+        b = bound - (F32_EXACT - 1)
+        bias = np.array([b, -b], dtype=np.float64)
+        one_gemm = bound < F32_EXACT
+        assert int8_gemms(kernel, bias) == ((tuple(range(9)),), np.float32,
+                                            np.float32 if one_gemm else np.float64)
+        multiplier = -(-199 * 2 ** 47 // bound)   # ceil(99.5 * 2^48 / bound)
+        oq = OutputQuant(qparams=QuantParams(1.0, 0), multipliers=np.full(2, multiplier),
+                         shifts=np.full(2, 17))
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        y = conv(x, kernel, bias, out_quant=oq, threads=threads)
+        stride = 1 if mode == "submanifold" else 2
+        ref = dense_conv_int_fast(densify(x), -128, kernel, bias.astype(np.int64), oq,
+                                  stride=stride)
+        assert ref[1, 1, 0] == 100
+        assert y.features.tobytes() == masked_dense(y, ref).astype(np.int8).tobytes()
