@@ -75,14 +75,13 @@ class MacReport:
 
 
 def count_macs_network(cloud: PointCloud, grid: GridConfig, cfg: NetworkConfig,
-                       *, include_offsets: bool = True,
-                       budget_gmacs: float = DEFAULT_BUDGET_GMAC) -> MacReport:
+                       *, include_offsets: bool = True) -> MacReport:
     """Walk the network's op list building only rulebooks (no
     arithmetic) and total the multiply-accumulates, encoder and head
     included. Submanifold convs on one active set share its table, as
     the executors' do (sparse.build_rulebook)."""
     pillars = pillarize(cloud, grid, include_offsets=include_offsets)
-    report = MacReport(budget_gmacs=budget_gmacs)
+    report = MacReport()
     report.add("dbpfn", "linear", pillars.point_count,
                pillars.feature_length, cfg.encoder_hidden)
 

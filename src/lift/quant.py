@@ -16,9 +16,10 @@ Conventions used throughout the engine:
   ``integer_bias`` computes every bias_q and checks that bound. The
   engine emulates these int32 sums exactly, in float32 where each output
   channel's 255 * sum |w| + |bias_q| is below 2^24 and in float64
-  otherwise, and requantizes them as ``requantize_array`` does; where
-  every shift is at most 13, by an equal float64 epilogue (proof: the
-  sparse module).
+  otherwise (one rule, ``sparse.int8_gemms``, for convs and the
+  encoder), and requantizes them as ``requantize_array`` does; a conv
+  tile, held in float64, by an equal float64 epilogue where every shift
+  is at most 13 (proof: the sparse module).
 """
 
 from __future__ import annotations

@@ -25,9 +25,8 @@ from .network import (ENCODER_SITE, InferenceResult, NetworkConfig, NetworkWeigh
 from .pillarizer import GridConfig, PillarSet
 from .quant import (INT8_MAX, INT8_MIN, QuantParams, calibrate, encode_factors,
                     integer_bias, requantize_array)
-from .sparse import (EXACT_F32_CHANNELS, OutputQuant, SparseTensor2D, int8_gemms,
-                     one_blas_thread, sparse_add_projected, sparse_conv_stride2,
-                     submanifold_conv)
+from .sparse import (OutputQuant, SparseTensor2D, int8_gemms, one_blas_thread,
+                     sparse_add_projected, sparse_conv_stride2, submanifold_conv)
 
 INPUT_FEATURES_SITE = "input_features"
 
@@ -240,9 +239,9 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
     """Integer dual-bound encoding: one GEMM on centered int8 features,
     pool, add the integer bias in int32, requantize once.
 
-    The GEMM runs in float32 when F * 255 * 128 < 2^24 (F <=
-    EXACT_F32_CHANNELS features), so every product and partial sum is an
-    integer held exactly, and in float64 above. Pooling comes before the
+    The GEMM dtype is a 1 x 1 conv's without bias (sparse.int8_gemms):
+    float32 where each channel's L1 bound keeps every product and partial
+    sum an integer below 2^24, else float64. Pooling comes before the
     bias: max(x + b) = max(x) + b holds exactly for integers, and the
     int32 accumulator bound (quant.integer_bias) keeps every pooled sum
     plus bias inside int32.
@@ -250,11 +249,12 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
     enc_qp = net.act[ENCODER_SITE]
     q_weight = net.encoder.q_weight
     n_features, hidden = q_weight.shape
+    if pillars.feature_length != n_features:
+        raise ShapeError(f"pillar features have length {pillars.feature_length}, "
+                         f"encoder expects {n_features}")
     if len(pillars) == 0:
         return SparseTensor2D.empty(pillars.width, pillars.height, 2 * hidden, qparams=enc_qp)
-    if pillars.feature_length != n_features:
-        raise ShapeError("pillar feature length does not match encoder weights")
-    gemm = np.float32 if n_features <= EXACT_F32_CHANNELS else np.float64
+    gemm = int8_gemms(q_weight[None, None], 0)[1]
     scales = np.array([qp.scale for qp in net.feature_qps], dtype=np.float64)
     zero_points = np.array([qp.zero_point for qp in net.feature_qps], dtype=np.float64)
     # quantize to int8 (rint(x / scale) + zero point, saturated) and center,

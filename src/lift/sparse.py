@@ -41,9 +41,10 @@ below 2^24, the tile runs one float32 GEMM over all live offsets and
 adds the bias in float32, every partial sum exact in any order.
 Otherwise the offsets split into the fewest greedy runs whose bound
 stays below 2^24, each one exact float32 GEMM summed onto the bias in
-float64; where a single offset passes 2^24, one float64 GEMM runs.
+float64; where a single offset passes 2^24, one float64 GEMM runs. The
+sums end in the thread's float64 buffer (a one-GEMM tile is copied in).
 
-OutputQuant.requantize then writes the tile as int8. Where every output
+OutputQuant.requantize then writes the buffer as int8. Where every output
 channel's shift s is at most EXACT_F64_SHIFT = 13, it computes, in
 float64, t = acc * f + (zero_point + 128.5) with f = M * 2^-(31 + s), a
 Q31 multiplier M, clips t to [lo + 128, 255] (lo = -128, or the zero
@@ -83,8 +84,6 @@ TILE_ROWS = 1024
 SPLIT_ROWS = 768
 # float32 holds every integer of magnitude up to 2^24
 F32_EXACT = 2 ** 24
-# 514: int8 products over this many input channels sum exactly in float32
-EXACT_F32_CHANNELS = (F32_EXACT - 1) // (255 * 128)
 # the largest shift at which the float64 epilogue is exact (module docstring)
 EXACT_F64_SHIFT = 13
 
@@ -274,22 +273,15 @@ class OutputQuant:
             in_scale * np.asarray(weight_scales, dtype=np.float64) / out_qp.scale)
         return cls(qparams=out_qp, multipliers=multipliers, shifts=shifts)
 
-    def requantize(self, acc: np.ndarray, out: np.ndarray, relu: bool = False,
-                   work: np.ndarray | None = None) -> None:
-        """Write quant.requantize_array's int8 of integer accumulators
-        (|acc| < 2^31, float32 or float64) into out; by the float64
-        epilogue where it is exact (module docstring). That runs in work,
-        a float64 array of acc's shape that acc is copied into, or in acc
-        itself when work is None (acc must then be float64), overwriting
-        it."""
+    def requantize(self, acc: np.ndarray, out: np.ndarray, relu: bool = False) -> None:
+        """Write quant.requantize_array's int8 of float64 integer
+        accumulators (|acc| < 2^31) into out; by the float64 epilogue
+        where it is exact (module docstring), which overwrites acc."""
         zero_point = self.qparams.zero_point
         if self.factors is None:
             out[...] = requantize_array(acc, self.multipliers, self.shifts, zero_point,
                                         relu=relu)
             return
-        if work is not None:
-            np.copyto(work, acc)   # exact; faster than a float32 x float64 multiply
-            acc = work
         acc *= self.factors
         acc += zero_point + 128.5
         np.clip(acc, (zero_point if relu else INT8_MIN) + 128, 255, out=acc)
@@ -483,7 +475,7 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
     center = [k * k // 2] if mode == "submanifold" else None
     # int8 GEMM operands are integers: an invalid flag from OpenBLAS is spurious
     quiet = functools.partial(np.errstate, invalid="ignore") if x.is_int8 else nullcontext
-    # each thread's float64 epilogue buffer for float32 accumulators
+    # each thread's float64 accumulator for int8 tiles
     scratch = threading.local()
 
     def products(g, w_gemm, lo, hi):
@@ -493,25 +485,25 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
 
     def tile(rows):
         lo, hi = rows
+        if x.is_int8:
+            if not hasattr(scratch, "acc"):
+                scratch.acc = np.empty((max(b - a for a, b in tiles), cout))
+            acc = scratch.acc[:hi - lo]
+        else:
+            acc = out[lo:hi]
         with quiet():
             if one_gemm:
-                acc = products(groups[0], w_groups[0], lo, hi)
-                acc += bias
+                summed = products(groups[0], w_groups[0], lo, hi)
+                summed += bias
+                np.copyto(acc, summed)   # exact; faster than one mixed-dtype add
             else:
-                acc = np.empty((hi - lo, cout)) if x.is_int8 else out[lo:hi]
                 acc[:] = bias
                 for g, w_gemm in zip(groups, w_groups):
                     acc += products(g, w_gemm, lo, hi)
-        if not x.is_int8:
-            if relu:
-                np.maximum(acc, 0, out=acc)
-            return
-        work = None
-        if acc.dtype != np.float64:
-            if not hasattr(scratch, "work"):
-                scratch.work = np.empty((max(b - a for a, b in tiles), cout))
-            work = scratch.work[:hi - lo]
-        out_quant.requantize(acc, out[lo:hi], relu=relu, work=work)
+        if x.is_int8:
+            out_quant.requantize(acc, out[lo:hi], relu=relu)
+        elif relu:
+            np.maximum(acc, 0, out=acc)
 
     _run_tiles(tile, tiles, threads)
     qparams = out_quant.qparams if x.is_int8 else None
@@ -547,8 +539,6 @@ def sparse_conv_stride2(x: SparseTensor2D, w, bias=None, out_quant: OutputQuant 
     is active; output dims are ceil(input / 2). relu and gemms as for
     submanifold_conv.
     """
-    if np.asarray(w).shape[0] != 3:
-        raise ParameterError("stride-2 convolution requires a 3x3 kernel")
     return _conv(x, w, bias, "stride2", out_quant=out_quant, threads=threads, relu=relu,
                  gemms=gemms)
 

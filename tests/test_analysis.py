@@ -149,5 +149,6 @@ class TestNetworkMacs:
     def test_over_budget_flag(self, rng, small_config):
         cfg = small_config
         report = count_macs_network(random_cloud(rng, 500, cfg.grid),
-                                    cfg.grid, cfg.network, budget_gmacs=1e-6)
+                                    cfg.grid, cfg.network)
+        report.budget_gmacs = 1e-6
         assert not report.within_budget

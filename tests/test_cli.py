@@ -450,12 +450,19 @@ class TestCalibrate:
 
 
 def test_module_entry_point(workspace):
-    tmp_path, cfg_path, _ = workspace
-    proc = subprocess.run([sys.executable, "-m", "lift", "ocm",
-                           "--dims", "640,720,40", "--context", "3,3,3"],
-                          capture_output=True, text=True)
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "lift", *argv],
+                              capture_output=True, text=True)
+
+    proc = run("ocm", "--dims", "640,720,40", "--context", "3,3,3")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "52483"
+    proc = run("ocm", "--dims", "640,720", "--context", "3,3")   # the README's example
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "1283"
+    proc = run("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: lift")
 
 
 def test_env_var_thread_fallback(workspace, monkeypatch):
@@ -583,6 +590,16 @@ class TestInt8Contract:
                                        zero_points=kernel.quant.zero_points[:6])
             bias.data = bias.data[:6].copy()
         self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+
+    @pytest.mark.parametrize("name, cause", [
+        ("stage2.layer1.fused.bias", "expected dims (64,), got (63,)"),
+        ("dbpfn.linear.weight", "expected rank 2")])
+    def test_tensor_of_the_wrong_shape(self, workspace, tmp_path, capsys, name, cause):
+        def mutate(recs):
+            data = recs[name].data
+            recs[name].data = data[:-1].copy() if data.ndim == 1 else data[None]
+        err = self.infer_mutated(workspace, tmp_path, capsys, name, mutate)
+        assert cause in err
 
     def test_act_site_with_two_values(self, workspace, tmp_path, capsys):
         name = "act.stage2.layer1.out.scale"
@@ -880,3 +897,82 @@ def test_infer_validates_weights_before_reading_the_cloud(workspace, tmp_path, c
                  "--config", str(other_cfg), "--out", str(tmp_path / "d.jsonl")]) == 2
     err = capsys.readouterr().err
     assert "head.cls.out.kernel" in err and "absent.bin" not in err
+
+
+@pytest.mark.parametrize("form, name, cause", [
+    ("fused", "stage2.layer1.fused.bias", "expected dims (64,), got (63,)"),
+    ("train", "stage1.layer0.branch3x3.bn.var", "expected dims (64,), got (63,)"),
+    ("fused", "dbpfn.linear.weight", "expected rank 2")])
+def test_float_tensor_of_the_wrong_shape_exit2_names_it(workspace, capsys, form, name, cause):
+    from lift.weights_io import read_weight_file, write_weight_file
+
+    tmp_path, cfg_path, _ = workspace
+    records = read_weight_file(gen(tmp_path, cfg_path, form))
+    rec = next(r for r in records if r.name == name)
+    rec.data = rec.data[:-1].copy() if rec.data.ndim == 1 else rec.data[None]
+    path = tmp_path / "misshapen.w"
+    write_weight_file(path, records)
+    capsys.readouterr()
+    # the cloud is absent: the file is refused before any cloud is read
+    assert main(["infer", "--weights", str(path), "--cloud", str(tmp_path / "absent.bin"),
+                 "--config", cfg_path, "--out", str(tmp_path / "d.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"tensor {name!r}: {cause}" in err and "Traceback" not in err
+
+
+def test_text_cloud_infers_as_its_binary_twin(workspace, capsys):
+    tmp_path, cfg_path, _ = workspace
+    weights = gen(tmp_path, cfg_path, "fused")
+    binary = tmp_path / "cloud4.bin"
+    write_cloud(binary, stride=4)
+    rows = np.fromfile(binary, dtype="<f4").reshape(-1, 4)
+    text = tmp_path / "cloud.txt"
+    text.write_text("# x y z intensity\n" + "".join(
+        " ".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    for cloud, out in ((binary, "b.jsonl"), (text, "t.jsonl")):
+        assert main(["infer", "--weights", weights, "--cloud", str(cloud), "--stride", "4",
+                     "--config", cfg_path, "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "t.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+    text.write_text("0 0 0 1\n1.0, 2.0, 3.0\n")
+    capsys.readouterr()
+    assert main(["infer", "--weights", weights, "--cloud", str(text),
+                 "--config", cfg_path, "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert f"{text}: line 2: expected >=4 fields, got 3" in capsys.readouterr().err
+
+
+def test_infer_reports_the_non_finite_points_it_drops(workspace, capsys):
+    tmp_path, cfg_path, _ = workspace
+    weights = gen(tmp_path, cfg_path, "fused")
+    cloud = tmp_path / "holes.bin"
+    write_cloud(cloud)
+    data = np.fromfile(cloud, dtype="<f4").reshape(-1, 5)
+    data[[3, 7], [0, 3]] = [np.nan, np.inf]   # x and intensity (a non-finite ring drops nothing)
+    data.tofile(cloud)
+    capsys.readouterr()
+    assert main(["infer", "--weights", weights, "--cloud", str(cloud),
+                 "--config", cfg_path, "--out", str(tmp_path / "d.jsonl")]) == 0
+    assert f"{cloud}: dropped 2 non-finite point(s)" in capsys.readouterr().err
+
+
+def test_macs_on_a_directory_without_clouds_exit2(workspace, capsys):
+    tmp_path, cfg_path, _ = workspace
+    empty = tmp_path / "none"
+    empty.mkdir()
+    (empty / "notes.md").write_text("not a cloud")
+    assert main(["macs", "--cloud", str(empty), "--config", cfg_path]) == 2
+    assert f"error: {empty}: no cloud files found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, cause", [
+    ([], "config root must be a JSON object"),
+    ({"grid": 5}, "config section 'grid' must be an object"),
+    ({"network": {"stage_depths": 3}}, "config key network.stage_depths: expected a list"),
+    ({"network": {"class_names": ["car", 2]}},
+     "config key network.class_names: expected a list of strings")])
+def test_config_of_the_wrong_structure_exit2_names_it(tmp_path, capsys, doc, cause):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["gen-weights", "--config", str(cfg_path), "--seed", "0", "--form", "fused",
+                 "--out", str(tmp_path / "refused.w")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cause}") and not (tmp_path / "refused.w").exists()

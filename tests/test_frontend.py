@@ -9,12 +9,14 @@ import pytest
 from oracles import (decode_reference, encode_int8_reference, pillarize_stable_argsort,
                      reduceat_dual_bound)
 
-from lift.network import ENCODER_SITE, NetworkConfig, decode, dual_bound_pool
+from lift.errors import ShapeError
+from lift.network import (ENCODER_SITE, DbpfnParams, NetworkConfig, dbpfn_encode, decode,
+                          dual_bound_pool)
 from lift.pcd_io import PointCloud
 from lift.pillarizer import GridConfig, PillarSet, pillarize
 from lift.quant import QuantParams
 from lift.quantize import Int8Network, Int8Weights, encode_int8
-from lift.sparse import EXACT_F32_CHANNELS, SparseTensor2D
+from lift.sparse import F32_EXACT, SparseTensor2D, int8_gemms
 
 
 def _offsets(counts):
@@ -187,7 +189,7 @@ def test_encode_int8_matches_the_float64_reduceat_formula(rng):
 
 
 def test_encode_int8_stays_exact_past_the_float32_feature_count(rng):
-    n_features, hidden = EXACT_F32_CHANNELS + 86, 4
+    n_features, hidden = 600, 4
     # on channel 0, point 0 sums F - 1 products 255 * -128 and one 1 * 1: an
     # odd integer above 2^24 in magnitude, which float32 cannot hold; the
     # bias brings the pooled sum back to 1
@@ -198,6 +200,8 @@ def test_encode_int8_stays_exact_past_the_float32_feature_count(rng):
     q_weight[-1, 0] = 1
     total = -(n_features - 1) * 255 * 128 + 1
     assert abs(total) > 2 ** 24 and total % 2
+    # channel 0's L1 bound, 255 * sum |w|, passes 2^24: the GEMM runs in float64
+    assert int8_gemms(q_weight[None, None], 0)[1] == np.float64
     bias_q = np.zeros(hidden)
     bias_q[0] = 1 - total
     net = _int8_encoder(q_weight, bias_q, np.ones(hidden), 1.0, feature_qps)
@@ -208,6 +212,42 @@ def test_encode_int8_stays_exact_past_the_float32_feature_count(rng):
     assert _same(x.features, encode_int8_reference(pillars, net))
     zero_point = net.act[ENCODER_SITE].zero_point
     assert x.features[0, 0] == 1 + zero_point == x.features[0, hidden]
+
+
+def test_encode_int8_runs_float32_past_the_feature_count_where_the_l1_bound_holds(rng):
+    n_features, hidden = 600, 4
+    assert n_features * 255 * 128 >= F32_EXACT
+    # channel 0 holds 514 weights -128 and one -1, channel 1 518 weights 127
+    # and one 7: 255 * sum |w| is 2^24 - 1 on both, so point 0's sums, all
+    # 255 * w, are -/+(2^24 - 1), odd integers at float32's edge; the biases
+    # bring them back to 1
+    q_weight = rng.integers(-100, 101, size=(n_features, hidden)).astype(np.int8)
+    q_weight[:, :2] = 0
+    q_weight[:514, 0], q_weight[514, 0] = -128, -1
+    q_weight[:518, 1], q_weight[518, 1] = 127, 7
+    assert int8_gemms(q_weight[None, None], 0)[1] == np.float32
+    edge = F32_EXACT - 1
+    bias_q = np.zeros(hidden)
+    bias_q[:2] = 1 + edge, 1 - edge
+    feature_qps = [QuantParams(scale=0.5, zero_point=-128)] * n_features
+    net = _int8_encoder(q_weight, bias_q, np.ones(hidden), 1.0, feature_qps)
+    pillars = _pillars(rng, [1, 3, 2], n_features)
+    pillars.features[0] = 1e4
+    x = encode_int8(pillars, net)
+    assert _same(x.features, encode_int8_reference(pillars, net))
+    zero_point = net.act[ENCODER_SITE].zero_point
+    assert (x.features[0, [0, 1, hidden, hidden + 1]] == 1 + zero_point).all()
+
+
+@pytest.mark.parametrize("n_points", [0, 3])
+def test_both_encoders_reject_a_wrong_feature_length_empty_or_not(rng, n_points):
+    pillars = _pillars(rng, [n_points], 7) if n_points else \
+        PillarSet(width=8, height=8, features=np.empty((0, 7)))
+    with pytest.raises(ShapeError, match="length 7, encoder expects 9"):
+        dbpfn_encode(pillars, DbpfnParams(weight=np.ones((9, 4)), bias=np.zeros(4)))
+    net = _int8_encoder(_int8_weights(rng, 9, 4), np.zeros(4), np.ones(4), 1.0)
+    with pytest.raises(ShapeError, match="length 7, encoder expects 9"):
+        encode_int8(pillars, net)
 
 
 # ---------------------------------------------------------------------------

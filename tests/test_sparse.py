@@ -144,6 +144,12 @@ class TestStride2:
         y = sparse_conv_stride2(x, rng.normal(size=(3, 3, 2, 2)))
         assert (y.width, y.height) == (8, 5)
 
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_a_kernel_other_than_3x3_is_refused(self, rng, k):
+        x = random_sparse(rng, 8, 8, 2, occupancy=0.4)
+        with pytest.raises(ParameterError, match="defined for k = 3"):
+            sparse_conv_stride2(x, np.zeros((k, k, 2, 2)))
+
 
     @pytest.mark.parametrize("width, height", [(1, 1), (2, 3), (7, 5), (9, 9), (40, 31)])
     def test_bitmap_coords_equal_the_unique_of_candidate_keys(self, rng, width, height):
@@ -743,6 +749,24 @@ class TestAddProjected:
             sparse_add_projected(base, other, 2)
 
 
+@pytest.mark.parametrize("k, mode, message", [
+    (3, "dilated", "unknown conv mode 'dilated'"),
+    (2, "submanifold", "must be odd"),
+    (4, "stride2", "must be odd"),
+])
+def test_build_rulebook_refuses_an_unknown_mode_or_an_even_kernel(rng, k, mode, message):
+    x = random_sparse(rng, 8, 8, 2, occupancy=0.4)
+    with pytest.raises(ParameterError, match=message):
+        build_rulebook(x, k, mode)
+
+
+@pytest.mark.parametrize("conv", [submanifold_conv, sparse_conv_stride2])
+def test_a_rank_3_kernel_is_refused(rng, conv):
+    x = random_sparse(rng, 8, 8, 2, occupancy=0.4)
+    with pytest.raises(ShapeError, match="kernel must be KxKxCinxCout"):
+        conv(x, np.zeros((3, 3, 2)))
+
+
 def test_rulebook_pair_count_consistency(rng):
     x = random_sparse(rng, 10, 10, 1, occupancy=0.35)
     rb = build_rulebook(x, 3, "submanifold")
@@ -873,8 +897,7 @@ class TestFloat64Epilogue:
         out = np.empty(acc.shape, dtype=np.int8)
         held = acc.astype(dtype)
         assert held.tolist() == acc.tolist()   # exact integers in dtype
-        work = None if dtype == np.float64 else np.empty(acc.shape)
-        oq.requantize(held, out, relu=relu, work=work)
+        oq.requantize(held.astype(np.float64), out, relu=relu)   # a tile's exact copy
         floor = zero_point if relu else -128
         rs = [Requantizer(int(m), int(s), zero_point) for m, s in zip(multipliers, shifts)]
         want = [[max(floor, requantize(int(a), r)) for a, r in zip(row, rs)]
