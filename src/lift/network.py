@@ -17,6 +17,7 @@ all derived from it.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -27,8 +28,9 @@ from .pillarizer import GridConfig, PillarSet
 from .quant import dequantize
 from .reparam import (BnParams, FusedConvLayer, RepConvLayer, apply_fused,
                       apply_training_form, fuse)
-from .sparse import (SparseTensor2D, empty_zero_row, relu, sparse_add_projected,
-                     sparse_conv_stride2, sparse_max_pool, submanifold_conv)
+from .sparse import (SparseTensor2D, empty_zero_row, one_blas_thread, relu,
+                     sparse_add_projected, sparse_conv_stride2, sparse_max_pool,
+                     submanifold_conv)
 
 DEFAULT_CLASS_NAMES = (
     "car", "truck", "construction_vehicle", "bus", "trailer",
@@ -413,17 +415,20 @@ class InferenceResult:
     stage_sizes: dict = field(default_factory=dict)
 
 
-def run_encoded(x: SparseTensor2D, pillars: PillarSet, weights, grid: GridConfig,
+def run_encoded(encode, pillars: PillarSet, weights, grid: GridConfig,
                 cfg: NetworkConfig, score_threshold: float, top_k: int, threads: int,
                 observer=None) -> InferenceResult:
-    """Encoder output to boxes on either path, recording active-set sizes.
-    Each segment gets the only references to what it reads (CPython 3.11+
-    moves popped call arguments into the callee): no site outlives its last reader."""
+    """encode() to boxes on either path, recording active-set sizes. At
+    threads > 1 the encoder runs with BLAS at one thread, so that no BLAS
+    thread spins beside the conv tiles that follow (sparse module
+    docstring). Each segment gets the only references to what it reads
+    (CPython 3.11+ moves popped call arguments into the callee): no site
+    outlives its last reader."""
+    with one_blas_thread() if threads > 1 else nullcontext():
+        live = [encode()]
     if observer is not None:
-        observer(ENCODER_SITE, x.features)
-    sizes = {"pillars": len(pillars), "encoder": len(x)}
-    live = [x]
-    del x
+        observer(ENCODER_SITE, live[0].features)
+    sizes = {"pillars": len(pillars), "encoder": len(live[0])}
     live = list(run_backbone(live.pop(), weights, threads=threads, observer=observer))
     sizes.update(zip(("stage2", "stage3", "stage4"), map(len, live)))
     live = [fuse_scales(live.pop(0), live.pop(0), live.pop(0), weights, threads=threads,
@@ -440,8 +445,8 @@ def run_network(pillars: PillarSet, weights: NetworkWeights, grid: GridConfig,
                 cfg: NetworkConfig, score_threshold: float = 0.1, top_k: int = 500,
                 threads: int = 1, observer=None) -> InferenceResult:
     """Float path, pillars to boxes, recording active-set sizes."""
-    return run_encoded(dbpfn_encode(pillars, weights.dbpfn), pillars, weights, grid, cfg,
-                       score_threshold, top_k, threads, observer)
+    return run_encoded(lambda: dbpfn_encode(pillars, weights.dbpfn), pillars, weights, grid,
+                       cfg, score_threshold, top_k, threads, observer)
 
 
 # ---------------------------------------------------------------------------

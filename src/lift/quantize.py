@@ -13,7 +13,6 @@ makes an Int8Network gets the int8 contract checked once.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -25,8 +24,8 @@ from .network import (ENCODER_SITE, InferenceResult, NetworkConfig, NetworkWeigh
 from .pillarizer import GridConfig, PillarSet
 from .quant import (INT8_MAX, INT8_MIN, QuantParams, calibrate, encode_factors,
                     integer_bias, requantize_array)
-from .sparse import (OutputQuant, SparseTensor2D, int8_gemms, one_blas_thread,
-                     sparse_add_projected, sparse_conv_stride2, submanifold_conv)
+from .sparse import (OutputQuant, SparseTensor2D, int8_gemms, sparse_add_projected,
+                     sparse_conv_stride2, submanifold_conv)
 
 INPUT_FEATURES_SITE = "input_features"
 
@@ -278,10 +277,6 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
 def run_int8_network(pillars: PillarSet, net: Int8Network, grid: GridConfig,
                      cfg: NetworkConfig, score_threshold: float = 0.1,
                      top_k: int = 500, threads: int = 1) -> InferenceResult:
-    """Integer path, pillars to boxes; bitwise deterministic. At threads
-    > 1 the encoder runs with BLAS at one thread, so that no BLAS thread
-    spins beside the conv tiles that follow (sparse module docstring)."""
-    with one_blas_thread() if threads > 1 else nullcontext():
-        live = [encode_int8(pillars, net)]
-    # run_encoded gets the only reference to the encoder output
-    return run_encoded(live.pop(), pillars, net, grid, cfg, score_threshold, top_k, threads)
+    """Integer path, pillars to boxes; bitwise deterministic."""
+    return run_encoded(lambda: encode_int8(pillars, net), pillars, net, grid, cfg,
+                       score_threshold, top_k, threads)

@@ -11,13 +11,34 @@ tiles: each group of live offsets gathers its rows side by side and runs
 one GEMM, and the products sum onto the bias; the epilogue (a ReLU, or
 int8 requantization) then runs while the tile is in cache.
 
-Float tiles are TILE_ROWS rows (the remainder joins the last tile, since
-BLAS may round a GEMM of another height differently) and group one
-offset per GEMM, so every output row gets its bias and then one addition
-per offset, in offset order, whatever the tiling and the number of
-workers. Int8 sums are exact, so any split gives the same bytes: int8
-tiles are near-equal row ranges, one per TILE_ROWS rows, and at least
-one per thread once a conv has threads * SPLIT_ROWS rows.
+Int8 tiles are near-equal row ranges, one per TILE_ROWS rows, and at
+least one per thread once a conv has threads * SPLIT_ROWS rows: int8
+sums are exact, so any split gives the same bytes. A float tile groups
+one offset per GEMM, so every output row gets its bias and then one
+addition per offset, in offset order. Its bytes then hold across tilings
+if a product row has the same bits in a GEMM of any height >= 2, which
+BLAS does not promise: numpy's bundled OpenBLAS gives it on its SkylakeX
+kernels when Cout is a multiple of 8, but at Cin 128 and Cout 10 a GEMM
+under about 10^6 multiply-adds takes a small-matrix kernel with other
+bits, and a one-row product runs through gemv, with other bits again.
+So _gemm_rows_exact probes each (Cin, Cout) once per process. A float
+conv whose shape passes takes the int8 tiles and hit-only offsets
+(below); one whose shape fails keeps TILE_ROWS-row tiles, the remainder
+joining the last, whatever the thread count, and runs every offset
+over the whole tile.
+
+Hit-only float tiles. A float tile skips an offset with no hit in the
+tile, and multiplies one whose hit rows are more than one and fewer than
+HIT_ONLY_SHARE of the tile over those rows alone, adding the products
+into them; an offset with one hit row, which would be a gemv, runs over
+the whole tile. A skipped row would have added the product of the spare
++0.0 row: with finite weights that is +-0.0, and adding +-0.0 changes no
+bit of an accumulator that is not -0.0. A round-to-nearest sum is -0.0
+only when both addends are, so an accumulator that starts at a bias
+without -0.0 never is; a conv whose bias holds a -0.0, or whose weights
+are not all finite, runs every offset over the whole tile. Each table
+keeps every offset's hit rows and the input rows they read
+(Rulebook.hit_pairs), so the convs on one active set share them.
 
 Threads: with threads > 1 and at least two tiles, the calling thread
 and threads - 1 pool workers take disjoint tiles from one shared queue
@@ -27,7 +48,10 @@ setter, BLAS is left alone), so the work around the GEMMs runs on every
 core too, and no idle BLAS thread spins against the workers. A
 single-tile conv, and every conv at threads = 1, runs in the calling
 thread and never touches BLAS: below threads * SPLIT_ROWS rows, BLAS's
-own threads beat a split.
+own threads beat a split. At threads > 1 both encoders run with BLAS at
+one thread as well (network.run_encoded): after a multi-threaded call,
+OpenBLAS's threads busy-wait for a while, and took a core from the
+first conv's tile workers.
 
 The int8 path emulates int32 accumulators exactly: the int32 accumulator
 bound, |bias| + K * K * Cin * 255 * 128 < 2^31 (quant.integer_bias,
@@ -80,8 +104,11 @@ from .quant import INT8_MAX, INT8_MIN, QuantParams, encode_factors, requantize_a
 
 MODES = ("submanifold", "stride2")
 TILE_ROWS = 1024
-# an int8 conv of at least threads * SPLIT_ROWS rows runs one tile per thread
+# a split conv of at least threads * SPLIT_ROWS rows runs one tile per thread
 SPLIT_ROWS = 768
+# a float tile multiplies an offset over its hit rows alone when they are
+# more than one and fewer than this share of the tile
+HIT_ONLY_SHARE = 0.8
 # float32 holds every integer of magnitude up to 2^24
 F32_EXACT = 2 ** 24
 # the largest shift at which the float64 epilogue is exact (module docstring)
@@ -195,6 +222,13 @@ class Rulebook:
     def hits(self) -> np.ndarray:  # per offset, the number of output rows it feeds
         return np.count_nonzero(self.nbr < self.n_in, axis=1)
 
+    @functools.cached_property
+    def hit_pairs(self) -> list:
+        """Per offset, the output rows it feeds (ascending) and the input
+        rows they read."""
+        rows = [np.flatnonzero(taps < self.n_in) for taps in self.nbr]
+        return [(r, taps[r]) for r, taps in zip(rows, self.nbr)]
+
     def pair_count(self) -> int:
         return int(self.hits.sum())
 
@@ -291,17 +325,32 @@ class OutputQuant:
 
 
 def _tiles(n: int) -> list:
-    """Row ranges of TILE_ROWS rows; the remainder joins the last range."""
+    """Row ranges of TILE_ROWS rows; the remainder joins the last range.
+    The tiles of a float conv whose GEMM rows are not exact."""
     starts = list(range(0, n - TILE_ROWS + 1, TILE_ROWS)) or [0]
     return list(zip(starts, starts[1:] + [n])) if n else []
 
 
-def _int8_tiles(n: int, threads: int) -> list:
+def _split_tiles(n: int, threads: int) -> list:
     """Near-equal row ranges: one per TILE_ROWS rows, and at least
-    threads of them once there are threads * SPLIT_ROWS rows."""
+    threads of them once there are threads * SPLIT_ROWS rows. The tiles
+    of an int8 conv, and of a float conv whose GEMM rows are exact."""
     count = max(n // TILE_ROWS, threads if n >= threads * SPLIT_ROWS else 1)
     bounds = [n * t // count for t in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:])) if n else []
+
+
+@functools.cache
+def _gemm_rows_exact(cin: int, cout: int) -> bool:
+    """Whether a float64 (h, cin) @ (cin, cout) GEMM on this BLAS gave the
+    last h rows of a 2 * TILE_ROWS - 1 row GEMM (the tallest float tile)
+    the same bits at every probed height h: 2 to 17, and a spread of
+    larger ones (module docstring)."""
+    rng = np.random.default_rng(0)
+    a, w = rng.standard_normal((2 * TILE_ROWS - 1, cin)), rng.standard_normal((cin, cout))
+    full = a @ w
+    heights = (*range(2, 18), 31, 33, 100, 255, 257, 767, 1023, TILE_ROWS, 1025, 1638)
+    return all((a[-h:] @ w).tobytes() == full[-h:].tobytes() for h in heights)
 
 
 def int8_gemms(w: np.ndarray, bias) -> tuple:
@@ -453,17 +502,28 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
     if x.is_int8 and out_quant is None:
         raise ShapeError("int8 convolution requires an OutputQuant")
     bias = np.zeros(cout) if bias is None else np.asarray(bias)
+    hit_only = None
     if x.is_int8:
         groups, gemm, acc_dtype = gemms or int8_gemms(w, bias)
         feats = _padded(x.features, x.qparams.zero_point, gemm)
         feats -= x.qparams.zero_point   # centered: the padding row reads 0
         out = np.empty((n_out, cout), dtype=np.int8)
-        tiles = _int8_tiles(n_out, threads)
+        tiles = _split_tiles(n_out, threads)
     else:
         groups, gemm, acc_dtype = [[d] for d in range(k * k)], np.float64, np.float64
         feats = _zero_padded(x.features)
         out = empty_zero_row(n_out, cout)
-        tiles = _tiles(n_out)
+        # only exact product rows may change GEMM height: then tiles split by
+        # thread, and offsets run hit-only unless an accumulator could be
+        # -0.0 or a missing tap's product not +-0.0 (module docstring)
+        exact_rows = _gemm_rows_exact(cin, cout)
+        tiles = _split_tiles(n_out, threads) if exact_rows else _tiles(n_out)
+        if exact_rows and np.isfinite(w).all() and not np.signbit(bias[bias == 0]).any():
+            # per offset: its hit rows, their input rows, and where each
+            # tile bound falls in them
+            bounds = [lo for lo, _ in tiles] + [n_out]
+            hit_only = [(rows, inputs, dict(zip(bounds, np.searchsorted(rows, bounds).tolist())))
+                        for rows, inputs in rb.hit_pairs]
     groups = [g for g in ([d for d in g if rb.hits[d]] for g in groups) if g]
     w_g = w.astype(gemm).reshape(k * k, cin, cout)
     w_groups = [w_g[g].reshape(-1, cout) for g in groups]
@@ -499,6 +559,14 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
             else:
                 acc[:] = bias
                 for g, w_gemm in zip(groups, w_groups):
+                    if hit_only is not None:
+                        hit_rows, in_rows, cut = hit_only[g[0]]
+                        s, e = cut[lo], cut[hi]
+                        if s == e:
+                            continue
+                        if 1 < e - s < HIT_ONLY_SHARE * (hi - lo):
+                            acc[hit_rows[s:e] - lo] += feats.take(in_rows[s:e], axis=0) @ w_gemm
+                            continue
                     acc += products(g, w_gemm, lo, hi)
         if x.is_int8:
             out_quant.requantize(acc, out[lo:hi], relu=relu)

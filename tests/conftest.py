@@ -3,6 +3,7 @@ import pytest
 
 from lift.config import config_from_dict
 from lift.pcd_io import PointCloud
+from lift import sparse
 from lift.quant import QuantParams
 from lift.sparse import SparseTensor2D
 
@@ -51,3 +52,11 @@ def small_config():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """A fake BLAS handle reporting 7 threads that records every set call."""
+    calls = []
+    monkeypatch.setattr(sparse, "blas_thread_handle", lambda: (lambda: 7, calls.append))
+    return calls

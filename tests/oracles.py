@@ -223,7 +223,10 @@ def scatter_conv(tensor, kernel, bias, stride=1):
     """Per-offset reference over active sites only (float64): for each
     kernel offset in order, one GEMM over the input rows that offset
     reaches, then an indexed add of the products into their output
-    rows. Output rows follow the canonical (j, i) order."""
+    rows. Output rows follow the canonical (j, i) order. numpy runs a
+    1-row product through gemv, whose bits differ from a GEMM row's, so
+    an offset that reaches one row of a multi-row output multiplies it
+    inside a 2-row GEMM, as the conv multiplies it inside its tile's."""
     k = kernel.shape[0]
     c = k // 2
     row_of = {(i, j): r for r, (i, j) in enumerate(tensor.coords.tolist())}
@@ -242,7 +245,9 @@ def scatter_conv(tensor, kernel, bias, stride=1):
                     pairs.append((row_of[src], o))
             if pairs:
                 rows_in, rows_out = np.array(pairs).T
-                acc[rows_out] += tensor.features[rows_in] @ kernel[dy, dx]
+                if len(pairs) == 1 and len(outs) > 1:
+                    rows_in = np.repeat(rows_in, 2)
+                acc[rows_out] += (tensor.features[rows_in] @ kernel[dy, dx])[:len(pairs)]
     return acc
 
 

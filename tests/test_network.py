@@ -435,9 +435,9 @@ def test_int8_oracle_case_reaches_the_tile_edge_cases(oracle_case, monkeypatch):
              for op in net.ops if op.kind == "conv"]
     assert {gemm[1:] for gemm in gemms} == {(np.float32, np.float32), (np.float32, np.float64)}
     # at threads 2, convs split into tiles below TILE_ROWS rows
-    int8_tiles, splits = sparse._int8_tiles, []
-    monkeypatch.setattr(sparse, "_int8_tiles",
-                        lambda n, threads: splits.append(int8_tiles(n, threads)) or splits[-1])
+    split_tiles, splits = sparse._split_tiles, []
+    monkeypatch.setattr(sparse, "_split_tiles",
+                        lambda n, threads: splits.append(split_tiles(n, threads)) or splits[-1])
     quantize.run_int8_network(pillars, net, cfg.grid, cfg.network, 0.05, 32, 2)
     assert any(len(tiles) > 1 and max(hi - lo for lo, hi in tiles) < TILE_ROWS
                for tiles in splits)
@@ -543,6 +543,27 @@ def test_the_float_encoder_output_keeps_a_spare_zero_row(rng, small_config, monk
     assert calls == [res.heatmap.features.shape]
 
 
+def test_float_network_holds_blas_at_one_thread_in_the_encoder(rng, small_config, recorded,
+                                                              monkeypatch):
+    """At threads 2 the float encoder runs with BLAS set to 1, and the
+    count found comes back once it returns; at threads 1 nothing touches
+    BLAS."""
+    from lift import network, sparse
+
+    cfg = small_config
+    weights = random_network_weights(cfg.network, cfg.feature_length, 0, "fused")
+    pillars = pillarize(random_cloud(rng, 2000, cfg.grid), cfg.grid)
+    encode, inside = network.dbpfn_encode, []
+    monkeypatch.setattr(network, "dbpfn_encode",
+                        lambda *args: inside.append(list(recorded)) or encode(*args))
+    run_network(pillars, weights, cfg.grid, cfg.network, 0.05, 32, threads=2)
+    assert inside == [[1]] and recorded[:2] == [1, 7]
+    assert recorded == [1, 7] * (len(recorded) // 2) and sparse._blas_users == 0
+    recorded.clear()
+    run_network(pillars, weights, cfg.grid, cfg.network, 0.05, 32, threads=1)
+    assert inside == [[1], []] and recorded == []
+
+
 @pytest.mark.parametrize("mode", ["float", "int8"])
 def test_default_config_cloud_builds_nine_tables_for_forty_lookups(rng, monkeypatch, mode):
     from lift import quantize, sparse
@@ -599,7 +620,7 @@ def test_each_site_is_freed_after_its_last_reader(rng, small_config, mode):
         net8 = quantize.quantize_network(
             weights, [QuantParams(s, z) for s, z in GOLDEN_FEATURE_QPS],
             {site: golden_act(site) for site in quantize.activation_sites(cfg.network)})
-        run_encoded(quantize.encode_int8(pillars, net8), pillars, net8, cfg.grid,
+        run_encoded(lambda: quantize.encode_int8(pillars, net8), pillars, net8, cfg.grid,
                     cfg.network, 0.05, 32, 1, observer)
     depths = cfg.network.stage_depths
     s2, s3, s4 = (f"stage{s}.layer{depths[s - 1]}.out" for s in (2, 3, 4))

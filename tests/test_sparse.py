@@ -13,7 +13,7 @@ from lift import cli, sparse
 from lift.errors import ParameterError, ShapeError
 from lift.quant import QuantParams, integer_bias
 from lift.sparse import (EXACT_F64_SHIFT, F32_EXACT, TILE_ROWS, OutputQuant,
-                         SparseTensor2D, _int8_tiles, _stride2_coords, _tiles, build_rulebook,
+                         SparseTensor2D, _split_tiles, _stride2_coords, _tiles, build_rulebook,
                          int8_gemms, sparse_add_projected, sparse_conv_stride2,
                          sparse_max_pool, submanifold_conv)
 
@@ -386,18 +386,53 @@ class TestTiling:
         assert _tiles(3 * TILE_ROWS + 618) == [(0, TILE_ROWS), (TILE_ROWS, 2 * TILE_ROWS),
                                                (2 * TILE_ROWS, 4 * TILE_ROWS - 406)]
 
-    def test_int8_tiles_are_near_equal_and_one_per_thread_past_the_split(self):
-        assert _int8_tiles(0, 2) == []
-        assert _int8_tiles(1, 4) == [(0, 1)]
-        assert _int8_tiles(2 * TILE_ROWS + 5, 1) == [(0, 1026), (1026, 2053)]
+    def test_split_tiles_are_near_equal_and_one_per_thread_past_the_split(self):
+        assert _split_tiles(0, 2) == []
+        assert _split_tiles(1, 4) == [(0, 1)]
+        assert _split_tiles(2 * TILE_ROWS + 5, 1) == [(0, 1026), (1026, 2053)]
         # below threads * SPLIT_ROWS (768) rows, BLAS's threads take the conv
-        assert _int8_tiles(1535, 2) == [(0, 1535)]
-        assert _int8_tiles(1536, 2) == [(0, 768), (768, 1536)]
-        assert _int8_tiles(2025, 2) == [(0, 1012), (1012, 2025)]
-        assert _int8_tiles(2025, 3) == [(0, 2025)]
-        assert _int8_tiles(3 * TILE_ROWS + 618, 2) == [(0, 1230), (1230, 2460), (2460, 3690)]
-        assert _int8_tiles(3 * TILE_ROWS + 618, 4) == [(0, 922), (922, 1845), (1845, 2767),
+        assert _split_tiles(1535, 2) == [(0, 1535)]
+        assert _split_tiles(1536, 2) == [(0, 768), (768, 1536)]
+        assert _split_tiles(2025, 2) == [(0, 1012), (1012, 2025)]
+        assert _split_tiles(2025, 3) == [(0, 2025)]
+        assert _split_tiles(3 * TILE_ROWS + 618, 2) == [(0, 1230), (1230, 2460), (2460, 3690)]
+        assert _split_tiles(3 * TILE_ROWS + 618, 4) == [(0, 922), (922, 1845), (1845, 2767),
                                                        (2767, 3690)]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_float_tiles_follow_the_thread_count_only_where_gemm_rows_are_exact(
+            self, rng, monkeypatch, exact):
+        monkeypatch.setattr(sparse, "_gemm_rows_exact", lambda cin, cout: exact)
+        run_tiles, seen = sparse._run_tiles, []
+        monkeypatch.setattr(sparse, "_run_tiles", lambda tile, tiles, threads:
+                            seen.append(tiles) or run_tiles(tile, tiles, threads))
+        x = tiled_case(rng, 2025, "submanifold", 16)
+        for threads, split in ((1, [(0, 2025)]), (2, [(0, 1012), (1012, 2025)]), (3, [(0, 2025)])):
+            submanifold_conv(x, rng.normal(size=(1, 1, 16, 8)), threads=threads)
+            assert seen[-1] == (split if exact else [(0, 2025)])
+
+    def test_a_passed_gemm_row_probe_holds_for_other_rows_and_heights(self, rng):
+        # what hit-only float offsets rest on (sparse module docstring):
+        # where the probe passes a shape, any row set of any height >= 2
+        # multiplies to the bits of the same rows in a taller GEMM
+        for cin, cout in ((1, 8), (3, 16), (64, 64), (64, 128), (128, 128), (128, 10), (64, 3)):
+            a, w = rng.normal(size=(2100, cin)), rng.normal(size=(cin, cout))
+            full = a @ w
+            subsets = [np.sort(rng.choice(2100, h, replace=False))
+                       for h in (2, 3, 7, 100, 767, 1013, 2047)]
+            same = all((a[rows] @ w).tobytes() == full[rows].tobytes() for rows in subsets)
+            assert same or not sparse._gemm_rows_exact(cin, cout)
+
+    @pytest.mark.parametrize("n_out", [767, 768, 1535, 1536, 2025, 2047, 2048])
+    @pytest.mark.parametrize("k, cin, cout, mode", TILED_SHAPES)
+    def test_float_bytes_hold_at_the_tile_rule_boundaries(self, rng, k, cin, cout, mode, n_out):
+        x = tiled_case(rng, n_out, mode, cin)
+        kernel = rng.normal(size=(k, k, cin, cout))
+        bias = rng.normal(size=cout)
+        ref = scatter_conv(x, kernel, bias, stride=1 if mode == "submanifold" else 2)
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        for threads in (1, 2, 3, 4):
+            assert conv(x, kernel, bias, threads=threads).features.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n_out", TILED_ROWS)
     @pytest.mark.parametrize("k, cin, cout, mode", TILED_SHAPES)
@@ -460,14 +495,6 @@ def blas():
     found = handle[0]()
     yield handle
     handle[1](found)
-
-
-@pytest.fixture
-def recorded(monkeypatch):
-    """A fake handle reporting 7 threads that records every set call."""
-    calls = []
-    monkeypatch.setattr(sparse, "blas_thread_handle", lambda: (lambda: 7, calls.append))
-    return calls
 
 
 class TestBlasSwitch:
@@ -760,6 +787,48 @@ def test_build_rulebook_refuses_an_unknown_mode_or_an_even_kernel(rng, k, mode, 
         build_rulebook(x, k, mode)
 
 
+def _guard_cases():
+    rng = np.random.default_rng(5)
+    base, other = random_sparse(rng, 8, 8, 2), random_sparse(rng, 4, 4, 2)
+    base8 = random_sparse(rng, 8, 8, 2, int8=True)
+    other8 = random_sparse(rng, 4, 4, 2, int8=True)
+    x, x8 = random_sparse(rng, 8, 8, 3), random_sparse(rng, 8, 8, 2, int8=True)
+    return {
+        "add factor 3": (lambda: sparse_add_projected(base, other, 3),
+                         ParameterError, "projection factor must be 2 or 4"),
+        "add channels": (lambda: sparse_add_projected(base, random_sparse(rng, 4, 4, 3), 2),
+                         ShapeError, "channel mismatch in projected add"),
+        "int8 add without qparams": (lambda: sparse_add_projected(base8, other8, 2),
+                                     ShapeError, "int8 projected add requires int8 operands"),
+        "int8 add of a float other": (
+            lambda: sparse_add_projected(base8, other, 2, qparams=QuantParams(1.0)),
+            ShapeError, "int8 projected add requires int8 operands and output qparams"),
+        "submanifold channels": (lambda: submanifold_conv(x, np.zeros((3, 3, 4, 2))),
+                                 ShapeError, "input has 3 channels, kernel expects 4"),
+        "stride-2 channels": (lambda: sparse_conv_stride2(x, np.zeros((3, 3, 4, 2))),
+                              ShapeError, "input has 3 channels, kernel expects 4"),
+        "int8 submanifold without a plan": (
+            lambda: submanifold_conv(x8, np.zeros((3, 3, 2, 2), dtype=np.int8)),
+            ShapeError, "int8 convolution requires an OutputQuant"),
+        "int8 stride-2 without a plan": (
+            lambda: sparse_conv_stride2(x8, np.zeros((3, 3, 2, 2), dtype=np.int8)),
+            ShapeError, "int8 convolution requires an OutputQuant"),
+        "5x5 submanifold": (lambda: submanifold_conv(x, np.zeros((5, 5, 3, 2))),
+                            ParameterError, "submanifold kernel must be 1x1 or 3x3"),
+        "5x5 stride-2 table": (lambda: build_rulebook(x, 5, "stride2"),
+                               ParameterError, "stride-2 convolution is defined for k = 3"),
+        "1x1 stride-2 table": (lambda: build_rulebook(x, 1, "stride2"),
+                               ParameterError, "stride-2 convolution is defined for k = 3"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_guard_cases()))
+def test_sparse_guards_name_their_cause(case):
+    call, error, message = _guard_cases()[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("conv", [submanifold_conv, sparse_conv_stride2])
 def test_a_rank_3_kernel_is_refused(rng, conv):
     x = random_sparse(rng, 8, 8, 2, occupancy=0.4)
@@ -788,6 +857,9 @@ def test_rulebook_derived_arrays_match_the_table(rng):
         hit = rb.nbr < rb.n_in
         assert rb.hits.tolist() == hit.sum(axis=1).tolist()
         assert rb.pair_count() == hit.sum()
+        for d, (rows, inputs) in enumerate(rb.hit_pairs):
+            assert rows.tolist() == np.flatnonzero(hit[d]).tolist()
+            assert inputs.tolist() == rb.nbr[d, rows].tolist()
 
 
 class TestSharedTables:
@@ -981,6 +1053,106 @@ class TestFloat64Epilogue:
         # only the plan with shift 14 ran requantize_array, once per
         # near-equal tile of the 2 * TILE_ROWS + 5 rows
         assert sorted(calls) == [(TILE_ROWS + 2, 8), (TILE_ROWS + 3, 8)]
+
+
+def mixed_density_case(rng, mode, cin):
+    """About 4,000 conv output rows in three bands of j: isolated sites,
+    whose non-center offsets hit nothing, but for one adjacent pair, which
+    gives two offsets one hit row each; sites at 30 % occupancy; and every
+    site of the grid."""
+    spacing, sparse_rows, dense_rows = (3, 33, 10) if mode == "submanifold" else (4, 56, 30)
+    width = isolated = 40 * spacing
+    coords = [(i, j) for j in range(0, isolated, spacing) for i in range(0, width, spacing)]
+    coords.append((1, 0))
+    coords += [(i, j) for j in range(isolated, isolated + sparse_rows) for i in range(width)
+               if rng.random() < 0.3]
+    top = isolated + sparse_rows
+    coords += [(i, j) for j in range(top, top + dense_rows) for i in range(width)]
+    return SparseTensor2D.build(width, top + dense_rows, coords,
+                                rng.normal(size=(len(coords), cin)))
+
+
+def tile_hit_counts(rb, tiles):
+    """hits[t, d]: the rows of tile t that offset d feeds."""
+    return np.array([np.count_nonzero(rb.nbr[:, lo:hi] < rb.n_in, axis=1)
+                     for lo, hi in tiles])
+
+
+@pytest.fixture
+def hit_pair_reads(monkeypatch):
+    """The tables whose per-offset hit rows a conv reads."""
+    reads, hit_pairs = [], sparse.Rulebook.hit_pairs.func
+    monkeypatch.setattr(sparse.Rulebook, "hit_pairs",
+                        property(lambda rb: reads.append(rb) or hit_pairs(rb)))
+    return reads
+
+
+class TestFloatHitOnly:
+    """A float tile multiplies an offset whose hit rows are more than one
+    and under HIT_ONLY_SHARE of the tile over those rows alone, skips one
+    without a hit, and runs the rest over the whole tile; the bytes equal
+    the per-offset oracle at every thread count."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("cin, cout", [(64, 64), (64, 128)])
+    @pytest.mark.parametrize("mode", ["submanifold", "stride2"])
+    def test_bytes_equal_the_per_offset_oracle(self, rng, mode, cin, cout, threads,
+                                              hit_pair_reads):
+        x = mixed_density_case(rng, mode, cin)
+        rb = build_rulebook(x, 3, mode)
+        n_out = len(rb.out_coords)
+        hits = tile_hit_counts(rb, _split_tiles(n_out, threads))
+        size = np.diff(_split_tiles(n_out, threads), axis=1)
+        live = hits.sum(axis=0) > 0
+        assert ((hits == 0) & live).any() and (hits == 1).any()
+        assert ((hits > 1) & (hits < sparse.HIT_ONLY_SHARE * size)).any()
+        assert (hits >= sparse.HIT_ONLY_SHARE * size).any()
+        kernel = rng.normal(size=(3, 3, cin, cout))
+        bias = rng.normal(size=cout)
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        y = conv(x, kernel, bias, threads=threads, relu=True)
+        ref = scatter_conv(x, kernel, bias, stride=1 if mode == "submanifold" else 2)
+        assert y.features.tobytes() == np.maximum(ref, 0).tobytes()
+        assert len(hit_pair_reads) == 1
+
+    @pytest.mark.parametrize("mode", ["submanifold", "stride2"])
+    def test_a_negative_zero_bias_runs_every_offset_dense_and_matches(self, rng, mode,
+                                                                     hit_pair_reads):
+        x = mixed_density_case(rng, mode, 64)
+        kernel = rng.normal(size=(3, 3, 64, 64))
+        bias = rng.normal(size=64)
+        bias[[3, 40]] = -0.0
+        ref = scatter_conv(x, kernel, bias, stride=1 if mode == "submanifold" else 2)
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        for threads in (1, 2, 3):
+            assert conv(x, kernel, bias, threads=threads).features.tobytes() == ref.tobytes()
+        assert hit_pair_reads == []
+        bias[[3, 40]] = 0.0
+        conv(x, kernel, bias)
+        assert len(hit_pair_reads) == 1
+
+    def test_a_failed_gemm_row_probe_runs_every_offset_dense(self, rng, monkeypatch,
+                                                            hit_pair_reads):
+        probed = []
+        monkeypatch.setattr(sparse, "_gemm_rows_exact",
+                            lambda cin, cout: probed.append((cin, cout)) or False)
+        x = mixed_density_case(rng, "submanifold", 64)
+        kernel = rng.normal(size=(3, 3, 64, 128))
+        bias = rng.normal(size=128)
+        y = submanifold_conv(x, kernel, bias, threads=2)
+        assert y.features.tobytes() == scatter_conv(x, kernel, bias).tobytes()
+        assert probed == [(64, 128)] and hit_pair_reads == []
+
+    def test_a_non_finite_weight_runs_every_offset_dense(self, rng, hit_pair_reads):
+        # a missing tap's product is then NaN, not +-0.0, in every row
+        x = mixed_density_case(rng, "submanifold", 8)
+        kernel = rng.normal(size=(3, 3, 8, 8))
+        kernel[0, 0, 2, 5] = np.inf
+        with np.errstate(invalid="ignore"):
+            y = submanifold_conv(x, kernel)
+        missing = build_rulebook(x, 3, "submanifold").nbr[0] == len(x)
+        assert missing.any() and np.isnan(y.features[missing, 5]).all()
+        assert hit_pair_reads == []
 
 
 class TestHitOnly:
