@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import FormatError, StructuralError
+from .errors import FormatError, ParameterError, StructuralError
 from .network import DEFAULT_CLASS_NAMES, NetworkConfig
 from .pillarizer import FEATURE_NAMES, GridConfig
 
@@ -87,6 +87,14 @@ def _take(section: dict, name: str, allowed: dict) -> dict:
     return result
 
 
+def _section(name: str, make, kwargs: dict):
+    """make(**kwargs), naming the section when its values disagree."""
+    try:
+        return make(**kwargs)
+    except (ParameterError, StructuralError) as e:
+        raise FormatError(f"config section {name}: {e}") from None
+
+
 def config_from_dict(doc: dict) -> EngineConfig:
     if not isinstance(doc, dict):
         raise FormatError("config root must be a JSON object")
@@ -124,14 +132,10 @@ def config_from_dict(doc: dict) -> EngineConfig:
         raise FormatError("config key calibration.percentile: expected a value in (0, 100], "
                           f"got {calib_kwargs['percentile']!r}")
 
-    try:
-        network = NetworkConfig(**net_kwargs)
-    except StructuralError as e:
-        raise FormatError(f"config section network: {e}") from None
     return EngineConfig(
-        grid=GridConfig(**grid_kwargs),
+        grid=_section("grid", GridConfig, grid_kwargs),
         features=FeatureFlags(**feat_kwargs),
-        network=network,
+        network=_section("network", NetworkConfig, net_kwargs),
         score_threshold=decode_kwargs.get("score_threshold", 0.1),
         top_k=decode_kwargs.get("top_k", 500),
         calibration_mode=calib_kwargs.get("mode", "minmax"),

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ShapeError, StructuralError
 from .pillarizer import GridConfig, PillarSet
 from .quant import dequantize
-from .reparam import (BnParams, FusedConvLayer, RepConvLayer, apply_fused,
+from .reparam import (BN_EPSILON, BnParams, FusedConvLayer, RepConvLayer, apply_fused,
                       apply_training_form, fuse)
 from .sparse import (SparseTensor2D, empty_zero_row, one_blas_thread, relu,
                      sparse_add_projected, sparse_conv_stride2, sparse_max_pool,
@@ -467,7 +467,7 @@ def fuse_network(weights: NetworkWeights) -> NetworkWeights:
 
 
 def fold_linear_bn(weight: np.ndarray, bias: np.ndarray, bn: BnParams):
-    inv = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)
+    inv = bn.gamma / np.sqrt(bn.running_var + BN_EPSILON)
     return weight * inv, (bias - bn.running_mean) * inv + bn.beta
 
 

@@ -21,30 +21,29 @@ import numpy as np
 from .errors import ShapeError, StructuralError
 from .sparse import SparseTensor2D, sparse_conv_stride2, submanifold_conv
 
+BN_EPSILON = 1e-5   # every batch norm's epsilon: weight files store none
+
+
 @dataclass(frozen=True)
 class BnParams:
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise StructuralError("epsilon must be positive")
         if np.any(np.asarray(self.running_var) < 0):
             raise StructuralError("running_var must be elementwise non-negative")
 
     @classmethod
     def identity(cls, channels: int) -> "BnParams":
-        eps = 1e-5
         return cls(gamma=np.ones(channels), beta=np.zeros(channels),
                    running_mean=np.zeros(channels),
-                   running_var=np.full(channels, 1.0 - eps), epsilon=eps)
+                   running_var=np.full(channels, 1.0 - BN_EPSILON))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Inference-time normalization over the channel (last) axis."""
-        inv = self.gamma / np.sqrt(self.running_var + self.epsilon)
+        inv = self.gamma / np.sqrt(self.running_var + BN_EPSILON)
         return values * inv + (self.beta - self.running_mean * inv)
 
 
@@ -92,9 +91,9 @@ def fold_bn(kernel: np.ndarray, bn: BnParams):
     """Fold batch norm into the preceding conv.
 
     Returns (kernel', bias') with kernel'[..., c] scaled by
-    gamma[c] / sqrt(var[c] + eps) and bias' = beta - mean * that scale.
+    gamma[c] / sqrt(var[c] + BN_EPSILON) and bias' = beta - mean * that scale.
     """
-    inv = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)
+    inv = bn.gamma / np.sqrt(bn.running_var + BN_EPSILON)
     return kernel * inv, bn.beta - bn.running_mean * inv
 
 

@@ -45,7 +45,8 @@ and threads - 1 pool workers take disjoint tiles from one shared queue
 while numpy's bundled OpenBLAS runs one thread (its count is restored
 afterwards, also when a tile raises; without that library's thread
 setter, BLAS is left alone), so the work around the GEMMs runs on every
-core too, and no idle BLAS thread spins against the workers. A
+core too, and no idle BLAS thread spins against the workers. Workers
+run in copies of the caller's context, so its np.errstate holds. A
 single-tile conv, and every conv at threads = 1, runs in the calling
 thread and never touches BLAS: below threads * SPLIT_ROWS rows, BLAS's
 own threads beat a split. At threads > 1 both encoders run with BLAS at
@@ -89,6 +90,7 @@ accumulators.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import threading
@@ -454,7 +456,7 @@ def _run_tiles(tile, tiles: list, threads: int) -> None:
             tile(rows)
 
     with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers)]
+        helpers = [pool.submit(contextvars.copy_context().run, drain) for _ in range(workers)]
         drain()
         for helper in helpers:
             helper.result()
@@ -533,8 +535,6 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
         bias = bias.astype(acc_dtype)
     # a submanifold conv's center offset maps every row onto itself
     center = [k * k // 2] if mode == "submanifold" else None
-    # int8 GEMM operands are integers: an invalid flag from OpenBLAS is spurious
-    quiet = functools.partial(np.errstate, invalid="ignore") if x.is_int8 else nullcontext
     # each thread's float64 accumulator for int8 tiles
     scratch = threading.local()
 
@@ -551,29 +551,30 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
             acc = scratch.acc[:hi - lo]
         else:
             acc = out[lo:hi]
-        with quiet():
-            if one_gemm:
-                summed = products(groups[0], w_groups[0], lo, hi)
-                summed += bias
-                np.copyto(acc, summed)   # exact; faster than one mixed-dtype add
-            else:
-                acc[:] = bias
-                for g, w_gemm in zip(groups, w_groups):
-                    if hit_only is not None:
-                        hit_rows, in_rows, cut = hit_only[g[0]]
-                        s, e = cut[lo], cut[hi]
-                        if s == e:
-                            continue
-                        if 1 < e - s < HIT_ONLY_SHARE * (hi - lo):
-                            acc[hit_rows[s:e] - lo] += feats.take(in_rows[s:e], axis=0) @ w_gemm
-                            continue
-                    acc += products(g, w_gemm, lo, hi)
+        if one_gemm:
+            summed = products(groups[0], w_groups[0], lo, hi)
+            summed += bias
+            np.copyto(acc, summed)   # exact; faster than one mixed-dtype add
+        else:
+            acc[:] = bias
+            for g, w_gemm in zip(groups, w_groups):
+                if hit_only is not None:
+                    hit_rows, in_rows, cut = hit_only[g[0]]
+                    s, e = cut[lo], cut[hi]
+                    if s == e:
+                        continue
+                    if 1 < e - s < HIT_ONLY_SHARE * (hi - lo):
+                        acc[hit_rows[s:e] - lo] += feats.take(in_rows[s:e], axis=0) @ w_gemm
+                        continue
+                acc += products(g, w_gemm, lo, hi)
         if x.is_int8:
             out_quant.requantize(acc, out[lo:hi], relu=relu)
         elif relu:
             np.maximum(acc, 0, out=acc)
 
-    _run_tiles(tile, tiles, threads)
+    # int8 GEMM operands are integers: an invalid flag from OpenBLAS is spurious
+    with np.errstate(invalid="ignore") if x.is_int8 else nullcontext():
+        _run_tiles(tile, tiles, threads)
     qparams = out_quant.qparams if x.is_int8 else None
     if mode == "submanifold":
         return x.with_features(out, qparams)

@@ -8,16 +8,16 @@ Layout (all little-endian):
         dtype    u8 (0 = f32, 1 = i8)
         rank     u8
         dims     u32 x rank
-        quant    only when dtype = 1:
-                 per_channel u8;
-                 0 -> scale f32, zero_point i32
-                 1 -> axis u8, count u32, scales f32 x C, zero_points i32 x C
+        quant    only when dtype = 1, per channel: per_channel u8 = 1 (the
+                 reader refuses any other value), axis u8, count u32,
+                 scales f32 x C, zero_points i32 x C
         payload  row-major
 
 Tensor names are unique and start with the name of the op they belong
 to (see network.network_ops); backbone layers add their branch, as in
 "stage{S}.layer{L}.{branch}.{param}", so the fuse command can locate
-branches structurally. Activation quantization parameters ride along
+branches structurally. Batch norms store no epsilon, so each uses
+reparam.BN_EPSILON = 1e-5. Activation quantization parameters ride along
 as f32 tensors named "act.{site}.scale" / "act.{site}.zero_point".
 The float and int8 readers walk the same op list and check every conv
 kernel against its op with one shared check; the int8 reader also
@@ -50,8 +50,8 @@ DTYPE_I8 = 1
 
 @dataclass(frozen=True)
 class TensorQuant:
-    axis: int | None             # None = per-tensor
-    scales: np.ndarray           # float32 (C,) or (1,)
+    axis: int                    # the channel axis
+    scales: np.ndarray           # float32 (C,)
     zero_points: np.ndarray      # int32, same length
 
 
@@ -89,12 +89,9 @@ def write_weight_file(path, records) -> None:
         buf += struct.pack(f"<{data.ndim}I", *data.shape)
         if dtype == DTYPE_I8:
             q = r.quant
-            if q.axis is None:
-                buf += struct.pack("<Bfi", 0, float(q.scales[0]), int(q.zero_points[0]))
-            else:
-                buf += struct.pack("<BBI", 1, q.axis, q.scales.size)
-                buf += _f32(q.scales).tobytes()
-                buf += np.ascontiguousarray(q.zero_points, dtype="<i4").tobytes()
+            buf += struct.pack("<BBI", 1, q.axis, q.scales.size)
+            buf += _f32(q.scales).tobytes()
+            buf += np.ascontiguousarray(q.zero_points, dtype="<i4").tobytes()
         buf += np.ascontiguousarray(data, dtype="<f4" if dtype == DTYPE_F32 else np.int8
                                     ).tobytes()
     with open(path, "wb") as f:
@@ -146,17 +143,12 @@ def read_weight_file(path) -> list:
         quant = None
         if dtype == DTYPE_I8:
             (per_channel,) = r.unpack("<B")
-            if per_channel == 0:
-                scale, zp = r.unpack("<fi")
-                quant = TensorQuant(axis=None, scales=np.array([scale], dtype=np.float32),
-                                    zero_points=np.array([zp], dtype=np.int32))
-            elif per_channel == 1:
-                axis, c = r.unpack("<BI")
-                scales = np.frombuffer(r.take(4 * c), dtype="<f4").copy()
-                zps = np.frombuffer(r.take(4 * c), dtype="<i4").copy()
-                quant = TensorQuant(axis=int(axis), scales=scales, zero_points=zps)
-            else:
-                raise FormatError(f"{path}: tensor {name!r}: bad per_channel flag")
+            if per_channel != 1:
+                raise FormatError(f"{path}: tensor {name!r}: bad per_channel flag {per_channel}")
+            axis, c = r.unpack("<BI")
+            scales = np.frombuffer(r.take(4 * c), dtype="<f4").copy()
+            zps = np.frombuffer(r.take(4 * c), dtype="<i4").copy()
+            quant = TensorQuant(axis=int(axis), scales=scales, zero_points=zps)
         elif dtype != DTYPE_F32:
             raise FormatError(f"{path}: tensor {name!r}: unknown dtype code {dtype}")
         item = np.dtype("<f4" if dtype == DTYPE_F32 else np.int8)
@@ -242,10 +234,13 @@ class _RecordMap:
 
 def _bn_from(rm: _RecordMap, prefix: str, channels: int) -> BnParams:
     dims = (channels,)
-    return BnParams(gamma=rm.array(f"{prefix}.gamma", dims),
-                    beta=rm.array(f"{prefix}.beta", dims),
-                    running_mean=rm.array(f"{prefix}.mean", dims),
-                    running_var=rm.array(f"{prefix}.var", dims))
+    try:
+        return BnParams(gamma=rm.array(f"{prefix}.gamma", dims),
+                        beta=rm.array(f"{prefix}.beta", dims),
+                        running_mean=rm.array(f"{prefix}.mean", dims),
+                        running_var=rm.array(f"{prefix}.var", dims))
+    except StructuralError as e:   # a negative variance
+        raise FormatError(f"tensor '{prefix}.var': {e}") from None
 
 
 def _encoder_weight(rm: _RecordMap) -> TensorRecord:

@@ -364,6 +364,21 @@ class TestCalibrate:
         assert main(["calibrate", "--weights", weights, "--clouds", str(empty_dir),
                      "--config", cfg_path, "--out", str(tmp_path / "x.w")]) == 2
 
+    def test_a_directory_of_empty_clouds_exit2_names_the_site(self, workspace, tmp_path,
+                                                              capsys):
+        _, cfg_path, _ = workspace
+        clouds = tmp_path / "empty_clouds"
+        clouds.mkdir()
+        for name in ("a.bin", "b.bin"):
+            (clouds / name).write_bytes(b"")
+        weights = gen(tmp_path, cfg_path, "fused")
+        capsys.readouterr()
+        assert main(["calibrate", "--weights", weights, "--clouds", str(clouds),
+                     "--config", cfg_path, "--out", str(tmp_path / "x.w")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: activation site 'dbpfn.out' was never observed")
+        assert not (tmp_path / "x.w").exists()
+
     def test_float_flag_on_int8_file_fails(self, workspace, tmp_path):
         code, cfg_path, cloud, int8_path = self.run_calibrate(workspace, tmp_path)
         assert code == 0
@@ -786,6 +801,24 @@ def test_mutated_int8_file_exits_0_or_2(tiny_int8_file, mutations):
     assert code in (0, 2)
 
 
+def test_a_per_tensor_int8_block_exit2_names_file_and_tensor(tiny_int8_file, capsys):
+    tmp_path, raw = tiny_int8_file
+    name = "dbpfn.linear.weight"
+    data = bytearray(raw)
+    at = data.index(name.encode()) + len(name) + 2 + 4 * 2   # dtype, rank, two dims
+    assert data[at] == 1
+    data[at] = 0
+    path = tmp_path / "per_tensor.w"
+    path.write_bytes(data)
+    capsys.readouterr()
+    assert main(["infer", "--weights", str(path), "--cloud", str(tmp_path / "cloud.bin"),
+                 "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "per_tensor.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: tensor {name!r}: bad per_channel flag 0")
+    assert not (tmp_path / "per_tensor.jsonl").exists()
+
+
 @pytest.fixture(scope="module")
 def tiny_float_files(tiny_int8_file):
     """The fused file the int8 one was calibrated from, and the training
@@ -860,15 +893,55 @@ def test_malformed_config_value_exit2_names_the_key(workspace, capsys, section, 
 
 def test_inconsistent_network_section_exit2_names_it(workspace, capsys):
     # every cause: test_config.py::test_inconsistent_network_section_is_rejected_naming_it
-    tmp_path = workspace[0]
+    tmp_path, cfg_path, cloud_path = workspace
+    weights = gen(tmp_path, cfg_path, "fused")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(CONFIG_DOC, network={"align_channels": 64})))
     capsys.readouterr()
     assert main(["gen-weights", "--config", str(bad), "--seed", "0", "--form", "fused",
                  "--out", str(tmp_path / "refused.w")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config section network: align_channels (64) must equal")
-    assert not (tmp_path / "refused.w").exists()
+    assert main(["infer", "--weights", weights, "--cloud", cloud_path, "--config", str(bad),
+                 "--out", str(tmp_path / "d.jsonl")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith(
+        "error: config section network: align_channels (64) must equal") for line in err)
+    assert not (tmp_path / "refused.w").exists() and not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("grid, cause", [
+    ({"x_max": -4.8}, "x_max must exceed x_min"),
+    ({"pillar_size_y": 0.0}, "pillar sizes must be positive"),
+    ({"pillar_size_x": -0.15}, "pillar sizes must be positive")])
+def test_inconsistent_grid_section_exit2_names_it(workspace, capsys, grid, cause):
+    tmp_path, cfg_path, cloud_path = workspace
+    weights = gen(tmp_path, cfg_path, "fused")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(CONFIG_DOC, grid={**CONFIG_DOC["grid"], **grid})))
+    capsys.readouterr()
+    assert main(["gen-weights", "--config", str(bad), "--seed", "0", "--form", "fused",
+                 "--out", str(tmp_path / "refused.w")]) == 2
+    assert main(["infer", "--weights", weights, "--cloud", cloud_path, "--config", str(bad),
+                 "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: config section grid: {cause}\n" * 2
+    assert not (tmp_path / "refused.w").exists() and not (tmp_path / "d.jsonl").exists()
+
+
+def test_negative_batch_norm_variance_exit2_names_the_tensor(workspace, capsys):
+    from lift.weights_io import read_weight_file, write_weight_file
+
+    tmp_path, cfg_path, cloud_path = workspace
+    name = "stage2.layer1.branch3x3.bn.var"
+    records = read_weight_file(gen(tmp_path, cfg_path, "train"))
+    next(r for r in records if r.name == name).data[5] = -0.25
+    path = tmp_path / "negative_var.w"
+    write_weight_file(path, records)
+    capsys.readouterr()
+    assert main(["infer", "--weights", str(path), "--cloud", cloud_path,
+                 "--config", cfg_path, "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert main(["fuse", "--weights-train", str(path), "--out", str(tmp_path / "f.w")]) == 2
+    cause = f"error: tensor {name!r}: running_var must be elementwise non-negative\n"
+    assert capsys.readouterr().err == cause * 2
+    assert not (tmp_path / "d.jsonl").exists() and not (tmp_path / "f.w").exists()
 
 
 @pytest.mark.parametrize("network, cause", [

@@ -4,8 +4,8 @@ from conftest import random_sparse
 from oracles import max_rel_dev
 
 from lift.errors import StructuralError
-from lift.reparam import (BnParams, RepConvLayer, apply_fused, apply_training_form,
-                          fold_bn, fuse)
+from lift.reparam import (BN_EPSILON, BnParams, RepConvLayer, apply_fused,
+                          apply_training_form, fold_bn, fuse)
 from lift.sparse import SparseTensor2D, submanifold_conv
 
 
@@ -32,10 +32,8 @@ class TestFoldBn:
 
     def test_hand_computed_fold(self):
         # gamma 2, beta 3, mean 1, var 1 - eps: kernel doubles, bias = 3 - 2 = 1
-        eps = 1e-5
         bn = BnParams(gamma=np.array([2.0]), beta=np.array([3.0]),
-                      running_mean=np.array([1.0]), running_var=np.array([1.0 - eps]),
-                      epsilon=eps)
+                      running_mean=np.array([1.0]), running_var=np.array([1.0 - BN_EPSILON]))
         kernel = np.ones((3, 3, 1, 1))
         k, b = fold_bn(kernel, bn)
         assert np.allclose(k, 2.0)

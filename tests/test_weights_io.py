@@ -23,8 +23,8 @@ def sample_records():
     return [
         TensorRecord("alpha", np.arange(6, dtype=np.float32).reshape(2, 3)),
         TensorRecord("beta.q", np.arange(-4, 4, dtype=np.int8).reshape(2, 4),
-                     TensorQuant(axis=None, scales=np.array([0.5], dtype=np.float32),
-                                 zero_points=np.array([3], dtype=np.int32))),
+                     TensorQuant(axis=1, scales=np.array([0.5, 1, 2, 4], dtype=np.float32),
+                                 zero_points=np.array([3, 0, -1, 2], dtype=np.int32))),
         TensorRecord("gamma.q", np.ones((2, 2, 3), dtype=np.int8),
                      TensorQuant(axis=2,
                                  scales=np.array([0.1, 0.2, 0.3], dtype=np.float32),
@@ -39,7 +39,7 @@ class TestRawFormat:
         back = read_weight_file(path)
         assert [r.name for r in back] == ["alpha", "beta.q", "gamma.q"]
         assert np.array_equal(back[0].data, sample_records()[0].data)
-        assert back[1].quant.axis is None
+        assert back[1].quant.axis == 1
         assert back[1].quant.zero_points[0] == 3
         assert back[2].quant.axis == 2
         assert np.allclose(back[2].quant.scales, [0.1, 0.2, 0.3])
@@ -105,6 +105,21 @@ class TestRawFormat:
         path.write_bytes(raw[:20] + head + raw[21 + 4 * len(dims):] + bytes(4 * 65))
         with pytest.raises(FormatError, match=re.escape(
                 f"{path}: tensor 'alpha': the {rank} dims at byte 20 do not form an array")):
+            read_weight_file(path)
+
+    @pytest.mark.parametrize("flag", [0, 2])
+    def test_a_block_other_than_per_channel_is_refused_naming_file_and_tensor(
+            self, tmp_path, flag):
+        # beta.q's flag follows its name, dtype, rank and two dims
+        path = tmp_path / "w.bin"
+        write_weight_file(path, sample_records())
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"beta.q") + len("beta.q") + 2 + 4 * 2
+        assert raw[at] == 1
+        raw[at] = flag
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: tensor 'beta.q': bad per_channel flag {flag}")):
             read_weight_file(path)
 
     def test_dims_whose_product_wraps_int64_are_truncation(self, tmp_path):
@@ -328,3 +343,27 @@ def test_float_and_int8_readers_reject_the_same_kernel_dims(float_and_int8_recor
             reader([mutated if r is kernel else r for r in records])
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("form", ["train", "fused", "int8"])
+def test_network_records_network_records_is_byte_identical(tmp_path, float_and_int8_records,
+                                                           form):
+    """What a loaded network holds is exactly what its records hold: no
+    field (a batch-norm epsilon, a per-tensor block) lives outside them."""
+    if form == "train":
+        cfg = config_from_dict({"network": {"num_classes": 3,
+                                            "stage_depths": list(SMALL_DEPTHS)}})
+        first = float_network_records(
+            random_network_weights(cfg.network, cfg.feature_length, 5, "train"))
+    else:
+        first = float_and_int8_records[form == "int8"]
+    if form == "int8":
+        second = int8_network_records(records_to_int8_network(first))
+    else:
+        back = records_to_float_network(first)
+        assert back.form == form
+        second = float_network_records(back)
+    assert [r.name for r in second] == [r.name for r in first]
+    write_weight_file(tmp_path / "first.bin", first)
+    write_weight_file(tmp_path / "second.bin", second)
+    assert (tmp_path / "first.bin").read_bytes() == (tmp_path / "second.bin").read_bytes()
