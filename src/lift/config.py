@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import FormatError, ParameterError, StructuralError
-from .network import DEFAULT_CLASS_NAMES, NetworkConfig
+from .network import NetworkConfig
 from .pillarizer import FEATURE_NAMES, GridConfig
 
 
@@ -116,17 +116,13 @@ def config_from_dict(doc: dict) -> EngineConfig:
         "stage_depths": partial(_int_list, lo=0), "align_channels": partial(_int, lo=1),
         "num_classes": partial(_int, lo=1), "class_names": _str_list,
     })
-    if "class_names" not in net_kwargs:
-        n = net_kwargs.get("num_classes", NetworkConfig().num_classes)
-        net_kwargs["class_names"] = DEFAULT_CLASS_NAMES if n == len(DEFAULT_CLASS_NAMES) \
-            else tuple(f"class_{k}" for k in range(n))
     decode_kwargs = _take(doc.get("decode", {}), "decode", {
         "score_threshold": _float, "top_k": partial(_int, lo=1),
     })
     calib_kwargs = _take(doc.get("calibration", {}), "calibration", {
         "mode": str, "percentile": _float,
     })
-    if calib_kwargs.get("mode", "minmax") not in ("minmax", "percentile"):
+    if "mode" in calib_kwargs and calib_kwargs["mode"] not in ("minmax", "percentile"):
         raise FormatError(f"unknown calibration mode {calib_kwargs['mode']!r}")
     if not 0 < calib_kwargs.get("percentile", 100) <= 100:
         raise FormatError("config key calibration.percentile: expected a value in (0, 100], "
@@ -136,10 +132,8 @@ def config_from_dict(doc: dict) -> EngineConfig:
         grid=_section("grid", GridConfig, grid_kwargs),
         features=FeatureFlags(**feat_kwargs),
         network=_section("network", NetworkConfig, net_kwargs),
-        score_threshold=decode_kwargs.get("score_threshold", 0.1),
-        top_k=decode_kwargs.get("top_k", 500),
-        calibration_mode=calib_kwargs.get("mode", "minmax"),
-        calibration_percentile=calib_kwargs.get("percentile", 99.9),
+        **decode_kwargs,
+        **{f"calibration_{key}": value for key, value in calib_kwargs.items()},
     )
 
 

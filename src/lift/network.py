@@ -51,7 +51,8 @@ class NetworkConfig:
     stage_depths: tuple = (6, 12, 6, 6)
     align_channels: int = 128
     num_classes: int = 10
-    class_names: tuple = DEFAULT_CLASS_NAMES
+    # None: DEFAULT_CLASS_NAMES for 10 classes, else class_0, class_1, ...
+    class_names: tuple | None = None
 
     def __post_init__(self):
         if len(self.stage_channels) != 4 or len(self.stage_depths) != 4:
@@ -63,6 +64,10 @@ class NetworkConfig:
                                   f"stage 3/4 stage_channels {self.stage_channels[2:]}")
         if self.num_classes < 1:
             raise StructuralError("need at least one class")
+        if self.class_names is None:
+            object.__setattr__(self, "class_names", DEFAULT_CLASS_NAMES
+                               if self.num_classes == len(DEFAULT_CLASS_NAMES)
+                               else tuple(f"class_{k}" for k in range(self.num_classes)))
         if len(self.class_names) != self.num_classes:
             raise StructuralError(f"class_names has {len(self.class_names)} names, "
                                   f"num_classes is {self.num_classes}")
@@ -236,8 +241,6 @@ def dbpfn_encode(pillars: PillarSet, params: DbpfnParams) -> SparseTensor2D:
             f"pillar features have length {pillars.feature_length}, "
             f"encoder expects {params.weight.shape[0]}")
     hidden = params.weight.shape[1]
-    if len(pillars) == 0:
-        return SparseTensor2D.empty(pillars.width, pillars.height, 2 * hidden)
     mapped = pillars.features @ params.weight.astype(np.float64) + params.bias
     if params.bn is not None:
         mapped = params.bn.apply(mapped)
@@ -267,7 +270,7 @@ def dual_bound_pool(values: np.ndarray, offsets: np.ndarray,
     out[:, :hidden] = np.take(values, starts, axis=0)
     out[:, hidden:] = out[:, :hidden]
     # alive[p]: pillars holding more than p points
-    alive = starts.size - np.cumsum(np.bincount(counts))
+    alive = starts.size - np.cumsum(np.bincount(counts, minlength=2))
     multi = np.argsort(-counts)[:alive[1]]
     first = starts[multi]
     hi = np.take(values, first, axis=0)
@@ -367,8 +370,6 @@ def decode(heatmap: SparseTensor2D, regression: SparseTensor2D, grid: GridConfig
     offsets clamped to one cell, so centers stay within the grid
     expanded by one cell at HEAD_STRIDE.
     """
-    if len(heatmap) == 0:
-        return []
     heatmap, regression = (
         replace(m, features=dequantize(m.features, m.qparams), qparams=None)
         if m.is_int8 else m for m in (heatmap, regression))
@@ -380,8 +381,6 @@ def decode(heatmap: SparseTensor2D, regression: SparseTensor2D, grid: GridConfig
     scores = _sigmoid(logits)
     candidate = (logits == pooled) & (scores >= score_threshold)
     rows, cls = np.nonzero(candidate)
-    if rows.size == 0:
-        return []
     cand_scores = scores[rows, cls]
     ii = heatmap.coords[rows, 0]
     jj = heatmap.coords[rows, 1]

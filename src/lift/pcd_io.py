@@ -83,9 +83,7 @@ def read_text_cloud(path) -> PointCloud:
                 rows.append([float(v) for v in fields[:4]])
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: non-numeric field") from None
-    if not rows:
-        return PointCloud()
-    return _keep_finite(np.asarray(rows, dtype=np.float32))
+    return _keep_finite(np.asarray(rows, dtype=np.float32).reshape(-1, 4))
 
 
 def read_cloud(path, stride: int = 5) -> PointCloud:

@@ -153,11 +153,6 @@ def pillarize(cloud: PointCloud, cfg: GridConfig, *, include_offsets: bool = Tru
     deterministic regardless of how the work is scheduled.
     """
     width, height = cfg.width, cfg.height
-    n_features = len(FEATURE_NAMES) if include_offsets else len(FEATURE_NAMES) - 2
-    if len(cloud) == 0:
-        return PillarSet(width=width, height=height,
-                         features=np.empty((0, n_features)))
-
     pts = cloud.data.astype(np.float64)
     x, y, z, intensity = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
     # clipped: a far-off point would overflow the cast, and is dropped anyway
@@ -201,7 +196,7 @@ def pillarize(cloud: PointCloud, cfg: GridConfig, *, include_offsets: bool = Tru
         cx = cfg.x_min + (ik + 0.5) * cfg.pillar_size_x
         cy = cfg.y_min + (jk + 0.5) * cfg.pillar_size_y
         columns += [xk - cx, yk - cy]
-    features = np.column_stack(columns) if keep.size else np.empty((0, n_features))
+    features = np.column_stack(columns)
 
     offsets = np.r_[0, np.cumsum(np.minimum(counts, cfg.max_points_per_pillar))]
     pillar_keys = key[starts]

@@ -247,12 +247,10 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
     """
     enc_qp = net.act[ENCODER_SITE]
     q_weight = net.encoder.q_weight
-    n_features, hidden = q_weight.shape
+    n_features = q_weight.shape[0]
     if pillars.feature_length != n_features:
         raise ShapeError(f"pillar features have length {pillars.feature_length}, "
                          f"encoder expects {n_features}")
-    if len(pillars) == 0:
-        return SparseTensor2D.empty(pillars.width, pillars.height, 2 * hidden, qparams=enc_qp)
     gemm = int8_gemms(q_weight[None, None], 0)[1]
     scales = np.array([qp.scale for qp in net.feature_qps], dtype=np.float64)
     zero_points = np.array([qp.zero_point for qp in net.feature_qps], dtype=np.float64)

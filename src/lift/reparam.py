@@ -141,8 +141,6 @@ def apply_training_form(layer: RepConvLayer, x: SparseTensor2D, mode: str,
     in this mode; the 1x1 and identity branches read through their
     center-tap placement so the same rule applies to them.
     """
-    if x.channels != layer.cin:
-        raise ShapeError(f"input has {x.channels} channels, layer expects {layer.cin}")
     if mode == "stride2" and layer.identity_bn is not None:
         raise StructuralError("a stride-2 layer has no identity branch")
     out3 = _branch_conv(x, layer.kernel3.astype(np.float64), mode, threads)

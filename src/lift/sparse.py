@@ -25,7 +25,9 @@ So _gemm_rows_exact probes each (Cin, Cout) once per process. A float
 conv whose shape passes takes the int8 tiles and hit-only offsets
 (below); one whose shape fails keeps TILE_ROWS-row tiles, the remainder
 joining the last, whatever the thread count, and runs every offset
-over the whole tile.
+over the whole tile. Those tiles stay even at one thread: at Cout <= 3
+(a 2- or 3-class head) GEMM rows differ between the two tilings from
+about 2,100 rows, so a fold would change the bytes such convs write.
 
 Hit-only float tiles. A float tile skips an offset with no hit in the
 tile, and multiplies one whose hit rows are more than one and fewer than
@@ -138,7 +140,9 @@ class SparseTensor2D:
     def build(cls, width, height, coords, features, qparams=None) -> "SparseTensor2D":
         """Canonicalize arbitrary coordinate/feature order and validate.
 
-        coords become int64 and features float64 unless they are int8.
+        features are (N, C) rows, one per coordinate, or (N,) for one
+        channel; N may be 0. coords become int64 and features float64
+        unless they are int8.
         When the keys already strictly increase, the tensor keeps the
         caller's arrays (after those conversions) without copying them,
         so the caller must not change them afterwards; otherwise it holds
@@ -148,7 +152,8 @@ class SparseTensor2D:
         features = np.asarray(features)
         if features.dtype != np.int8:
             features = features.astype(np.float64, copy=False)
-        features = features.reshape(coords.shape[0], -1)
+        if features.ndim == 1:
+            features = features[:, None]
         if coords.shape[0] != features.shape[0]:
             raise ShapeError("coords and features row counts differ")
         if coords.size:
@@ -166,15 +171,6 @@ class SparseTensor2D:
             raise ShapeError("int8 tensor requires QuantParams")
         return cls(width=width, height=height, coords=coords, features=features,
                    qparams=qparams, _keys=keys)
-
-    @classmethod
-    def empty(cls, width, height, channels, qparams=None) -> "SparseTensor2D":
-        """No active sites; int8 exactly when given qparams."""
-        dtype = np.float64 if qparams is None else np.int8
-        return cls(width=width, height=height,
-                   coords=np.empty((0, 2), dtype=np.int64),
-                   features=np.empty((0, channels), dtype=dtype),
-                   qparams=qparams, _keys=np.empty(0, dtype=np.int64))
 
     @property
     def channels(self) -> int:
@@ -336,7 +332,8 @@ def _tiles(n: int) -> list:
 def _split_tiles(n: int, threads: int) -> list:
     """Near-equal row ranges: one per TILE_ROWS rows, and at least
     threads of them once there are threads * SPLIT_ROWS rows. The tiles
-    of an int8 conv, and of a float conv whose GEMM rows are exact."""
+    of an int8 conv, of a float conv whose GEMM rows are exact, and, at
+    threads 1, of a projected add, whose sums are elementwise."""
     count = max(n // TILE_ROWS, threads if n >= threads * SPLIT_ROWS else 1)
     bounds = [n * t // count for t in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:])) if n else []
@@ -616,8 +613,6 @@ def sparse_max_pool(x: SparseTensor2D, k: int = 3) -> SparseTensor2D:
     """Per-channel max over active neighbors in the k x k window,
     submanifold semantics (active set unchanged). Works for real and
     int8 tensors alike; quantization metadata passes through."""
-    if len(x) == 0:
-        return x
     rb = build_rulebook(x, k, "submanifold")
     # a missing neighbor reads the smallest value, which never wins
     feats = _padded(x.features, INT8_MIN if x.is_int8 else -np.inf)
@@ -660,7 +655,7 @@ def sparse_add_projected(base: SparseTensor2D, other: SparseTensor2D, factor: in
     else:
         o, out = _zero_padded(other.features), empty_zero_row(len(base), base.channels)
     # by tiles: the rows gathered from other (and int8 byte indices as intp) stay small
-    for lo, hi in _tiles(len(base)):
+    for lo, hi in _split_tiles(len(base), 1):
         taps = o[rows[lo:hi]]
         if not base.is_int8:
             taps[rows[lo:hi] == len(other)] = -0.0   # adding -0.0 changes no value

@@ -56,7 +56,7 @@ def active_only(coords, width, height):
 
 class TestMacCounting:
     def test_empty_rulebook(self):
-        x = SparseTensor2D.empty(8, 8, 0)
+        x = SparseTensor2D.build(8, 8, [], np.empty((0, 0)))
         rb = build_rulebook(x, 3, "submanifold")
         assert rb.pair_count() == 0
 

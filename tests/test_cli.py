@@ -331,6 +331,10 @@ class TestOcm:
     def test_even_context_exit2(self):
         assert main(["ocm", "--dims", "64,64", "--context", "2,3"]) == 2
 
+    def test_a_zero_dimension_exit2_names_the_cause(self, capsys):
+        assert main(["ocm", "--dims", "0,720", "--context", "3,3"]) == 2
+        assert capsys.readouterr().err == "error: dims and context must be positive\n"
+
 
 class TestCalibrate:
     def run_calibrate(self, workspace, tmp_path):
@@ -817,6 +821,33 @@ def test_a_per_tensor_int8_block_exit2_names_file_and_tensor(tiny_int8_file, cap
     assert capsys.readouterr().err.startswith(
         f"error: {path}: tensor {name!r}: bad per_channel flag 0")
     assert not (tmp_path / "per_tensor.jsonl").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("mode", ["float", "int8"])
+@pytest.mark.parametrize("cloud", ["empty.bin", "comments.txt", "out_of_range.bin"])
+def test_a_cloud_without_pillars_writes_no_detections(tiny_int8_file, capsys, cloud, mode,
+                                                      threads):
+    tmp_path, _ = tiny_int8_file
+    path = tmp_path / cloud
+    if cloud == "empty.bin":
+        path.write_bytes(b"")
+    elif cloud == "comments.txt":
+        path.write_text("# x y z intensity\n\n# no points\n")
+    else:   # past x_max, below y_min and above z_max
+        np.array([[9.0, 0, 0, 1, 0], [0, -9.0, 0, 1, 0], [0, 0, 7.0, 1, 0]],
+                 dtype="<f4").tofile(path)
+    weights = tmp_path / ("int8.w" if mode == "int8" else "fused0.w")
+    out = tmp_path / f"{cloud}.{mode}.{threads}.jsonl"
+    capsys.readouterr()
+    assert main(["infer", "--weights", str(weights), "--cloud", str(path),
+                 "--config", str(tmp_path / "config.json"), "--out", str(out),
+                 f"--{mode}", "--threads", threads]) == 0
+    assert out.read_bytes() == b""
+    err = capsys.readouterr().err.splitlines()
+    assert err[:7] == [f"{site}: 0 active" for site in
+                       ("pillars", "encoder", "stage2", "stage3", "stage4", "fused")] + ["boxes: 0"]
+    assert err[7].startswith("latency: ") and len(err) == 8
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import pytest
 
 from lift.config import EngineConfig, config_from_dict, load_config
 from lift.errors import FormatError
+from lift.network import NetworkConfig
 
 
 def test_defaults_match_reference_setup():
@@ -68,6 +69,22 @@ def test_wrongly_typed_values_rejected():
 def test_generated_class_names():
     cfg = config_from_dict({"network": {"num_classes": 3}})
     assert cfg.network.class_names == ("class_0", "class_1", "class_2")
+
+
+def test_class_names_default_with_the_network_section_itself():
+    assert NetworkConfig(num_classes=3) == config_from_dict({"network": {"num_classes": 3}}).network
+    assert NetworkConfig(num_classes=3).class_names == ("class_0", "class_1", "class_2")
+    assert NetworkConfig().class_names[:2] == ("car", "truck")
+
+
+def test_a_key_the_document_leaves_out_keeps_the_engine_default():
+    assert config_from_dict({"decode": {"top_k": 3}}) == EngineConfig(top_k=3)
+    assert config_from_dict({"decode": {"score_threshold": 0.5}}) == \
+        EngineConfig(score_threshold=0.5)
+    assert config_from_dict({"calibration": {"mode": "percentile"}}) == \
+        EngineConfig(calibration_mode="percentile")
+    assert config_from_dict({"calibration": {"percentile": 99.0}}) == \
+        EngineConfig(calibration_percentile=99.0)
 
 
 def test_feature_length_follows_offset_flag():

@@ -250,6 +250,24 @@ def test_both_encoders_reject_a_wrong_feature_length_empty_or_not(rng, n_points)
         encode_int8(pillars, net)
 
 
+@pytest.mark.parametrize("source", ["no pillars", "empty cloud", "all out of range"])
+def test_both_encoders_run_zero_pillars_through_the_common_path(rng, source):
+    grid = GridConfig(x_min=-1.2, x_max=1.2, y_min=-0.6, y_max=0.6)
+    cloud = PointCloud(np.array([[5.0, 0, 0, 1], [0, -5.0, 0, 1], [0, 0, 9.0, 1]],
+                                dtype=np.float32)) if source == "all out of range" \
+        else PointCloud()
+    pillars = PillarSet(width=16, height=8) if source == "no pillars" else pillarize(cloud, grid)
+    assert (len(pillars), pillars.features.shape, pillars.offsets.tolist()) == (0, (0, 9), [0])
+    out = dbpfn_encode(pillars, DbpfnParams(weight=rng.normal(size=(9, 4)), bias=np.zeros(4)))
+    net = _int8_encoder(_int8_weights(rng, 9, 4), np.zeros(4), np.ones(4), 1.0)
+    out_q = encode_int8(pillars, net)
+    for y, dtype, qparams in ((out, np.float64, None), (out_q, np.int8, net.act[ENCODER_SITE])):
+        assert (y.width, y.height, y.features.shape) == (16, 8, (0, 8))
+        assert y.features.dtype == dtype and y.qparams == qparams
+        assert y.coords.shape == (0, 2) and y.coords.dtype == np.int64
+        assert y.keys().shape == (0,) and y.keys().dtype == np.int64
+
+
 # ---------------------------------------------------------------------------
 # decode
 
@@ -258,6 +276,17 @@ def _bits(boxes):
     return [tuple(v.hex() if isinstance(v, float) else v for v in
                   (b.class_id, b.class_name, b.score, b.x, b.y, b.z, b.l, b.w, b.h, b.yaw))
             for b in boxes]
+
+
+@pytest.mark.parametrize("int8", [False, True])
+def test_decode_of_empty_maps_is_no_boxes(int8):
+    grid = GridConfig(x_min=-4.8, x_max=4.8, y_min=-4.8, y_max=4.8)
+    cfg = NetworkConfig(num_classes=3, class_names=("a", "b", "c"))
+    dtype = np.int8 if int8 else np.float64
+    heat, reg = (SparseTensor2D.build(16, 16, [], np.empty((0, c), dtype=dtype),
+                                      qparams=QuantParams(0.05, -4) if int8 else None)
+                 for c in (3, 8))
+    assert decode(heat, reg, grid, cfg, 0.0, 500) == []
 
 
 def _head_maps(rng, side, classes, int8):

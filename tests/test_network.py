@@ -78,7 +78,7 @@ def tiny_network(rng, seed=0, form="fused"):
 class TestBackbone:
     def test_empty_input(self, rng):
         cfg, weights = tiny_network(rng)
-        s2, s3, s4 = run_backbone(SparseTensor2D.empty(32, 32, 8), weights)
+        s2, s3, s4 = run_backbone(SparseTensor2D.build(32, 32, [], np.empty((0, 8))), weights)
         assert len(s2) == len(s3) == len(s4) == 0
         assert (s2.width, s3.width, s4.width) == (8, 4, 2)
 
@@ -104,8 +104,8 @@ class TestFuseScales:
     def test_empty_others_returns_aligned_s2(self, rng):
         cfg, weights = tiny_network(rng)
         s2 = random_sparse(rng, 8, 8, 8, occupancy=0.4)
-        s3 = SparseTensor2D.empty(4, 4, 16)
-        s4 = SparseTensor2D.empty(2, 2, 16)
+        s3 = SparseTensor2D.build(4, 4, [], np.empty((0, 16)))
+        s4 = SparseTensor2D.build(2, 2, [], np.empty((0, 16)))
         out = fuse_scales(s2, s3, s4, weights)
         align = weights.layers["align"]
         expected = s2.features @ align.kernel[0, 0] + align.bias

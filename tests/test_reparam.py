@@ -3,7 +3,7 @@ import pytest
 from conftest import random_sparse
 from oracles import max_rel_dev
 
-from lift.errors import StructuralError
+from lift.errors import ShapeError, StructuralError
 from lift.reparam import (BN_EPSILON, BnParams, RepConvLayer, apply_fused,
                           apply_training_form, fold_bn, fuse)
 from lift.sparse import SparseTensor2D, submanifold_conv
@@ -106,8 +106,16 @@ class TestTrainingFormEquivalence:
 
     def test_empty_input(self, rng):
         layer = random_layer(rng, 4, 4, "submanifold")
-        y = apply_training_form(layer, SparseTensor2D.empty(8, 8, 4), "submanifold")
+        x = SparseTensor2D.build(8, 8, [], np.empty((0, 4)))
+        y = apply_training_form(layer, x, "submanifold")
         assert len(y) == 0
+
+    @pytest.mark.parametrize("mode", ["submanifold", "stride2"])
+    def test_an_input_of_the_wrong_width_is_refused_by_the_first_branch_conv(self, rng, mode):
+        layer = random_layer(rng, 4, 4, mode)
+        x = random_sparse(rng, 8, 8, 3, occupancy=0.3)
+        with pytest.raises(ShapeError, match="input has 3 channels, kernel expects 4"):
+            apply_training_form(layer, x, mode)
 
     def test_single_site_identity_only_layer(self):
         c = 3

@@ -49,10 +49,29 @@ class TestSparseTensor:
         with pytest.raises(ShapeError):
             SparseTensor2D.build(4, 4, [(0, 0)], np.array([[1]], dtype=np.int8))
 
+    @pytest.mark.parametrize("qparams", [None, QuantParams(0.5, 3)])
+    def test_build_and_max_pool_take_zero_rows(self, qparams):
+        dtype = np.float64 if qparams is None else np.int8
+        t = SparseTensor2D.build(6, 4, [], np.empty((0, 5), dtype=dtype), qparams=qparams)
+        for y in (t, sparse_max_pool(t)):
+            assert (y.width, y.height, len(y), y.channels) == (6, 4, 0, 5)
+            assert y.features.dtype == dtype and y.qparams == qparams
+            assert y.coords.shape == (0, 2) and y.coords.dtype == np.int64
+            assert y.keys().shape == (0,) and y.keys().dtype == np.int64
+
+    def test_build_reads_a_vector_as_one_channel(self):
+        t = SparseTensor2D.build(4, 4, [(2, 1), (0, 0)], [5.0, 7.0])
+        assert t.features.shape == (2, 1) and t.features[:, 0].tolist() == [7.0, 5.0]
+
+    def test_build_refuses_features_with_other_rows_than_coords(self):
+        # 4 x 2 features hold 8 values, as many as 2 sites of 4 channels
+        with pytest.raises(ShapeError, match="coords and features row counts differ"):
+            SparseTensor2D.build(4, 4, [(0, 0), (1, 0)], np.ones((4, 2)))
+
 
 class TestSubmanifold:
     def test_empty_input(self):
-        x = SparseTensor2D.empty(8, 8, 4)
+        x = SparseTensor2D.build(8, 8, [], np.empty((0, 4)))
         y = submanifold_conv(x, np.zeros((3, 3, 4, 2)))
         assert len(y) == 0 and y.channels == 2
 
@@ -109,7 +128,7 @@ class TestSubmanifold:
 
 class TestStride2:
     def test_empty(self):
-        x = SparseTensor2D.empty(8, 8, 4)
+        x = SparseTensor2D.build(8, 8, [], np.empty((0, 4)))
         y = sparse_conv_stride2(x, np.zeros((3, 3, 4, 2)))
         assert len(y) == 0 and (y.width, y.height) == (4, 4)
 
@@ -154,7 +173,7 @@ class TestStride2:
     @pytest.mark.parametrize("width, height", [(1, 1), (2, 3), (7, 5), (9, 9), (40, 31)])
     def test_bitmap_coords_equal_the_unique_of_candidate_keys(self, rng, width, height):
         out_w, out_h = -(-width // 2), -(-height // 2)
-        cases = [SparseTensor2D.empty(width, height, 1),
+        cases = [SparseTensor2D.build(width, height, [], np.empty((0, 1))),
                  SparseTensor2D.build(width, height, [(width - 1, height - 1)], [[1.0]]),
                  SparseTensor2D.build(width, height, [(0, 0)], [[1.0]])]
         cases += [random_sparse(rng, width, height, 1, occupancy=occ)
@@ -411,6 +430,19 @@ class TestTiling:
             submanifold_conv(x, rng.normal(size=(1, 1, 16, 8)), threads=threads)
             assert seen[-1] == (split if exact else [(0, 2025)])
 
+    def test_a_float_conv_whose_rows_are_not_exact_keeps_its_tiles_at_any_thread_count(
+            self, rng):
+        # at Cout 3, GEMM rows past about 2,100 differ between 1,024-row and
+        # near-equal tiles (sparse module docstring); 2,500 rows split into
+        # 2 near-equal tiles at threads 1 and 2, and into 3 at threads 3
+        x = tiled_case(rng, 2500, "submanifold", 128)
+        kernel, bias = rng.normal(size=(1, 1, 128, 3)), rng.normal(size=3)
+        want = np.concatenate([x.features[lo:hi] @ kernel[0, 0] + bias
+                               for lo, hi in _tiles(len(x))])
+        for threads in (1, 2, 3):
+            y = submanifold_conv(x, kernel, bias, threads=threads)
+            assert y.features.tobytes() == want.tobytes()
+
     def test_a_passed_gemm_row_probe_holds_for_other_rows_and_heights(self, rng):
         # what hit-only float offsets rest on (sparse module docstring):
         # where the probe passes a shape, any row set of any height >= 2
@@ -666,7 +698,7 @@ class TestMaxPool:
 class TestAddProjected:
     def test_empty_other_is_identity(self, rng):
         base = random_sparse(rng, 8, 8, 4, occupancy=0.4)
-        other = SparseTensor2D.empty(4, 4, 4)
+        other = SparseTensor2D.build(4, 4, [], np.empty((0, 4)))
         y = sparse_add_projected(base, other, 2)
         assert np.array_equal(y.features, base.features)
 
@@ -741,6 +773,23 @@ class TestAddProjected:
             orow = other_map.get((i // 4, j // 4))
             want = brow if orow is None else brow + orow
             assert yrow.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("int8", [False, True])
+    def test_a_sum_over_several_tiles_matches_the_per_site_oracle(self, rng, int8):
+        base = random_sparse(rng, 100, 56, 3, occupancy=0.5, int8=int8,
+                             qparams=QuantParams(0.1, -7) if int8 else None)
+        other = random_sparse(rng, 50, 28, 3, occupancy=0.5, int8=int8,
+                              qparams=QuantParams(0.3, 9) if int8 else None)
+        assert len(base) > 2 * TILE_ROWS
+        out_qp = QuantParams(0.4, 2) if int8 else None
+        y = sparse_add_projected(base, other, 2, qparams=out_qp)
+        if int8:
+            assert y.features.tolist() == self._oracle(base, other, 2, out_qp).tolist()
+            return
+        other_map = {tuple(c): f for c, f in zip(other.coords.tolist(), other.features)}
+        for (i, j), brow, yrow in zip(base.coords.tolist(), base.features, y.features):
+            orow = other_map.get((i // 2, j // 2))
+            assert yrow.tobytes() == (brow if orow is None else brow + orow).tobytes()
 
     def test_int8_add_matches_the_scalar_oracle_at_the_edges(self):
         # operand factors s_in / s_out with s_out = 1: the 2^-32 floor (a
