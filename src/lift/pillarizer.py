@@ -118,7 +118,8 @@ class PillarSet:
 
     coords[m] = (i, j) for pillar m; features holds the per-point rows
     of all pillars concatenated in pillar order, sliced by offsets
-    (pillar m owns features[offsets[m]:offsets[m + 1]]). Bookkeeping
+    (pillar m owns features[offsets[m]:offsets[m + 1]]); pillarize's are
+    a view of a feature-major buffer, so each row is strided. Bookkeeping
     counters make the conservation law checkable:
     kept + out_of_range + truncated == len(cloud).
     """
@@ -151,17 +152,24 @@ def pillarize(cloud: PointCloud, cfg: GridConfig, *, include_offsets: bool = Tru
     pillar the cloud order is preserved and entries past
     max_points_per_pillar are dropped from the tail, so output is
     deterministic regardless of how the work is scheduled.
+
+    features is feature-major: each kept point's features are written
+    once, into one (F, N) float64 buffer, and the PillarSet holds its
+    (N, F) transposed view. Only the x and y columns of the whole cloud
+    are copied to float64, to bin; z is checked on the cloud's own
+    column against float64 bounds.
     """
     width, height = cfg.width, cfg.height
-    pts = cloud.data.astype(np.float64)
-    x, y, z, intensity = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
+    data = cloud.data
+    x, y = data[:, 0].astype(np.float64), data[:, 1].astype(np.float64)
     # clipped: a far-off point would overflow the cast, and is dropped anyway
     i = np.floor(np.clip((x - cfg.x_min) / cfg.pillar_size_x, -1, width)).astype(np.int64)
     j = np.floor(np.clip((y - cfg.y_min) / cfg.pillar_size_y, -1, height)).astype(np.int64)
+    # numpy float64 bounds: the comparison runs in float64 whatever the column's dtype
     in_range = (
         (x >= cfg.x_min) & (x < cfg.x_max)
         & (y >= cfg.y_min) & (y < cfg.y_max)
-        & (z >= cfg.z_min) & (z < cfg.z_max)
+        & (data[:, 2] >= np.float64(cfg.z_min)) & (data[:, 2] < np.float64(cfg.z_max))
         & (i >= 0) & (i < width) & (j >= 0) & (j < height)
     )
     out_of_range = int((~in_range).sum())
@@ -185,22 +193,22 @@ def pillarize(cloud: PointCloud, cfg: GridConfig, *, include_offsets: bool = Tru
     truncated = int(key.size - within_cap.sum())
     keep = keep[within_cap]
 
-    xk, yk, zk = x[keep], y[keep], z[keep]
-    ik, jk = i[keep], j[keep]
-    x_coarse, x_detail = coarse_detail_split(xk, cfg.x_min, cfg.x_max)
-    y_coarse, y_detail = coarse_detail_split(yk, cfg.y_min, cfg.y_max)
-    z_coarse, z_detail = coarse_detail_split(zk, cfg.z_min, cfg.z_max)
-    inten = intensity[keep] / 255.0 if normalize_intensity else intensity[keep]
-    columns = [x_coarse, x_detail, y_coarse, y_detail, z_coarse, z_detail, inten]
+    # feature-major: row f holds feature f of every kept point
+    features = np.empty((len(FEATURE_NAMES) - (0 if include_offsets else 2), keep.size))
+    xk, yk = x[keep], y[keep]
+    features[0], features[1] = coarse_detail_split(xk, cfg.x_min, cfg.x_max)
+    features[2], features[3] = coarse_detail_split(yk, cfg.y_min, cfg.y_max)
+    features[4], features[5] = coarse_detail_split(data[keep, 2], cfg.z_min, cfg.z_max)
+    features[6] = data[keep, 3]
+    if normalize_intensity:
+        features[6] /= 255.0
     if include_offsets:
-        cx = cfg.x_min + (ik + 0.5) * cfg.pillar_size_x
-        cy = cfg.y_min + (jk + 0.5) * cfg.pillar_size_y
-        columns += [xk - cx, yk - cy]
-    features = np.column_stack(columns)
+        features[7] = xk - (cfg.x_min + (i[keep] + 0.5) * cfg.pillar_size_x)
+        features[8] = yk - (cfg.y_min + (j[keep] + 0.5) * cfg.pillar_size_y)
 
     offsets = np.r_[0, np.cumsum(np.minimum(counts, cfg.max_points_per_pillar))]
     pillar_keys = key[starts]
     coords = np.column_stack([pillar_keys % width, pillar_keys // width])
 
-    return PillarSet(width=width, height=height, coords=coords, features=features,
+    return PillarSet(width=width, height=height, coords=coords, features=features.T,
                      offsets=offsets, out_of_range=out_of_range, truncated=truncated)

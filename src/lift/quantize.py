@@ -24,8 +24,8 @@ from .network import (ENCODER_SITE, InferenceResult, NetworkConfig, NetworkWeigh
 from .pillarizer import GridConfig, PillarSet
 from .quant import (INT8_MAX, INT8_MIN, QuantParams, calibrate, encode_factors,
                     integer_bias, requantize_array)
-from .sparse import (OutputQuant, SparseTensor2D, int8_gemms, sparse_add_projected,
-                     sparse_conv_stride2, submanifold_conv)
+from .sparse import (OutputQuant, SparseTensor2D, _split_tiles, int8_gemms,
+                     sparse_add_projected, sparse_conv_stride2, submanifold_conv)
 
 INPUT_FEATURES_SITE = "input_features"
 
@@ -243,7 +243,10 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
     sum an integer below 2^24, else float64. Pooling comes before the
     bias: max(x + b) = max(x) + b holds exactly for integers, and the
     int32 accumulator bound (quant.integer_bias) keeps every pooled sum
-    plus bias inside int32.
+    plus bias inside int32. The steps run by pillar tiles
+    (sparse._split_tiles at one thread), each writing its rows of one
+    int8 output, so the float and integer scratch holds one tile's
+    points; every step is exact, so the tiling changes no byte.
     """
     enc_qp = net.act[ENCODER_SITE]
     q_weight = net.encoder.q_weight
@@ -252,22 +255,26 @@ def encode_int8(pillars: PillarSet, net: Int8Network) -> SparseTensor2D:
         raise ShapeError(f"pillar features have length {pillars.feature_length}, "
                          f"encoder expects {n_features}")
     gemm = int8_gemms(q_weight[None, None], 0)[1]
+    w = q_weight.astype(gemm)
     scales = np.array([qp.scale for qp in net.feature_qps], dtype=np.float64)
     zero_points = np.array([qp.zero_point for qp in net.feature_qps], dtype=np.float64)
-    # quantize to int8 (rint(x / scale) + zero point, saturated) and center,
-    # every feature at once
-    centered = np.rint(pillars.features / scales)
-    centered += zero_points
-    np.clip(centered, INT8_MIN, INT8_MAX, out=centered)
-    centered -= zero_points
-    products = centered.astype(gemm) @ q_weight.astype(gemm)
-    del centered
-    acc = dual_bound_pool(products, pillars.offsets).astype(np.int32)
-    del products
-    acc += np.tile(net.bias_q["dbpfn"], 2)
+    bias = np.tile(net.bias_q["dbpfn"], 2)
     oq = OutputQuant.from_scales(1.0, net.encoder.weight_scales, enc_qp)
-    q = requantize_array(acc, np.tile(oq.multipliers, 2), np.tile(oq.shifts, 2),
-                         enc_qp.zero_point)
+    multipliers, shifts = np.tile(oq.multipliers, 2), np.tile(oq.shifts, 2)
+    offsets = pillars.offsets
+    q = np.empty((len(pillars), 2 * w.shape[1]), dtype=np.int8)
+    for lo, hi in _split_tiles(len(pillars), 1):
+        first, last = offsets[lo], offsets[hi]
+        # quantize to int8 (rint(x / scale) + zero point, saturated) and
+        # center, every feature of the tile's points at once
+        centered = np.rint(pillars.features[first:last] / scales)
+        centered += zero_points
+        np.clip(centered, INT8_MIN, INT8_MAX, out=centered)
+        centered -= zero_points
+        products = centered.astype(gemm) @ w
+        acc = dual_bound_pool(products, offsets[lo:hi + 1] - first).astype(np.int32)
+        acc += bias
+        q[lo:hi] = requantize_array(acc, multipliers, shifts, enc_qp.zero_point)
     return SparseTensor2D.build(pillars.width, pillars.height, pillars.coords, q,
                                 qparams=enc_qp)
 

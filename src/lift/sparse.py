@@ -6,7 +6,12 @@ conv's rulebook is an output-major table: nbr[d, o] is the input row
 that kernel offset d feeds into output row o, or n_in where that tap is
 missing, and row n_in of the features reads zeros: float conv and add
 outputs, and the float encoder's, keep a spare +0.0 row for this, other
-inputs are copied and padded. Every conv, float or int8, runs by row
+float inputs are copied and padded. An int8 conv copies no whole
+input: each tile centers, into the GEMM dtype, only the input rows its
+taps can read (rows are in key order, so they are one range, bounded
+by the keys of its first and last outputs' corner taps) and a padding
+row at the zero point, which centers to 0. A table is filled one offset
+row at a time. Every conv, float or int8, runs by row
 tiles: each group of live offsets gathers its rows side by side and runs
 one GEMM, and the products sum onto the bias; the epilogue (a ReLU, or
 int8 requantization) then runs while the tile is in cache.
@@ -259,11 +264,17 @@ def _build_table(x: SparseTensor2D, k: int, mode: str) -> Rulebook:
         out_coords = _stride2_coords(x, out_w, out_h)
         step, pad = 2, 1
 
-    dy, dx = np.divmod(np.arange(k * k), k)
-    ci = step * out_coords[:, 0] + (dx - pad)[:, None]
-    cj = step * out_coords[:, 1] + (dy - pad)[:, None]
-    return Rulebook(out_width=out_w, out_height=out_h, out_coords=out_coords,
-                    nbr=_rows_at(x, ci, cj), n_in=len(x))
+    # a row index of the grid with a border of pad inactive sites, so that
+    # every tap's site is in it; the table is filled one offset row at a time
+    wide = x.width + 2 * pad
+    index = np.full((x.height + 2 * pad) * wide, len(x), dtype=np.intp)
+    index[(x.coords[:, 1] + pad) * wide + x.coords[:, 0] + pad] = np.arange(len(x))
+    corner = step * (out_coords[:, 1] * wide + out_coords[:, 0])   # each output's (0, 0) tap
+    nbr = np.empty((k * k, len(out_coords)), dtype=np.intp)
+    for d in range(k * k):
+        index.take(corner + (d // k) * wide + d % k, out=nbr[d], mode="clip")
+    return Rulebook(out_width=out_w, out_height=out_h, out_coords=out_coords, nbr=nbr,
+                    n_in=len(x))
 
 
 def _stride2_coords(x: SparseTensor2D, out_w: int, out_h: int) -> np.ndarray:
@@ -486,6 +497,22 @@ def _zero_padded(features: np.ndarray) -> np.ndarray:
     return _padded(features, 0.0)
 
 
+def _input_windows(x: SparseTensor2D, rb: Rulebook, k: int, mode: str, tiles: list) -> dict:
+    """Per tile (lo, hi), the range first:end of x's rows that its taps
+    can read. Rows are in key order, and so are the outputs, so the
+    tile's first output's first tap and its last output's last tap bound
+    every key it reads (an off-grid tap only widens the bound). A single
+    tile takes every row."""
+    if len(tiles) == 1:
+        return {tiles[0]: (0, len(x))}
+    step, pad = (1, k // 2) if mode == "submanifold" else (2, 1)
+    lo = rb.out_coords[[a for a, _ in tiles]] * step - pad
+    hi = rb.out_coords[[b - 1 for _, b in tiles]] * step + (k - 1 - pad)
+    first = np.searchsorted(x.keys(), lo[:, 1] * x.width + lo[:, 0])
+    end = np.searchsorted(x.keys(), hi[:, 1] * x.width + hi[:, 0], side="right")
+    return dict(zip(tiles, zip(first.tolist(), end.tolist())))
+
+
 def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
           out_quant: OutputQuant | None = None, threads: int = 1,
           relu: bool = False, gemms: tuple | None = None) -> SparseTensor2D:
@@ -504,13 +531,12 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
     hit_only = None
     if x.is_int8:
         groups, gemm, acc_dtype = gemms or int8_gemms(w, bias)
-        feats = _padded(x.features, x.qparams.zero_point, gemm)
-        feats -= x.qparams.zero_point   # centered: the padding row reads 0
         out = np.empty((n_out, cout), dtype=np.int8)
         tiles = _split_tiles(n_out, threads)
+        windows = _input_windows(x, rb, k, mode, tiles)
     else:
         groups, gemm, acc_dtype = [[d] for d in range(k * k)], np.float64, np.float64
-        feats = _zero_padded(x.features)
+        padded = _zero_padded(x.features)
         out = empty_zero_row(n_out, cout)
         # only exact product rows may change GEMM height: then tiles split by
         # thread, and offsets run hit-only unless an accumulator could be
@@ -535,10 +561,16 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
     # each thread's float64 accumulator for int8 tiles
     scratch = threading.local()
 
-    def products(g, w_gemm, lo, hi):
-        taps = feats[lo:hi] if g == center else \
-            feats.take(rb.nbr[g, lo:hi].T, axis=0).reshape(hi - lo, -1)
-        return taps @ w_gemm
+    def products(feats, first, g, w_gemm, lo, hi):
+        """Tile rows lo:hi's products for offset group g, reading input row
+        r at feats[r - first]. A missing tap reads feats' last row: its
+        index n_in - first is that row's or, clipped, past it."""
+        if g == center:
+            taps = feats[lo - first:hi - first]
+        else:
+            taps = rb.nbr[g, lo:hi].T
+            taps = feats.take(taps - first if first else taps, axis=0, mode="clip")
+        return taps.reshape(hi - lo, -1) @ w_gemm
 
     def tile(rows):
         lo, hi = rows
@@ -546,10 +578,15 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
             if not hasattr(scratch, "acc"):
                 scratch.acc = np.empty((max(b - a for a, b in tiles), cout))
             acc = scratch.acc[:hi - lo]
+            # the input rows the tile reads and a padding row at the zero
+            # point, centered in the GEMM dtype: the padding row reads 0
+            first, end = windows[rows]
+            feats = _padded(x.features[first:end], x.qparams.zero_point, gemm)
+            feats -= x.qparams.zero_point
         else:
-            acc = out[lo:hi]
+            acc, feats, first = out[lo:hi], padded, 0
         if one_gemm:
-            summed = products(groups[0], w_groups[0], lo, hi)
+            summed = products(feats, first, groups[0], w_groups[0], lo, hi)
             summed += bias
             np.copyto(acc, summed)   # exact; faster than one mixed-dtype add
         else:
@@ -563,7 +600,7 @@ def _conv(x: SparseTensor2D, w: np.ndarray, bias, mode: str,
                     if 1 < e - s < HIT_ONLY_SHARE * (hi - lo):
                         acc[hit_rows[s:e] - lo] += feats.take(in_rows[s:e], axis=0) @ w_gemm
                         continue
-                acc += products(g, w_gemm, lo, hi)
+                acc += products(feats, first, g, w_gemm, lo, hi)
         if x.is_int8:
             out_quant.requantize(acc, out[lo:hi], relu=relu)
         elif relu:

@@ -3,6 +3,7 @@ pooling, the int8 encoder and box decoding -- against the plain
 formulations in oracles.py, bit for bit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from lift.pcd_io import PointCloud
 from lift.pillarizer import GridConfig, PillarSet, pillarize
 from lift.quant import QuantParams
 from lift.quantize import Int8Network, Int8Weights, encode_int8
-from lift.sparse import F32_EXACT, SparseTensor2D, int8_gemms
+from lift.sparse import F32_EXACT, OutputQuant, SparseTensor2D, _split_tiles, int8_gemms
 
 
 def _offsets(counts):
@@ -136,6 +137,94 @@ def test_pillarize_matches_oracle_on_the_largest_grid(rng):
     _assert_same_pillars(got, pillarize_stable_argsort(cloud, grid))
 
 
+def _axis_edges(lo, hi, size, width, dtype):
+    """lo, one ulp (of dtype) under hi, and the values under hi whose
+    (v - lo) / size rounds up to the width, where dtype has the bits."""
+    below = np.nextafter(dtype(hi), dtype(-np.inf))
+    rounds_up = [v for v in below - np.arange(8) * np.spacing(below)
+                 if float(v) < hi and np.floor((float(v) - lo) / size) == width]
+    return [lo, below, *rounds_up], len(rounds_up)
+
+
+def _edge_cloud(rng, grid, dtype):
+    """Points in range, and points on every edge of the ranges (with the
+    count of those whose bin rounds up to the width)."""
+    n = 3000
+    data = np.column_stack([rng.uniform(grid.x_min, grid.x_max, n),
+                            rng.uniform(grid.y_min, grid.y_max, n),
+                            rng.uniform(grid.z_min, grid.z_max, n),
+                            rng.uniform(0.0, 255.0, n)]).astype(dtype)
+    xs, x_up = _axis_edges(grid.x_min, grid.x_max, grid.pillar_size_x, grid.width, dtype)
+    ys, y_up = _axis_edges(grid.y_min, grid.y_max, grid.pillar_size_y, grid.height, dtype)
+    zs = [grid.z_min, grid.z_max, np.nextafter(dtype(grid.z_max), dtype(-np.inf)),
+          np.nextafter(dtype(grid.z_min), dtype(np.inf)), 0.0]
+    edges = np.array([(x, y, z, 7.0) for x in xs + [0.3] for y in ys + [0.3] for z in zs],
+                     dtype=dtype)
+    cloud = PointCloud(data=rng.permutation(np.concatenate([data, edges, edges[::3]])))
+    return cloud, x_up + y_up
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("offsets_on", [True, False])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_pillarize_feature_major_output_matches_the_oracle_on_the_range_edges(
+        rng, dtype, offsets_on, normalize):
+    # y_min, z_min and z_max are not float32 numbers, so a float32
+    # comparison would keep points the float64 bounds drop; in float64,
+    # points one ulp under x_max and y_max bin to the width and height
+    grid = GridConfig(x_min=-3.0, x_max=3.0, y_min=-2.4, y_max=4.8, z_min=-1.7, z_max=2.9,
+                      max_points_per_pillar=5)
+    cloud, rounding_up = _edge_cloud(rng, grid, dtype)
+    assert rounding_up > 0 or dtype == np.float32
+    got = pillarize(cloud, grid, include_offsets=offsets_on, normalize_intensity=normalize)
+    ref = pillarize_stable_argsort(cloud, grid, include_offsets=offsets_on,
+                                   normalize_intensity=normalize)
+    # features are the (N, F) view of one feature-major buffer
+    n_features = 9 if offsets_on else 7
+    assert got.features.base.shape == (n_features, got.point_count)
+    assert got.features.flags.f_contiguous and not got.features.flags.c_contiguous
+    got.features = np.ascontiguousarray(got.features)
+    _assert_same_pillars(got, ref)
+    assert got.out_of_range > 0 and got.truncated > 0
+
+
+def scan_like_cloud(rng, n):
+    """A LiDAR-like scan: range log-uniform on [2, 80] m, ground returns
+    near z = -1.8."""
+    r = 2.0 * 40.0 ** rng.random(n)
+    azimuth = rng.uniform(-np.pi, np.pi, n)
+    z = np.minimum(-1.8 + np.abs(rng.normal(0.0, 0.4, n)), 2.9)
+    return PointCloud(data=np.column_stack([r * np.cos(azimuth), r * np.sin(azimuth), z,
+                                            rng.uniform(0.0, 255.0, n)]).astype(np.float32))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the most memory tracemalloc saw allocated during the
+    call beyond what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+def test_pillarize_and_the_int8_encoder_peaks_follow_their_outputs(rng):
+    # on a 60k-point scan (about 55k kept points in 37k pillars): pillarize
+    # holds under 3.5 times its (N, 9) float64 features (the per-point
+    # binning arrays and one column's temporaries), and encode_int8 under
+    # 2 times its (P, 64) int8 output (one pillar tile's scratch)
+    pillars, peak = _traced_peak(pillarize, scan_like_cloud(rng, 60000), GridConfig())
+    assert pillars.point_count > 50000
+    assert peak < 3.5 * pillars.features.nbytes
+    net = _int8_encoder(_int8_weights(rng, 9, 32), np.zeros(32), np.ones(32), 1.0)
+    x, peak = _traced_peak(encode_int8, pillars, net)
+    assert len(x) > 30000 and len(_split_tiles(len(x), 1)) > 30
+    assert peak < 2 * x.features.nbytes
+
+
 # ---------------------------------------------------------------------------
 # int8 encoder
 
@@ -237,6 +326,65 @@ def test_encode_int8_runs_float32_past_the_feature_count_where_the_l1_bound_hold
     assert _same(x.features, encode_int8_reference(pillars, net))
     zero_point = net.act[ENCODER_SITE].zero_point
     assert (x.features[0, [0, 1, hidden, hidden + 1]] == 1 + zero_point).all()
+
+
+# pillar counts on both sides of the encoder's tile edges (TILE_ROWS = 1,024)
+TILE_EDGE_PILLARS = [0, 1, 1023, 1024, 1025, 2047, 2048, 3 * 1024 + 618]
+
+
+def _edge_counts(rng, n_pillars, spread):
+    """Point counts of n_pillars pillars, drawn from spread, with a
+    1-point and a 20-point pillar on each side of every tile edge."""
+    counts = rng.choice(spread, n_pillars)
+    for t, (lo, hi) in enumerate(_split_tiles(n_pillars, 1)):
+        counts[lo], counts[hi - 1] = (1, 20) if t % 2 else (20, 1)
+        if hi - lo > 2:
+            counts[lo + 1], counts[hi - 2] = (20, 1) if t % 2 else (1, 20)
+    return counts
+
+
+def _counting_from_scales(monkeypatch):
+    calls = []
+    original = OutputQuant.from_scales
+    monkeypatch.setattr(OutputQuant, "from_scales",
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n_pillars", TILE_EDGE_PILLARS)
+def test_the_tiled_int8_encoder_equals_the_oracle_across_tile_edges(rng, monkeypatch,
+                                                                    n_pillars):
+    n_features, hidden = 9, 8
+    net = _int8_encoder(_int8_weights(rng, n_features, hidden),
+                        rng.integers(-10 ** 6, 10 ** 6, hidden), np.ones(hidden), 2.0 ** 14)
+    assert int8_gemms(net.encoder.q_weight[None, None], 0)[1] == np.float32
+    pillars = _pillars(rng, _edge_counts(rng, n_pillars, np.arange(1, 21)), n_features)
+    pillars.features = np.asfortranarray(pillars.features)   # feature-major, as pillarize's
+    calls = _counting_from_scales(monkeypatch)
+    x = encode_int8(pillars, net)
+    assert len(calls) == 1
+    assert np.array_equal(x.coords, pillars.coords)
+    assert _same(x.features, encode_int8_reference(pillars, net))
+
+
+@pytest.mark.parametrize("n_pillars", TILE_EDGE_PILLARS)
+def test_the_tiled_int8_encoder_equals_the_oracle_on_the_float64_gemm(rng, monkeypatch,
+                                                                      n_pillars):
+    # 600 features and weights of -128 on channel 0: its L1 bound passes
+    # 2^24, so the GEMM runs in float64; mostly 1-point pillars keep the
+    # (N, 600) features small
+    n_features, hidden = 600, 4
+    q_weight = _int8_weights(rng, n_features, hidden)
+    q_weight[:, 0] = -128
+    feature_qps = [QuantParams(scale=0.5, zero_point=-128)] * n_features
+    net = _int8_encoder(q_weight, rng.integers(-10 ** 6, 10 ** 6, hidden), np.ones(hidden),
+                        2.0 ** 20, feature_qps)
+    assert int8_gemms(q_weight[None, None], 0)[1] == np.float64
+    pillars = _pillars(rng, _edge_counts(rng, n_pillars, [1, 1, 1, 2]), n_features)
+    calls = _counting_from_scales(monkeypatch)
+    x = encode_int8(pillars, net)
+    assert len(calls) == 1
+    assert _same(x.features, encode_int8_reference(pillars, net))
 
 
 @pytest.mark.parametrize("n_points", [0, 3])

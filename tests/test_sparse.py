@@ -1,18 +1,19 @@
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import random_sparse
-from oracles import (Requantizer, dense_conv, dense_conv_int, dense_conv_int_fast,
-                     dense_max_pool, densify, conv_loops, max_rel_dev, requantize, scatter_conv,
+from oracles import (Requantizer, brute_force_taps, dense_conv, dense_conv_int,
+                     dense_conv_int_fast, dense_max_pool, densify, conv_loops, max_rel_dev, requantize, scatter_conv,
                      stride2_active_set, stride2_coords_unique)
 
 from lift import cli, sparse
 from lift.errors import ParameterError, ShapeError
 from lift.quant import QuantParams, integer_bias
-from lift.sparse import (EXACT_F64_SHIFT, F32_EXACT, TILE_ROWS, OutputQuant,
+from lift.sparse import (EXACT_F64_SHIFT, F32_EXACT, SPLIT_ROWS, TILE_ROWS, OutputQuant,
                          SparseTensor2D, _split_tiles, _stride2_coords, _tiles, build_rulebook,
                          int8_gemms, sparse_add_projected, sparse_conv_stride2,
                          sparse_max_pool, submanifold_conv)
@@ -909,6 +910,83 @@ def test_rulebook_derived_arrays_match_the_table(rng):
         for d, (rows, inputs) in enumerate(rb.hit_pairs):
             assert rows.tolist() == np.flatnonzero(hit[d]).tolist()
             assert inputs.tolist() == rb.nbr[d, rows].tolist()
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (2, 7), (9, 4), (13, 13), (16, 11)])
+@pytest.mark.parametrize("k, mode", [(1, "submanifold"), (3, "submanifold"), (3, "stride2")])
+def test_each_offset_row_of_the_table_matches_the_brute_force_taps(rng, width, height, k,
+                                                                     mode):
+    # every border site is active, and about a third of the others
+    border = {(i, j) for i in range(width) for j in range(height)
+              if i in (0, width - 1) or j in (0, height - 1)}
+    inner = [(i, j) for i in range(1, width - 1) for j in range(1, height - 1)
+             if rng.random() < 0.35]
+    coords = np.array(sorted(border | set(inner)))
+    x = SparseTensor2D.build(width, height, coords, np.zeros((len(coords), 1)))
+    rb = build_rulebook(x, k, mode)
+    rows = {(i, j): r for r, (i, j) in enumerate(x.coords.tolist())}
+    step, pad = (1, k // 2) if mode == "submanifold" else (2, 1)
+    for d in range(k * k):
+        dy, dx = divmod(d, k)
+        want = [rows.get((step * oi + dx - pad, step * oj + dy - pad), len(x))
+                for oi, oj in rb.out_coords.tolist()]
+        assert rb.nbr[d].tolist() == want
+    assert rb.pair_count() == brute_force_taps(set(rows), width, height, k, mode)
+
+
+class TestInt8Gather:
+    """An int8 conv centers, tile by tile, the input rows the tile reads
+    and a padding row at the zero point into the GEMM dtype: a missing
+    tap reads exactly 0 at any zero point, and no float copy of the whole
+    input is made."""
+
+    # (mode, k, cin): a 1x1 conv and a 3x3 conv whose center offset runs
+    # alone (the center-slice path), and a stride-2 conv
+    CASES = [("submanifold", 1, 16), ("submanifold", 3, 260), ("stride2", 3, 16)]
+
+    @pytest.mark.parametrize("zero_point", [-128, 0, 127])
+    @pytest.mark.parametrize("mode, k, cin", CASES)
+    def test_bitwise_vs_dense_oracle_at_the_int8_zero_point_edges(self, rng, mode, k, cin,
+                                                                 zero_point):
+        n_out = 3 * SPLIT_ROWS + 5   # one tile per thread at threads 2 and 3
+        x = tiled_case(rng, n_out, mode, cin, int8=True)
+        x = x.with_features(x.features, QuantParams(0.05, zero_point))
+        if cin > 128:
+            # 255 * 127 * cin per offset: one offset stays below 2^24, two do not
+            kernel = rng.choice(np.array([-127, 127], dtype=np.int8), size=(k, k, cin, 8))
+        else:
+            kernel = rng.integers(-128, 128, size=(k, k, cin, 8)).astype(np.int8)
+        bias = rng.integers(-10 ** 6, 10 ** 6, size=8).astype(np.float64)
+        groups = int8_gemms(kernel, bias)[0]
+        assert (k * k // 2,) in groups if mode == "submanifold" else len(groups) == 1
+        oq = OutputQuant.from_scales(x.qparams.scale, rng.uniform(5e-4, 2e-3, size=8),
+                                     QuantParams(0.5, 3))
+        stride = 1 if mode == "submanifold" else 2
+        ref = dense_conv_int_fast(densify(x), zero_point, kernel, bias.astype(np.int64), oq,
+                                  stride=stride)
+        conv = submanifold_conv if mode == "submanifold" else sparse_conv_stride2
+        for threads in (1, 2, 3):
+            y = conv(x, kernel, bias, out_quant=oq, threads=threads)
+            assert len(y) == n_out
+            assert y.features.tobytes() == masked_dense(y, ref).astype(np.int8).tobytes()
+        assert len(np.unique(y.features)) > 20
+
+    def test_an_int8_conv_holds_no_float_copy_of_its_input(self, rng):
+        cin = 64
+        x = random_sparse(rng, 300, 300, cin, occupancy=0.67, int8=True)
+        kernel = rng.integers(-128, 128, size=(3, 3, cin, 8)).astype(np.int8)
+        oq = OutputQuant.from_scales(x.qparams.scale, np.full(8, 1e-3), QuantParams(0.5, 0))
+        build_rulebook(x, 3, "submanifold")   # the input's table, kept with it
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            submanifold_conv(x, kernel, np.zeros(8), out_quant=oq)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the output and one tile's centered input rows, gather and GEMM
+        # operands stay under one (n_in + 1) x Cin float32 array
+        assert peak < (len(x) + 1) * cin * np.dtype(np.float32).itemsize
 
 
 class TestSharedTables:
